@@ -18,7 +18,6 @@ import argparse
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +83,8 @@ _OPTION_TYPES = {
         "coeff": str,
         "method": str,
         "out": str,
+        # accepted so that existing config files keep working; a sweep is one
+        # character transform per modulus and has no work to spread
         "jobs": int,
     },
     "bench": {"kind": str, "M": int, "samples": int, "seed": int},
@@ -222,37 +223,10 @@ def cmd_sums(ns: argparse.Namespace) -> int:
 
 def cmd_sweep(ns: argparse.Namespace) -> int:
     _require(ns, "kind", "pmin", "pmax")
-    if ns.kind not in ("dirichlet", "twist"):
-        raise ConfigError(f"sweep kind must be dirichlet or twist, got {ns.kind!r}")
-    limit = 10_000 if ns.kind == "dirichlet" else 500
-    if ns.pmax > limit:
-        raise ConfigError(f"{ns.kind} sweeps are oracle-feasible only up to M = {limit}")
-    kwargs = dict(chars=ns.chars, coeff=ns.coeff, method=ns.method)
-    if ns.jobs > 1:
-        from .modular import primes_in
-        from .lfunctions import delta_sequence, divisor_sequence
-
-        seq = None
-        if ns.kind == "twist":
-            # shared coefficient cache sized once for the whole range
-            need = math.ceil(4.0 * 50.0 * ns.pmax * math.log(max(ns.pmax, 3))) + 10
-            seq = (
-                divisor_sequence(need) if ns.coeff == "divisor" else delta_sequence(need)
-            )
-        primes = primes_in(max(5, ns.pmin), ns.pmax)
-        with ThreadPoolExecutor(max_workers=ns.jobs) as pool:
-            parts = list(
-                pool.map(lambda p: burgess_sweep(ns.kind, p, p, seq=seq, **kwargs), primes)
-            )
-        records = sorted(
-            (rec for part in parts for rec in part), key=lambda r: (r.M, r.char_index)
-        )
-    else:
-        records = burgess_sweep(ns.kind, ns.pmin, ns.pmax, **kwargs)
-    if ns.out:
-        write_sweep_csv(records, ns.out)
-    else:
-        write_sweep_csv(records, sys.stdout)
+    records = burgess_sweep(
+        ns.kind, ns.pmin, ns.pmax, chars=ns.chars, coeff=ns.coeff, method=ns.method
+    )
+    write_sweep_csv(records, ns.out or sys.stdout)
     return 0
 
 

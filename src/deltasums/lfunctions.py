@@ -26,14 +26,25 @@ Central values:
 * l_value_twist(seq, chi): smoothly truncated series of effective length
   >= 50 M log M; for the divisor function the value equals L(1/2, chi)^2.
 
+Both reduce to a character sum sum_a chi(a) v[a] over a real vector indexed
+by residue: the Hurwitz values zeta(1/2, a/M), or the residue-class sums of
+the truncated series.  With chi_k(g^j) = e(kj/(M-1)) for the primitive root
+g, reordering v by powers of g turns the sums for all M-1 characters into
+one discrete Fourier transform of length M-1, taken as a single real FFT
+(_character_transform).  So the Hurwitz identity is evaluated once per
+modulus for every character (_l_values_all), and each step of a smoothed
+series costs one FFT of its class vector.
+
 Burgess sweeps record |L|/M^exponent with exponent 3/16 (Dirichlet) or 3/8
 (twist), sorted by modulus, with a CSV writer matching the fixed schema.
+Each modulus of a sweep costs one character transform for all its rows.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
@@ -41,8 +52,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .characters import DirichletCharacter, PrincipalCharacterNotAllowed
-from .modular import primes_in
+from .characters import DirichletCharacter, PrincipalCharacterNotAllowed, character
+from .modular import prime_modulus, primes_in
 from .transforms import SmoothWindow, bump_window
 
 __all__ = [
@@ -353,11 +364,31 @@ def hurwitz_zeta(s: float, a, presum: int = 16, terms: int = 8):
     return float(acc[0]) if scalar else acc
 
 
+def _character_transform(vec: np.ndarray, M: int) -> np.ndarray:
+    """sum_a chi_k(a) vec[a] for every character index k mod the prime M.
+
+    vec is real and indexed by residue in [0, M); vec[0] is never read.
+    Since chi_k(g^j) = e(kj/(M-1)), the sums are the inverse DFT of
+    f[j] = vec[g^j]. rfft gives R_k = sum_j f[j] e(-kj/(M-1)) for
+    k <= (M-1)/2, and f is real, so the sums are conj(R_k) up to there and
+    R_{M-1-k} above: a character and its conjugate get exactly conjugate
+    values. Adding 0.0 clears the -0.0 that conj leaves on real bins.
+    """
+    powers = np.empty(M - 1, dtype=np.int64)
+    powers[prime_modulus(M).dlog[1:]] = np.arange(1, M)
+    R = np.fft.rfft(np.asarray(vec, dtype=np.float64)[powers])
+    half = (M - 1) // 2
+    return np.concatenate((np.conj(R), R[half - 1 : 0 : -1])) + 0.0
+
+
 @lru_cache(maxsize=64)
-def _zeta_half_vector(M: int) -> np.ndarray:
-    vec = hurwitz_zeta(0.5, np.arange(1, M) / M)
-    vec.setflags(write=False)
-    return vec
+def _l_values_all(M: int) -> np.ndarray:
+    """L(1/2, chi_k) mod M for every index k by the Hurwitz identity."""
+    zeta = np.zeros(M)
+    zeta[1:] = hurwitz_zeta(0.5, np.arange(1, M) / M)
+    vals = _character_transform(zeta, M) / math.sqrt(M)
+    vals.setflags(write=False)
+    return vals
 
 
 def _smooth_cutoff(t: np.ndarray) -> np.ndarray:
@@ -377,13 +408,17 @@ def _smooth_cutoff(t: np.ndarray) -> np.ndarray:
 _CLASS_VECTOR_CACHE: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
 _CLASS_VECTOR_CACHE_MAX = 512
 _CLASS_VECTOR_CHUNK = 2_000_000
+# the cache is shared by every thread of the process (run_suite runs checks on
+# a thread pool); vectors are built outside the lock, so two threads may build
+# the same one, identically
+_CLASS_VECTOR_LOCK = threading.Lock()
 
 
 def _class_vector(seq: CoefficientSequence | None, M: int, X: float) -> np.ndarray:
     """Residue-class sums T[a] = sum over n = a mod M of lam(n) n^{-1/2} f(n/X).
 
-    The character enters only through a dot product with its value table, so
-    one vector serves every character of the modulus; vectors are memoized per
+    The character enters only through _character_transform, so one vector
+    serves every character of the modulus; vectors are memoized per
     (kind, bound, M, X). Fixed chunking keeps peak memory flat and reruns
     byte-identical.
     """
@@ -393,7 +428,8 @@ def _class_vector(seq: CoefficientSequence | None, M: int, X: float) -> np.ndarr
         M,
         round(16.0 * X),
     )
-    hit = _CLASS_VECTOR_CACHE.get(key)
+    with _CLASS_VECTOR_LOCK:
+        hit = _CLASS_VECTOR_CACHE.get(key)
     if hit is not None:
         return hit
     hi = math.floor(2.0 * X)
@@ -405,9 +441,10 @@ def _class_vector(seq: CoefficientSequence | None, M: int, X: float) -> np.ndarr
             w = w * seq.values(n)
         acc += np.bincount(n % M, weights=w, minlength=M)
     acc.setflags(write=False)
-    _CLASS_VECTOR_CACHE[key] = acc
-    while len(_CLASS_VECTOR_CACHE) > _CLASS_VECTOR_CACHE_MAX:
-        _CLASS_VECTOR_CACHE.popitem(last=False)
+    with _CLASS_VECTOR_LOCK:
+        _CLASS_VECTOR_CACHE[key] = acc
+        while len(_CLASS_VECTOR_CACHE) > _CLASS_VECTOR_CACHE_MAX:
+            _CLASS_VECTOR_CACHE.popitem(last=False)
     return acc
 
 
@@ -425,10 +462,8 @@ def _smoothed_central_series(
     value is still drifting, but flatness across a 4x span of lengths cannot.
     Needing coefficients past the declared bound raises OutOfCacheRange.
     """
-    tab = chi.value_table()
-
     def at(X: float) -> complex:
-        return complex(np.dot(tab, _class_vector(seq, chi.M, X)))
+        return complex(_character_transform(_class_vector(seq, chi.M, X), chi.M)[chi.index])
 
     X = X0
     prev = at(X)
@@ -457,9 +492,7 @@ def l_value_dirichlet(chi: DirichletCharacter, method: str = "hurwitz_oracle") -
         raise PrincipalCharacterNotAllowed("central values require a primitive character")
     M = chi.M
     if method == "hurwitz_oracle":
-        tab = chi.value_table()[1:M]
-        val = np.sum(tab * _zeta_half_vector(M)) / math.sqrt(M)
-        return complex(val)
+        return complex(_l_values_all(M)[chi.index])
     if method == "smoothed":
         X0 = 50.0 * math.sqrt(M) * math.log(M)
         return _smoothed_central_series(None, chi, X0)
@@ -495,18 +528,6 @@ def l_value_twist(
             f"twist series needs coefficients up to {4.0 * X0:.0f} > bound {seq.bound}"
         )
     return _smoothed_central_series(seq, chi, X0, tol=tol)
-
-
-def _twist_value_at_budget(seq: CoefficientSequence, chi: DirichletCharacter) -> complex:
-    """Smoothed twist value one dyadic step above the effective length.
-
-    Sweep resolution: central twist values at conductor M^2 do not stabilize
-    tightly at desk-scale lengths, so sweep rows carry the feasibility-length
-    value (step gap at the few-percent level near M = 500).
-    """
-    X0 = 50.0 * chi.M * math.log(chi.M)
-    tab = chi.value_table()
-    return complex(np.dot(tab, _class_vector(seq, chi.M, 2.0 * X0)))
 
 
 @dataclass(frozen=True)
@@ -639,15 +660,20 @@ def burgess_sweep(
     kind "dirichlet" uses the Hurwitz oracle (feasible to M <= 10^4); kind
     "twist" reports the feasibility-length smoothed value over the given
     coefficient kind (M <= 500), exploratory resolution rather than a
-    stabilized central value. chars: "all", "quadratic", or an integer count
-    of indices per modulus.
+    stabilized central value: central twist values at conductor M^2 do not
+    stabilize tightly at desk-scale lengths, so rows carry the value one
+    dyadic step above the effective length 50 M log M (step gap at the
+    few-percent level near M = 500). Either way one character transform per
+    modulus gives every row; method "smoothed" (dirichlet) or
+    "dirichlet_square" (twist) evaluates each character on its own instead.
+    chars: "all", "quadratic", or an integer count of indices per modulus.
     """
     if kind not in ("dirichlet", "twist"):
         raise ValueError(f"sweep kind must be dirichlet or twist, got {kind!r}")
     limit = 10_000 if kind == "dirichlet" else 500
     if pmax > limit:
         raise ValueError(f"{kind} sweeps are oracle-feasible only up to M = {limit}")
-    primes = [p for p in primes_in(max(5, pmin), pmax)]
+    primes = primes_in(max(5, pmin), pmax)
     records: list[SweepRecord] = []
     if kind == "twist" and primes and seq is None:
         need = math.ceil(4.0 * 50.0 * pmax * math.log(pmax)) + 10
@@ -657,27 +683,24 @@ def burgess_sweep(
             seq = delta_sequence(need)
         else:
             raise ValueError(f"unknown coefficient kind {coeff!r}")
-    from .modular import prime_modulus
-
     for M in primes:
-        mod = prime_modulus(M)
-        for index in _char_indices(M, chars):
-            chi = DirichletCharacter(mod, index)
-            if kind == "dirichlet":
-                val = l_value_dirichlet(chi, method or "hurwitz_oracle")
-                exponent = _DIRICHLET_EXPONENT
-                rec_kind = "dirichlet"
+        indices = _char_indices(M, chars)
+        if kind == "dirichlet":
+            exponent, rec_kind = _DIRICHLET_EXPONENT, "dirichlet"
+            if method in (None, "hurwitz_oracle"):
+                row = _l_values_all(M)
             else:
-                if method == "dirichlet_square":
-                    val = l_value_twist(seq, chi, "dirichlet_square")
-                else:
-                    val = _twist_value_at_budget(seq, chi)
-                exponent = _TWIST_EXPONENT
-                rec_kind = seq.kind
-            records.append(
-                SweepRecord(M, index, rec_kind, val, exponent, abs(val) / M**exponent)
-            )
-    records.sort(key=lambda r: (r.M, r.char_index))
+                row = {k: l_value_dirichlet(character(M, k), method) for k in indices}
+        else:
+            exponent, rec_kind = _TWIST_EXPONENT, seq.kind
+            if method == "dirichlet_square":
+                row = {k: l_value_twist(seq, character(M, k), method) for k in indices}
+            else:
+                X0 = 50.0 * M * math.log(M)
+                row = _character_transform(_class_vector(seq, M, 2.0 * X0), M)
+        for k in indices:
+            val = complex(row[k])
+            records.append(SweepRecord(M, k, rec_kind, val, exponent, abs(val) / M**exponent))
     return records
 
 

@@ -1,13 +1,18 @@
 """Coefficient sequences, L-values, amplifiers and sweeps."""
 
+import io
 import math
 import random
+import sys
+import threading
+from collections import OrderedDict
 
 import mpmath as mp
 import numpy as np
 import pytest
 import sympy
 
+from deltasums import lfunctions
 from deltasums.characters import PrincipalCharacterNotAllowed, character
 from deltasums.lfunctions import (
     CSV_HEADER,
@@ -33,6 +38,7 @@ from deltasums.lfunctions import (
     smoothed_sum,
     write_sweep_csv,
 )
+from deltasums.lfunctions import _character_transform, _class_vector
 from deltasums.transforms import bump_window
 
 # q-expansion of Delta, Hecke-normalized later; classical table
@@ -134,6 +140,17 @@ def test_l_value_conjugate_symmetry():
     a = l_value_dirichlet(chi)
     b = l_value_dirichlet(chi.conjugate())
     assert abs(a - b.conjugate()) < 1e-9
+
+
+def test_character_transform_matches_value_table_dot():
+    rng = np.random.default_rng(21)
+    for M in (5, 7, 11, 13, 101, 1009):
+        v = rng.standard_normal(M)
+        got = _character_transform(v, M)
+        assert got.shape == (M - 1,)
+        for k in range(M - 1):
+            ref = np.dot(character(M, k).value_table(), v)
+            assert abs(got[k] - ref) <= 1e-12 * (1 + abs(ref))
 
 
 def test_l_value_quadratic_is_real():
@@ -260,6 +277,68 @@ def test_burgess_sweep_twist_kinds():
     recs2 = burgess_sweep("twist", 5, 20, chars=2, coeff="divisor")
     assert all(r.kind == "divisor" for r in recs2)
     assert {r.char_index for r in recs2} <= {1, 2}
+
+
+def test_twist_sweep_rows_match_per_character_dot(div_seq):
+    # the sweep's row is the smoothed series at twice the effective length
+    # 50 M log M, the character entering through its value table
+    recs = burgess_sweep("twist", 5, 31, seq=div_seq)
+    assert len(recs) == sum(p - 2 for p in sympy.primerange(5, 32))
+    for r in recs:
+        X = 2.0 * (50.0 * r.M * math.log(r.M))
+        ref = np.dot(character(r.M, r.char_index).value_table(), _class_vector(div_seq, r.M, X))
+        assert abs(r.l_value - ref) <= 1e-12 * (1 + abs(ref))
+
+
+def test_sweep_conjugates_exact_and_no_negative_zero():
+    recs = burgess_sweep("dirichlet", 5, 199)
+    values = {(r.M, r.char_index): r.l_value for r in recs}
+    for (M, k), v in values.items():
+        assert values[M, M - 1 - k] == v.conjugate()
+        assert l_value_dirichlet(character(M, k)) == v
+    buf = io.StringIO()
+    write_sweep_csv(recs, buf)
+    rows = [line.split(",") for line in buf.getvalue().splitlines()[1:]]
+    assert not [row for row in rows if "-0" in row]
+    buf = io.StringIO()
+    write_sweep_csv(burgess_sweep("dirichlet", 5, 199, chars="quadratic"), buf)
+    quadratic = [line.split(",") for line in buf.getvalue().splitlines()[1:]]
+    assert len(quadratic) == len(list(sympy.primerange(5, 200)))
+    assert all(row[4] == "0" for row in quadratic)
+
+
+def test_class_vector_cache_shared_by_threads(monkeypatch):
+    # a cache of one entry evicts on every insert, so threads that share some
+    # keys and not others keep hitting, inserting and evicting concurrently
+    monkeypatch.setattr(lfunctions, "_CLASS_VECTOR_CACHE", OrderedDict())
+    monkeypatch.setattr(lfunctions, "_CLASS_VECTOR_CACHE_MAX", 1)
+    keys = [(M, X) for M in (5, 7, 11) for X in (30.0, 45.0)]
+    ref = {key: _class_vector(None, *key).copy() for key in keys}
+    results, errors = [], []
+
+    def work(offset):
+        try:
+            for i in range(300):
+                key = keys[(i + offset) % len(keys)]
+                results.append((key, _class_vector(None, *key)))
+        except Exception as exc:  # reported below; a thread cannot raise into the test
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(j // 2,)) for j in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(results) == 6 * 300
+    assert all(np.array_equal(vec, ref[key]) for key, vec in results)
+    assert len(lfunctions._CLASS_VECTOR_CACHE) <= 1
 
 
 def test_sweep_csv_round_trip(tmp_path):
