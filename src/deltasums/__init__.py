@@ -6,8 +6,9 @@ The package splits into six layers, each importable on its own:
 * characters: Dirichlet characters mod a prime via a primitive-root index.
 * expsums: trivial delta expansion, Ramanujan/Gauss/Kloosterman sums and the
   paired unit-sum families with their closed forms.
-* transforms: smooth windows, Bessel kernels, Fourier duals and the Voronoi
-  kernel transforms with decay diagnostics.
+* transforms: smooth windows (derivatives from truncated Taylor series),
+  Fourier duals and the Voronoi-Bessel kernel transforms with decay
+  diagnostics.
 * lfunctions: Hecke coefficient sequences, smoothed sums, central L-values
   with a Hurwitz-zeta oracle, amplifier data and Burgess-ratio sweeps.
 * identities: stage-by-stage checks of the amplified moment pipeline plus

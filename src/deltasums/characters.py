@@ -29,7 +29,6 @@ __all__ = [
     "PrincipalCharacterNotAllowed",
     "DirichletCharacter",
     "character",
-    "char_eval",
     "enumerate_characters",
     "orthogonality_check",
 ]
@@ -134,11 +133,6 @@ class DirichletCharacter:
 def character(M: int, index: int) -> DirichletCharacter:
     """Convenience constructor from a bare modulus."""
     return DirichletCharacter(prime_modulus(M), index)
-
-
-def char_eval(chi: DirichletCharacter, n: int) -> complex:
-    """chi(n) as an exact root of unity (0 when M | n)."""
-    return chi(n)
 
 
 def enumerate_characters(M: int, which: str = "all") -> list[DirichletCharacter]:

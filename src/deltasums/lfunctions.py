@@ -249,7 +249,6 @@ def _unpack_int64(n: int, count: int) -> np.ndarray:
     borrows = _digit_borrows(raw, count)
     lo = np.frombuffer(raw, dtype="<i8")[0 : 2 * count : 2].copy()
     lo[1:] += borrows[:-1]
-    lo[0] += 0
     return lo
 
 
@@ -670,6 +669,8 @@ def burgess_sweep(
     """
     if kind not in ("dirichlet", "twist"):
         raise ValueError(f"sweep kind must be dirichlet or twist, got {kind!r}")
+    if kind == "twist" and method not in (None, "dirichlet_square"):
+        raise ValueError(f"unknown twist method {method!r}")
     limit = 10_000 if kind == "dirichlet" else 500
     if pmax > limit:
         raise ValueError(f"{kind} sweeps are oracle-feasible only up to M = {limit}")

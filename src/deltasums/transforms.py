@@ -5,6 +5,10 @@ Windows are concrete C-infinity constructions built from exp(-1/s) profiles:
 * bump_window():    W supported on [1, 2], peak value 1 at x = 3/2.
 * plateau_window(): V supported on [1/2, 3], identically 1 on [1, 2].
 
+Their derivatives up to order 4 come from truncated Taylor series (jets)
+carried through products, quotients and exp in numpy; no symbolic algebra
+runs.
+
 The transforms:
 
 * fourier_dual(V, x)        = integral of V(u) e(-xu) du.
@@ -21,16 +25,19 @@ The transforms:
 * decay_check: empirical sup of |T(x)| * (1+|x|)^A over a grid.
 
 Quadrature is composite Gauss-Legendre with a panel count that scales with
-the oscillation of the integrand, refined adaptively by doubling until two
-successive refinements agree.  Passing an explicit quad_order or panel_scale
-switches to fixed-resolution mode, used by the convergence-order tests.
+the oscillation of the integrand.  fourier_dual, voronoi_transform and
+voronoi_main_term share one policy: at the defaults the panel count is
+doubled until two successive refinements agree; an explicit quad_order or
+panel_scale selects the fixed rule at that resolution, as the
+convergence-order checks need.  voronoi_transform_batch always uses the
+fixed rule, shared by all y of a block.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -40,11 +47,9 @@ __all__ = [
     "DomainError",
     "UnsupportedCoefficientKind",
     "SmoothWindow",
-    "BesselKernel",
     "DecayReport",
     "bump_window",
     "plateau_window",
-    "bessel_eval",
     "panel_quadrature",
     "adaptive_quadrature",
     "fourier_dual",
@@ -71,48 +76,73 @@ class UnsupportedCoefficientKind(ValueError):
 
 @dataclass(frozen=True)
 class _Piece:
-    """One smooth piece of a window: funcs[j] evaluates the j-th derivative."""
+    """One smooth piece of a window: jet(x, order) gives its Taylor coefficients."""
 
     lo: float
     hi: float
-    funcs: tuple  # length _MAX_ORDER + 1
+    jet: Callable  # (x, order) -> array (order + 1, len(x)), row j = f^(j)(x) / j!
     closed: bool  # True: include the edge margins (constant pieces)
 
 
-def _lambdify_derivatives(expr, sym) -> tuple:
-    import sympy
-
-    return tuple(
-        sympy.lambdify(sym, sympy.diff(expr, sym, j), modules="numpy")
-        for j in range(_MAX_ORDER + 1)
-    )
+# Truncated Taylor series ("jets"): row j of a jet at x holds f^(j)(x) / j!.
+# Products, quotients and exp follow the usual series recursions, so every
+# derivative up to _MAX_ORDER comes from plain numpy arithmetic, and order 0
+# evaluates the same floating-point expression as the closed formula.
 
 
-@lru_cache(maxsize=None)
-def _bump_pieces() -> tuple:
-    import sympy
+def _jet_var(x, order: int, scale: float, shift: float) -> np.ndarray:
+    """Jet of scale * x + shift."""
+    out = np.zeros((order + 1, x.size))
+    out[0] = scale * x + shift
+    if order:
+        out[1] = scale
+    return out
 
-    x = sympy.Symbol("x")
-    t = 2 * x - 3  # [1,2] -> [-1,1]
-    expr = sympy.exp(1 - 1 / (1 - t**2))
-    return (_Piece(1.0, 2.0, _lambdify_derivatives(expr, x), closed=False),)
+
+def _jet_mul(a, b) -> np.ndarray:
+    return np.array([sum(a[j] * b[k - j] for j in range(k + 1)) for k in range(len(a))])
 
 
-@lru_cache(maxsize=None)
-def _plateau_pieces() -> tuple:
-    import sympy
+def _jet_div(a, b) -> np.ndarray:
+    out = np.empty_like(b)
+    for k in range(len(b)):
+        out[k] = (a[k] - sum(b[j] * out[k - j] for j in range(1, k + 1))) / b[0]
+    return out
 
-    x = sympy.Symbol("x")
-    f = lambda s: sympy.exp(-1 / s)
-    step = lambda s: f(s) / (f(s) + f(1 - s))  # 0 -> 1 smoothly on (0,1)
-    rise = step(2 * x - 1)
-    fall = step(3 - x)
-    one = sympy.Integer(1) + 0 * x
-    return (
-        _Piece(0.5, 1.0, _lambdify_derivatives(rise, x), closed=False),
-        _Piece(1.0, 2.0, _lambdify_derivatives(one, x), closed=True),
-        _Piece(2.0, 3.0, _lambdify_derivatives(fall, x), closed=False),
-    )
+
+def _jet_exp(a) -> np.ndarray:
+    out = np.empty_like(a)
+    out[0] = np.exp(a[0])
+    for k in range(1, len(a)):
+        out[k] = sum(j * a[j] * out[k - j] for j in range(1, k + 1)) / k
+    return out
+
+
+def _jet_inv(s) -> np.ndarray:
+    one = np.zeros_like(s)
+    one[0] = 1.0
+    return _jet_div(one, s)
+
+
+def _profile(s) -> np.ndarray:
+    """Jet of exp(-1/s), s > 0."""
+    return _jet_exp(-_jet_inv(s))
+
+
+def _bump_jet(x, order: int) -> np.ndarray:
+    """exp(1 - 1/(1 - t^2)) with t = 2x - 3 mapping [1, 2] onto [-1, 1]."""
+    t = _jet_var(x, order, 2.0, -3.0)
+    q = -_jet_mul(t, t)
+    q[0] += 1.0
+    e = -_jet_inv(q)
+    e[0] += 1.0
+    return _jet_exp(e)
+
+
+def _step_jet(x, order: int, scale: float, shift: float) -> np.ndarray:
+    """f(s) / (f(s) + f(1 - s)), f(u) = exp(-1/u), s = scale * x + shift: 0 -> 1 on (0, 1)."""
+    fs = _profile(_jet_var(x, order, scale, shift))
+    return _jet_div(fs, fs + _profile(_jet_var(x, order, -scale, 1.0 - shift)))
 
 
 class SmoothWindow:
@@ -144,7 +174,7 @@ class SmoothWindow:
             else:
                 m = (arr > piece.lo + _EDGE) & (arr < piece.hi - _EDGE)
             if m.any():
-                out[m] += coef * np.asarray(piece.funcs[order](arr[m]), dtype=np.float64)
+                out[m] += coef * math.factorial(order) * piece.jet(arr[m], order)[order]
         return float(out[0]) if scalar else out
 
     def derivative_bound(self, order: int) -> float:
@@ -190,47 +220,18 @@ class SmoothWindow:
 @lru_cache(maxsize=None)
 def bump_window() -> SmoothWindow:
     """The canonical W: supported on [1,2], peak 1 at 3/2."""
-    return SmoothWindow("bump", (1.0, 2.0), _bump_pieces())
+    return SmoothWindow("bump", (1.0, 2.0), [_Piece(1.0, 2.0, _bump_jet, closed=False)])
 
 
 @lru_cache(maxsize=None)
 def plateau_window() -> SmoothWindow:
     """The canonical V: supported on [1/2, 3], identically 1 on [1, 2]."""
-    return SmoothWindow("plateau", (0.5, 3.0), _plateau_pieces(), plateau=(1.0, 2.0))
-
-
-@dataclass(frozen=True)
-class BesselKernel:
-    """A classical Bessel kernel: kind J (any nonneg order), Y or K (order 0)."""
-
-    kind: str
-    order: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("J", "Y", "K"):
-            raise ValueError(f"kernel kind must be J, Y or K, got {self.kind!r}")
-        if self.kind in ("Y", "K") and self.order != 0:
-            raise ValueError(f"only order 0 is supported for {self.kind}")
-        if self.kind == "J" and self.order < 0:
-            raise ValueError("J order must be >= 0")
-
-
-def bessel_eval(kernel: BesselKernel, x):
-    """Evaluate the kernel; Y and K require x > 0, J allows x >= 0."""
-    arr = np.asarray(x, dtype=np.float64)
-    if kernel.kind == "J":
-        if np.any(arr < 0):
-            raise DomainError("J kernel requires x >= 0")
-        out = jv(kernel.order, arr)
-    elif kernel.kind == "Y":
-        if np.any(arr <= 0):
-            raise DomainError("Y kernel requires x > 0")
-        out = y0(arr)
-    else:
-        if np.any(arr <= 0):
-            raise DomainError("K kernel requires x > 0")
-        out = k0(arr)
-    return float(out) if np.ndim(x) == 0 else out
+    pieces = [
+        _Piece(0.5, 1.0, partial(_step_jet, scale=2.0, shift=-1.0), closed=False),  # step(2x - 1)
+        _Piece(1.0, 2.0, partial(_jet_var, scale=0.0, shift=1.0), closed=True),  # constant 1
+        _Piece(2.0, 3.0, partial(_step_jet, scale=-1.0, shift=3.0), closed=False),  # step(3 - x)
+    ]
+    return SmoothWindow("plateau", (0.5, 3.0), pieces, plateau=(1.0, 2.0))
 
 
 @lru_cache(maxsize=None)
@@ -286,11 +287,21 @@ def adaptive_quadrature(
     return prev
 
 
-def _resolve_quadrature(cycles: float, quad_order, panel_scale: float, adaptive: bool):
-    """Panel count matched to the oscillation, and the effective order."""
-    order = 12 if quad_order is None else int(quad_order)
-    panels = max(8, math.ceil(3.0 * cycles * panel_scale + 8 * panel_scale))
-    return panels, order, adaptive and quad_order is None and panel_scale == 1.0
+def _panel_count(cycles: float, panel_scale: float) -> int:
+    """Panels of the fixed rule: about three per oscillation of the integrand."""
+    return max(8, math.ceil(3.0 * cycles * panel_scale + 8 * panel_scale))
+
+
+def _integrate(f: Callable, lo: float, hi: float, cycles: float, quad_order, panel_scale: float):
+    """Integral of f over [lo, hi], whose integrand runs through `cycles` oscillations.
+
+    Adaptive at the defaults; an explicit quad_order or panel_scale selects
+    the fixed composite rule at that resolution.
+    """
+    panels = _panel_count(cycles, panel_scale)
+    if quad_order is None and panel_scale == 1.0:
+        return adaptive_quadrature(f, lo, hi, tol=1e-12, base_panels=panels)
+    return panel_quadrature(f, lo, hi, panels, 12 if quad_order is None else int(quad_order))
 
 
 def fourier_dual(
@@ -298,32 +309,48 @@ def fourier_dual(
     x: float,
     quad_order: int | None = None,
     panel_scale: float = 1.0,
-    adaptive: bool = True,
 ) -> complex:
     """The dual integral of V(u) e(-xu) du over the support of V."""
     lo, hi = V.support
-    cycles = abs(x) * (hi - lo)
-    panels, order, adapt = _resolve_quadrature(cycles, quad_order, panel_scale, adaptive)
     f = lambda u: V(u) * np.exp(-2j * np.pi * x * u)
-    if adapt:
-        return adaptive_quadrature(f, lo, hi, tol=1e-12, base_panels=panels, order=order)
-    return panel_quadrature(f, lo, hi, panels, order)
+    return _integrate(f, lo, hi, abs(x) * (hi - lo), quad_order, panel_scale)
 
 
-def _coefficient_kind(g) -> tuple[str, int]:
+def _voronoi_kernel(g, sign) -> Callable | None:
+    """The Bessel kernel k with W+-(y) = integral of W(x) k(4 pi sqrt(xy)) dx.
+
+    g may be a CoefficientSequence or the kind string itself; holomorphic
+    kinds use the weight attribute (default 12). None stands for the
+    identically zero minus side of holomorphic forms.
+    """
     kind = getattr(g, "kind", g)
     weight = int(getattr(g, "weight", 12) or 12)
-    if not isinstance(kind, str):
-        raise UnsupportedCoefficientKind(f"cannot infer a coefficient kind from {g!r}")
-    return kind, weight
+    if sign in (1, "+", "plus"):
+        plus = True
+    elif sign in (-1, "-", "minus"):
+        plus = False
+    else:
+        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+    if kind == "delta_form":
+        if weight % 2 != 0 or weight < 4:
+            raise UnsupportedCoefficientKind("holomorphic weight must be even >= 4")
+        if not plus:
+            return None
+        front = 2.0 * math.pi * (-1.0) ** (weight // 2)
+        return lambda arg: front * jv(weight - 1, arg)
+    if kind == "divisor":
+        if plus:
+            return lambda arg: -2.0 * np.pi * y0(arg)
+        return lambda arg: 4.0 * k0(arg)
+    raise UnsupportedCoefficientKind(
+        f"coefficient kind {kind!r} has no implemented transform (Maass forms are out of scope)"
+    )
 
 
-def _normalize_sign(sign) -> int:
-    if sign in (1, +1, "+", "plus"):
-        return 1
-    if sign in (-1, "-", "minus"):
-        return -1
-    raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+def _kernel_cycles(W: SmoothWindow, y: float) -> float:
+    """Oscillations of the J/Y phase 4 pi sqrt(yx) across the support of W."""
+    lo, hi = W.support
+    return 2.0 * math.sqrt(y) * (math.sqrt(hi) - math.sqrt(lo))
 
 
 def voronoi_transform(
@@ -333,7 +360,6 @@ def voronoi_transform(
     y: float,
     quad_order: int | None = None,
     panel_scale: float = 1.0,
-    adaptive: bool = True,
 ) -> float:
     """The dual-side kernel transform of W at y > 0 for the given coefficients.
 
@@ -342,32 +368,11 @@ def voronoi_transform(
     """
     if y <= 0:
         raise DomainError("voronoi_transform requires y > 0")
-    kind, weight = _coefficient_kind(g)
-    s = _normalize_sign(sign)
-    lo, hi = W.support
-    # J/Y kernel phase 4*pi*sqrt(yx): total cycles across the support
-    cycles = 2.0 * math.sqrt(y) * (math.sqrt(hi) - math.sqrt(lo))
-    panels, order, adapt = _resolve_quadrature(cycles, quad_order, panel_scale, adaptive)
-
-    if kind == "delta_form":
-        if weight % 2 != 0 or weight < 4:
-            raise UnsupportedCoefficientKind(f"holomorphic weight must be even >= 4")
-        if s == -1:
-            return 0.0
-        front = 2.0 * math.pi * (-1.0) ** (weight // 2)
-        f = lambda u: W(u) * jv(weight - 1, 4.0 * np.pi * np.sqrt(y * u)) * front
-    elif kind == "divisor":
-        if s == 1:
-            f = lambda u: W(u) * (-2.0 * np.pi) * y0(4.0 * np.pi * np.sqrt(y * u))
-        else:
-            f = lambda u: W(u) * 4.0 * k0(4.0 * np.pi * np.sqrt(y * u))
-    else:
-        raise UnsupportedCoefficientKind(
-            f"coefficient kind {kind!r} has no implemented transform (Maass forms are out of scope)"
-        )
-    if adapt:
-        return adaptive_quadrature(f, lo, hi, tol=1e-12, base_panels=panels, order=order).real
-    return panel_quadrature(f, lo, hi, panels, order)
+    kernel = _voronoi_kernel(g, sign)
+    if kernel is None:
+        return 0.0
+    f = lambda u: W(u) * kernel(4.0 * np.pi * np.sqrt(y * u))
+    return _integrate(f, *W.support, _kernel_cycles(W, y), quad_order, panel_scale)
 
 
 def voronoi_transform_batch(
@@ -390,25 +395,10 @@ def voronoi_transform_batch(
         return np.zeros(0)
     if np.any(ys <= 0):
         raise DomainError("voronoi_transform requires y > 0")
-    kind, weight = _coefficient_kind(g)
-    s = _normalize_sign(sign)
-    if kind == "delta_form":
-        if weight % 2 != 0 or weight < 4:
-            raise UnsupportedCoefficientKind("holomorphic weight must be even >= 4")
-        if s == -1:
-            return np.zeros_like(ys)
-        front = 2.0 * math.pi * (-1.0) ** (weight // 2)
-        kernel = lambda arg: front * jv(weight - 1, arg)
-    elif kind == "divisor":
-        if s == 1:
-            kernel = lambda arg: -2.0 * np.pi * y0(arg)
-        else:
-            kernel = lambda arg: 4.0 * k0(arg)
-    else:
-        raise UnsupportedCoefficientKind(
-            f"coefficient kind {kind!r} has no implemented transform (Maass forms are out of scope)"
-        )
-    lo, hi = W.support
+    kernel = _voronoi_kernel(g, sign)
+    if kernel is None:
+        return np.zeros_like(ys)
+    order = 12 if quad_order is None else int(quad_order)
     out = np.empty_like(ys)
     order_idx = np.argsort(ys, kind="stable")
     sorted_y = ys[order_idx]
@@ -417,9 +407,8 @@ def voronoi_transform_batch(
         ytop = 4.0 * sorted_y[start]
         stop = int(np.searchsorted(sorted_y, ytop, side="right"))
         block = sorted_y[start:stop]
-        cycles = 2.0 * math.sqrt(block[-1]) * (math.sqrt(hi) - math.sqrt(lo))
-        panels, order, _ = _resolve_quadrature(cycles, quad_order, panel_scale, adaptive=False)
-        pts, wts = _panel_nodes(lo, hi, panels, order)
+        panels = _panel_count(_kernel_cycles(W, block[-1]), panel_scale)
+        pts, wts = _panel_nodes(*W.support, panels, order)
         args = 4.0 * np.pi * np.sqrt(np.multiply.outer(block, pts))
         out[order_idx[start:stop]] = kernel(args) @ (W(pts) * wts)
         start = stop
@@ -435,20 +424,14 @@ def voronoi_main_term(
     panel_scale: float = 1.0,
 ) -> float:
     """(N/c) * integral of (log(xN) + 2*gamma - 2*log c) W(x) dx, divisor only."""
-    kind, _ = _coefficient_kind(g)
+    kind = getattr(g, "kind", g)
     if kind == "delta_form":
         return 0.0
     if kind != "divisor":
         raise UnsupportedCoefficientKind(f"no main term for kind {kind!r}")
-    lo, hi = W.support
     gamma = np.euler_gamma
     f = lambda u: W(u) * (np.log(u * N) + 2.0 * gamma - 2.0 * math.log(c))
-    if quad_order is None and panel_scale == 1.0:
-        val = adaptive_quadrature(f, lo, hi, tol=1e-12).real
-    else:
-        panels = max(8, math.ceil(8 * panel_scale))
-        val = panel_quadrature(f, lo, hi, panels, 12 if quad_order is None else quad_order)
-    return (N / c) * val
+    return (N / c) * _integrate(f, *W.support, 0.0, quad_order, panel_scale)
 
 
 @dataclass(frozen=True)

@@ -143,6 +143,8 @@ def test_sweep_limits():
     assert code == 2 and "10000" in err
     code, _, err = run(["sweep", "--kind=maass", "--pmin=5", "--pmax=11"])
     assert code == 2
+    code, _, err = run(["sweep", "--kind=twist", "--pmin=5", "--pmax=7", "--method=bogus"])
+    assert code == 2 and "bogus" in err
 
 
 def test_config_file_fills_unset_flags(tmp_path):

@@ -269,6 +269,8 @@ def test_burgess_sweep_limits():
         burgess_sweep("twist", 5, 600)
     with pytest.raises(ValueError):
         burgess_sweep("maass", 5, 50)
+    with pytest.raises(ValueError, match="bogus"):
+        burgess_sweep("twist", 5, 7, method="bogus")
 
 
 def test_burgess_sweep_twist_kinds():

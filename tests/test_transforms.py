@@ -1,18 +1,21 @@
-"""Windows, quadrature, Bessel kernels and the Voronoi transforms."""
+"""Windows, quadrature and the Fourier and Voronoi transforms."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.special as sp
+import sympy
 
+import deltasums
 from deltasums.transforms import (
-    BesselKernel,
     DomainError,
     SmoothWindow,
     UnsupportedCoefficientKind,
     adaptive_quadrature,
-    bessel_eval,
     bump_window,
     decay_check,
     fourier_dual,
@@ -54,6 +57,50 @@ def test_window_vector_and_scalar_agree():
         assert vec[i] == W(float(x))
 
 
+def _sympy_windows():
+    """Closed forms of W and V, piece by piece, as (lo, hi, expr) in x."""
+    x = sympy.Symbol("x")
+    t = 2 * x - 3
+    f = lambda s: sympy.exp(-1 / s)
+    step = lambda s: f(s) / (f(s) + f(1 - s))
+    bump = [(1.0, 2.0, sympy.exp(1 - 1 / (1 - t**2)))]
+    plateau = [(0.5, 1.0, step(2 * x - 1)), (2.0, 3.0, step(3 - x))]
+    return x, ((bump_window(), bump), (plateau_window(), plateau))
+
+
+def test_window_jets_match_sympy_derivatives():
+    x, windows = _sympy_windows()
+    for win, pieces in windows:
+        for order in range(5):
+            tol = 1e-12 * win.derivative_bound(order)
+            for lo, hi, expr in pieces:
+                grid = np.linspace(lo, hi, 403)[1:-1]
+                ref = sympy.lambdify(x, sympy.diff(expr, x, order), modules="numpy")(grid)
+                assert np.max(np.abs(win(grid, order) - ref)) < tol
+    # the plateau's middle piece is the constant 1
+    grid = np.linspace(1.0, 2.0, 11)
+    assert all(np.all(plateau_window()(grid, order) == 0.0) for order in range(1, 5))
+
+
+def test_runtime_never_imports_sympy():
+    code = (
+        "import sys\n"
+        "import deltasums\n"
+        "from deltasums.transforms import bump_window, plateau_window, voronoi_transform\n"
+        "bump_window()(1.5, 4)\n"
+        "plateau_window()(0.7, 4)\n"
+        "voronoi_transform('divisor', 1, bump_window(), 2.0)\n"
+        "assert 'sympy' not in sys.modules, 'sympy was imported'\n"
+    )
+    src = str(Path(deltasums.__file__).resolve().parents[1])
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert done.returncode == 0, done.stderr
+
+
 def test_derivative_bounds_finite_and_growing():
     W = bump_window()
     bounds = [W.derivative_bound(j) for j in range(5)]
@@ -83,27 +130,6 @@ def test_adaptive_quadrature_oscillatory():
     assert abs(val - math.sin(40.0) / 40.0) < 1e-11
 
 
-def test_bessel_eval_matches_scipy():
-    xs = np.linspace(0.1, 30.0, 57)
-    pairs = [
-        (BesselKernel("J", 11), sp.jv(11, xs)),
-        (BesselKernel("Y", 0), sp.yv(0, xs)),
-        (BesselKernel("K", 0), sp.kv(0, xs)),
-    ]
-    for kernel, ref in pairs:
-        got = bessel_eval(kernel, xs)
-        assert np.max(np.abs(got - ref)) < 1e-12
-
-
-def test_bessel_kernel_validation():
-    with pytest.raises(ValueError):
-        BesselKernel("Q", 0)
-    with pytest.raises(ValueError):
-        BesselKernel("Y", 2)
-    with pytest.raises(DomainError):
-        bessel_eval(BesselKernel("K", 0), 0.0)
-
-
 def test_fourier_dual_at_zero_is_mass():
     V = plateau_window()
     assert abs(fourier_dual(V, 0.0) - V.mass()) < 1e-10
@@ -123,6 +149,25 @@ def test_voronoi_transform_batch_matches_scalar():
         batch = voronoi_transform_batch(kind, sign, W, ys)
         single = np.array([voronoi_transform(kind, sign, W, float(y)) for y in ys])
         assert np.max(np.abs(batch - single)) < 1e-8
+
+
+def test_voronoi_transform_matches_fine_fixed_rule():
+    # the adaptive scalar path against the fixed rule at eight times the panels
+    W = bump_window()
+    for kind, sign in (("delta_form", 1), ("divisor", 1), ("divisor", -1)):
+        for y in np.geomspace(0.01, 200.0, 20):
+            ref = voronoi_transform(kind, sign, W, float(y), panel_scale=8.0)
+            got = voronoi_transform(kind, sign, W, float(y))
+            assert abs(got - ref) < 1e-11 * (1.0 + abs(ref))
+
+
+def test_voronoi_transform_rejects_nonpositive_y():
+    W = bump_window()
+    for y in (0.0, -1.0):
+        with pytest.raises(DomainError):
+            voronoi_transform("divisor", -1, W, y)
+        with pytest.raises(DomainError):
+            voronoi_transform_batch("divisor", -1, W, np.array([1.0, y]))
 
 
 def test_voronoi_transform_delta_minus_side_vanishes():
