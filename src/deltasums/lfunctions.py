@@ -9,12 +9,16 @@ Coefficient sources:
 The Ramanujan tau values come from the exact q-expansion of
 q * prod_{m>=1} (1 - q^m)^24.  The product is the eighth power of the sparse
 Jacobi cube prod (1-q^m)^3 = sum_k (-1)^k (2k+1) q^{k(k+1)/2}, raised by three
-truncated squarings.  Each squaring packs the coefficient array into one big
-integer with 128-bit digit slots (Kronecker substitution), squares it, and
-unpacks the signed digits; |tau(n)| <= d(n) n^{11/2} < 2^126 keeps every digit
-of interest inside its slot for n up to 10^6.  The table persists to a plain
-text cache (header line with the bound, then one integer per line) whose
-location the DELTA_SUMS_CACHE environment variable overrides.
+truncated squarings.  Each squaring writes the coefficients as 40-digit slots
+of one decimal integer (Kronecker substitution), squares it with libmpdec's
+number-theoretic-transform multiply (stdlib decimal), and decodes the low
+slots with a borrow into exact integers.  |tau(n)| <= d(n) n^{11/2} < 10^36
+keeps every slot exact for n up to DEFAULT_TAU_BOUND = 10^6, past which
+ramanujan_tau_table refuses.  The table persists to a plain text cache
+(header line with the bound, then one integer per line), written atomically,
+at a location the DELTA_SUMS_CACHE environment variable overrides; a cache
+that does not parse or fails exact checks (known values, Hecke relations,
+the 691 congruence, Deligne's bound) is rebuilt.
 
 Central values:
 
@@ -42,8 +46,10 @@ Each modulus of a sweep costs one character transform for all its rows.
 
 from __future__ import annotations
 
+import decimal
 import math
 import os
+import tempfile
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -53,7 +59,7 @@ from pathlib import Path
 import numpy as np
 
 from .characters import DirichletCharacter, PrincipalCharacterNotAllowed, character
-from .modular import prime_modulus, primes_in
+from .modular import prime_modulus, primes_in, primes_up_to
 from .transforms import SmoothWindow, bump_window
 
 __all__ = [
@@ -89,9 +95,8 @@ __all__ = [
 
 DEFAULT_TAU_BOUND = 1_000_000
 
-_SLOT = 16  # bytes per Kronecker digit
-_HALF = 1 << 127
-_BASE = 1 << 128
+_TERM_DIGITS = 40  # decimal digits per Kronecker slot
+_TERM_BASE = 10**_TERM_DIGITS
 
 
 class OutOfCacheRange(ValueError):
@@ -132,12 +137,15 @@ def coeff_eval(seq: CoefficientSequence, n: int) -> float:
 
 @lru_cache(maxsize=8)
 def divisor_sequence(bound: int) -> CoefficientSequence:
-    """tau(n) = number of divisors, by sieve."""
+    """tau(n) = number of divisors, by a sieve over d <= s = isqrt(bound) that
+    counts d and, on the second slice, each cofactor n/d > s."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
     lam = np.zeros(bound + 1, dtype=np.float64)
-    for d in range(1, bound + 1):
+    s = math.isqrt(bound)
+    for d in range(1, s + 1):
         lam[d::d] += 1.0
+        lam[d * (s + 1) :: d] += 1.0
     lam.setflags(write=False)
     return CoefficientSequence("divisor", bound, lam, weight=None)
 
@@ -161,127 +169,115 @@ def default_cache_path() -> Path:
 
 
 def save_tau_table(tau: list[int], path: str | os.PathLike) -> None:
-    """Write the table: header line with the bound, then tau(n) one per line."""
+    """Write the table: header line with the bound, then tau(n) one per line.
+
+    A temporary file in the same directory replaces the cache in one step,
+    so a reader never sees a partial file.
+    """
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
-    with open(p, "w") as fh:
-        fh.write(f"{len(tau)}\n")
-        fh.write("\n".join(str(t) for t in tau))
-        fh.write("\n")
+    fd, tmp = tempfile.mkstemp(dir=p.parent, prefix=p.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(f"{len(tau)}\n" + "".join(f"{t}\n" for t in tau))
+        os.replace(tmp, p)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_tau_table(path: str | os.PathLike, bound: int | None = None) -> list[int] | None:
-    """Read tau(1..bound) from a cache file; None when absent or too short."""
+    """Read tau(1..bound) from a cache file; None when the file is absent,
+    too short or unparsable, or fails the checks of _tau_table_is_valid."""
     p = Path(path)
     if not p.is_file():
         return None
     with open(p) as fh:
-        header = fh.readline()
         try:
-            stored = int(header.strip())
+            stored = int(fh.readline())
+            want = stored if bound is None else bound
+            if stored < max(want, 1):
+                return None
+            tau = []
+            for _ in range(want):
+                line = fh.readline()
+                if not line.endswith("\n"):
+                    return None
+                tau.append(int(line))
         except ValueError:
             return None
-        if bound is not None and stored < bound:
-            return None
-        want = stored if bound is None else bound
-        tau = []
-        for _ in range(want):
-            line = fh.readline()
-            if not line:
-                return None
-            tau.append(int(line))
-    return tau
+    return tau if _tau_table_is_valid(tau) else None
 
 
-def _jacobi_cube_coeffs(count: int) -> dict[int, int]:
-    """Sparse coefficients of prod (1-q^m)^3 up to degree count-1."""
-    out = {}
-    k = 0
-    while k * (k + 1) // 2 < count:
-        out[k * (k + 1) // 2] = (-1) ** k * (2 * k + 1)
-        k += 1
-    return out
-
-
-def _pack_sparse(coeffs: dict[int, int], count: int) -> int:
-    pos = bytearray(_SLOT * count)
-    neg = bytearray(_SLOT * count)
-    for i, c in coeffs.items():
-        if i >= count:
+def _tau_table_is_valid(tau: list[int]) -> bool:
+    """Exact checks on tau(1..n): the values at 1, 2, 3; at each prime p,
+    tau(p) = 1 + p^11 mod 691 and tau(p)^2 <= 4 p^11; at each composite
+    n = p m with p its least prime factor, the Hecke relation
+    tau(n) = tau(p) tau(m) - [p | m] p^11 tau(m/p).
+    """
+    t = [0] + tau
+    if t[1:4] != [1, -24, 252][: len(tau)]:
+        return False
+    spf = np.arange(len(t))
+    for p in reversed(primes_up_to(math.isqrt(len(tau)))):
+        spf[p * p :: p] = p
+    for n, p in enumerate(spf.tolist()[2:], start=2):
+        if p == n:
+            p11 = p**11
+            if (t[p] - 1 - p11) % 691 or t[p] * t[p] > 4 * p11:
+                return False
             continue
-        buf, v = (pos, c) if c > 0 else (neg, -c)
-        buf[_SLOT * i : _SLOT * i + _SLOT] = v.to_bytes(_SLOT, "little")
-    return int.from_bytes(bytes(pos), "little") - int.from_bytes(bytes(neg), "little")
+        m = n // p
+        rhs = t[p] * t[m]
+        if m % p == 0:
+            rhs -= p**11 * t[m // p]
+        if t[n] != rhs:
+            return False
+    return True
 
 
-def _pack_int64(coeffs: np.ndarray) -> int:
-    """Pack signed int64 coefficients into 128-bit slots."""
-    n = coeffs.size
-    words = np.zeros(2 * n, dtype="<u8")
-    words[0::2] = np.maximum(coeffs, 0).astype("<u8")
-    pos = int.from_bytes(words.tobytes(), "little")
-    words[0::2] = np.maximum(-coeffs, 0).astype("<u8")
-    return pos - int.from_bytes(words.tobytes(), "little")
+def _square_truncated(coeffs: list[int]) -> list[int]:
+    """The first len(coeffs) coefficients of (sum coeffs[i] q^i)^2, exactly.
 
+    Kronecker substitution in base B = 10^40: the coefficients are packed
+    as a positive and a negative decimal integer, and their difference is
+    squared once.  Slot i of the (nonnegative) square holds coefficient i
+    less a borrow from slot i-1; each coefficient must lie in (-B/2, B/2).
+    """
+    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
+    zero = "0" * _TERM_DIGITS
 
-def _square(n: int) -> int:
-    try:
-        import gmpy2
+    def pack(sign: int) -> decimal.Decimal:
+        slots = [str(sign * c).zfill(_TERM_DIGITS) if sign * c > 0 else zero for c in coeffs]
+        return decimal.Decimal("".join(reversed(slots)))
 
-        return int(gmpy2.mpz(n) ** 2)
-    except ImportError:
-        return n * n
-
-
-def _digit_borrows(raw: bytes, count: int) -> np.ndarray:
-    """borrow[i] = 1 iff unsigned digit i >= BASE/2 (digit is negative)."""
-    words = np.frombuffer(raw, dtype="<u8")
-    hi = words[1 : 2 * count : 2]
-    return (hi >> np.uint64(63)).astype(np.int64)
-
-
-def _unpack_int64(n: int, count: int) -> np.ndarray:
-    """Signed digits that are known to fit int64 (intermediate eta powers)."""
-    n &= (1 << (128 * (count + 1))) - 1
-    raw = (n if n >= 0 else n + (1 << (128 * (count + 1)))).to_bytes(
-        _SLOT * (count + 1), "little"
-    )
-    borrows = _digit_borrows(raw, count)
-    lo = np.frombuffer(raw, dtype="<i8")[0 : 2 * count : 2].copy()
-    lo[1:] += borrows[:-1]
-    return lo
-
-
-def _unpack_big(n: int, count: int) -> list[int]:
-    """Signed digits as exact Python integers (final tau decode)."""
-    n &= (1 << (128 * (count + 1))) - 1
-    raw = n.to_bytes(_SLOT * (count + 1), "little")
-    out = []
-    prev = 0
-    for i in range(count):
-        x = int.from_bytes(raw[_SLOT * i : _SLOT * i + _SLOT], "little")
-        if x >= _HALF:
-            out.append(x - _BASE + prev)
-            prev = 1
-        else:
-            out.append(x + prev)
-            prev = 0
+    packed = ctx.subtract(pack(1), pack(-1))
+    width = _TERM_DIGITS * len(coeffs)
+    digits = str(ctx.multiply(packed, packed))[-width:].zfill(width)
+    out, borrow = [], 0
+    for end in range(width, 0, -_TERM_DIGITS):
+        c = int(digits[end - _TERM_DIGITS : end]) + borrow
+        borrow = 2 * c >= _TERM_BASE
+        out.append(c - _TERM_BASE if borrow else c)
     return out
 
 
 def _tau_kronecker(bound: int) -> list[int]:
-    """tau(1..bound) via three truncated squarings of the Jacobi cube."""
-    count = bound  # polynomial degrees 0 .. bound-1; tau(n) = coeff of q^{n-1}
-    e3 = _pack_sparse(_jacobi_cube_coeffs(count), count)
-    c6 = _unpack_int64(_square(e3), count)  # eta^6 coefficients
-    c12 = _unpack_int64(_square(_pack_int64(c6)), count)  # eta^12
-    return _unpack_big(_square(_pack_int64(c12)), count)  # eta^24 -> tau
+    """tau(1..bound) = coefficients of q^0..q^{bound-1} in (Jacobi cube)^8."""
+    coeffs = [0] * bound
+    k = 0
+    while k * (k + 1) // 2 < bound:
+        coeffs[k * (k + 1) // 2] = (-1) ** k * (2 * k + 1)
+        k += 1
+    for _ in range(3):
+        coeffs = _square_truncated(coeffs)
+    return coeffs
 
 
 def ramanujan_tau_table(bound: int, cache: str | os.PathLike | None = "auto") -> list[int]:
     """Exact tau(1..bound).  cache: "auto" for the default path, None to skip IO."""
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
+    if not 1 <= bound <= DEFAULT_TAU_BOUND:
+        raise ValueError(f"tau bound must lie in [1, {DEFAULT_TAU_BOUND}], got {bound}")
     path = default_cache_path() if cache == "auto" else cache
     if path is not None:
         loaded = load_tau_table(path, bound)

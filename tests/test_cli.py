@@ -7,6 +7,7 @@ import re
 import pytest
 
 from deltasums.cli import main
+from deltasums.lfunctions import load_tau_table
 
 REPORT_LINE = re.compile(
     r"^[a-z0-9_:]+,[0-9a-f]{12},\d\.\d{9}e[+-]\d{2,3},\d\.\d{9}e[+-]\d{2,3},"
@@ -47,6 +48,16 @@ def test_verify_unknown_suite():
     code, _, err = run(["verify", "--suite=nonsense"])
     assert code == 2
     assert "suite" in err
+
+
+def test_verify_delta_form_rebuilds_a_corrupt_tau_cache(tmp_path, monkeypatch):
+    cache = tmp_path / "tau_table.txt"
+    cache.write_text("6000\n1\n-24\nnot a number\n")
+    monkeypatch.setenv("DELTA_SUMS_CACHE", str(cache))
+    code, out, err = run(["verify", "--suite=pipeline", "--coeff=delta_form"])
+    assert code == 0, err
+    assert all(ln.endswith(",pass") for ln in out.splitlines() if "," in ln)
+    assert load_tau_table(cache) is not None
 
 
 def test_sums_ramanujan():

@@ -16,6 +16,7 @@ from deltasums import lfunctions
 from deltasums.characters import PrincipalCharacterNotAllowed, character
 from deltasums.lfunctions import (
     CSV_HEADER,
+    DEFAULT_TAU_BOUND,
     DegenerateAmplifier,
     OutOfCacheRange,
     afe_supremum_probe,
@@ -59,6 +60,50 @@ def test_tau_table_known_values():
     # the table is tau(1..bound), no leading pad
     tab = ramanujan_tau_table(10, cache=None)
     assert tab == TAU_KNOWN
+
+
+def test_tau_table_matches_naive_eta_product():
+    degree = 300
+    poly = [1] + [0] * (degree - 1)  # prod (1 - q^m)^24, degrees 0..degree-1
+    for m in range(1, degree):
+        for _ in range(24):
+            for i in range(degree - 1, m - 1, -1):
+                poly[i] -= poly[i - m]
+    assert ramanujan_tau_table(degree, cache=None) == poly
+
+
+def test_tau_table_hecke_and_691_relations():
+    bound = 5000
+    t = [0] + ramanujan_tau_table(bound, cache=None)
+    sigma11 = [0] * (bound + 1)
+    for d in range(1, bound + 1):
+        for n in range(d, bound + 1, d):
+            sigma11[n] += d**11
+    assert all((t[n] - sigma11[n]) % 691 == 0 for n in range(1, bound + 1))
+    for p in sympy.primerange(2, bound + 1):
+        assert t[p] ** 2 <= 4 * p**11
+        for n in range(1, bound // p + 1):
+            lower = p**11 * t[n // p] if n % p == 0 else 0
+            assert t[p * n] == t[p] * t[n] - lower, (p, n)
+
+
+def test_tau_table_refuses_bounds_past_exact_range(tmp_path, monkeypatch):
+    def no_build(bound):
+        raise AssertionError("the table was built")
+
+    monkeypatch.setattr(lfunctions, "_tau_kronecker", no_build)
+    for cache in (None, tmp_path / "tau.txt"):
+        with pytest.raises(ValueError, match="tau bound"):
+            ramanujan_tau_table(DEFAULT_TAU_BOUND + 1, cache=cache)
+    with pytest.raises(ValueError, match="tau bound"):
+        delta_sequence(DEFAULT_TAU_BOUND + 1, cache=None)
+    assert not (tmp_path / "tau.txt").exists()
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 4, 15, 16, 17, 1000])
+def test_divisor_sieve_matches_naive_count(bound):
+    naive = [0] + [sum(1 for d in range(1, n + 1) if n % d == 0) for n in range(1, bound + 1)]
+    assert divisor_sequence(bound).lam.tolist() == naive
 
 
 def test_divisor_coefficients_vs_sympy(div_seq, seed=10):
@@ -379,6 +424,71 @@ def test_tau_cache_rejects_garbage(tmp_path):
     bad = tmp_path / "tau.txt"
     bad.write_text("not a header\n1\n2\n")
     assert load_tau_table(bad) is None
+
+
+def _replace_line(text: str, n: int, value: str) -> str:
+    lines = text.split("\n")
+    lines[n] = value  # line n holds tau(n); line 0 is the header
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda text: _replace_line(text, 3, "999"),  # tau(3) = 999
+        lambda text: _replace_line(text, 101, str(int(text.split("\n")[101]) + 1)),  # a prime
+        lambda text: _replace_line(text, 100, str(int(text.split("\n")[100]) + 1)),  # composite
+        lambda text: _replace_line(text, 57, "12x"),  # non-integer line
+        lambda text: text[: len(text) // 2],  # truncated mid-line
+        lambda text: text.rstrip("\n"),  # last line cut before its newline
+    ],
+    ids=["tau3", "prime", "composite", "non_integer", "truncated", "no_final_newline"],
+)
+def test_tau_cache_damage_is_rebuilt(tmp_path, damage):
+    path = tmp_path / "tau.txt"
+    cold = ramanujan_tau_table(200, cache=None)
+    save_tau_table(cold, path)
+    path.write_text(damage(path.read_text()))
+    assert load_tau_table(path, 200) is None
+    assert ramanujan_tau_table(200, cache=path) == cold
+    assert load_tau_table(path) == cold
+    assert path.read_text().split("\n", 1)[0] == "200"
+
+
+def test_tau_cache_readers_never_see_a_partial_write(tmp_path):
+    path = tmp_path / "tau.txt"
+    tab = ramanujan_tau_table(3000, cache=None)
+    save_tau_table(tab, path)
+    seen = []
+    stop = threading.Event()
+
+    def writer():
+        while not stop.is_set():
+            save_tau_table(tab, path)
+
+    def reader():
+        for _ in range(40):
+            try:
+                seen.append(load_tau_table(path) == tab)
+            except ValueError:
+                seen.append(False)
+
+    threads = [threading.Thread(target=writer)] + [threading.Thread(target=reader) for _ in range(3)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads[1:]:
+            th.join(timeout=60)
+        stop.set()
+        threads[0].join(timeout=60)
+    finally:
+        stop.set()
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert seen == [True] * 120
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tau.txt"]
 
 
 def test_default_cache_env_override(tmp_path, monkeypatch):
