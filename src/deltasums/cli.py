@@ -24,6 +24,7 @@ import numpy as np
 
 from .characters import character
 from .expsums import (
+    ExpSumResult,
     frak_c,
     frak_c_closed_form,
     frak_k,
@@ -37,80 +38,89 @@ from .identities import appendix_suite, pipeline_suite, run_suite, transforms_su
 from .lfunctions import burgess_sweep, write_sweep_csv
 from .modular import is_prime
 
-SUITES = ("appendix", "pipeline", "transforms")
-SUM_KINDS = ("gauss", "ramanujan", "kloosterman", "frak_k", "frak_c", "trivial_delta")
 BENCH_GRID = (1009, 10007, 100003)
 
-# every option a subcommand accepts, with its parser; config files may set
-# exactly these keys
-_OPTION_TYPES = {
-    "verify": {
-        "suite": str,
-        "mmax": int,
-        "samples": int,
-        "seed": int,
-        "jobs": int,
-        "M": int,
-        "char": int,
-        "coeff": str,
-        "N": float,
-        "L": float,
-        "P": float,
-        "out": str,
-    },
-    "sums": {
-        "kind": str,
-        "M": int,
-        "char": int,
-        "a": int,
-        "b": int,
-        "c": int,
-        "q": int,
-        "n": int,
-        "m": int,
-        "r": int,
-        "r1": int,
-        "r2": int,
-        "alpha": int,
-        "beta": int,
-        "ell": int,
-    },
-    "sweep": {
-        "kind": str,
-        "pmin": int,
-        "pmax": int,
-        "chars": str,
-        "coeff": str,
-        "method": str,
-        "out": str,
-        # accepted so that existing config files keep working; a sweep is one
-        # character transform per modulus and has no work to spread
-        "jobs": int,
-    },
-    "bench": {"kind": str, "M": int, "samples": int, "seed": int},
+_SUITES = {
+    "appendix": lambda ns: appendix_suite(mmax=ns.mmax, samples=ns.samples, seed=ns.seed),
+    "pipeline": lambda ns: pipeline_suite(
+        M=ns.M, char_index=ns.char, kind=ns.coeff, N=ns.N, L=ns.L, P=ns.P
+    ),
+    "transforms": lambda ns: transforms_suite(),
 }
 
-_DEFAULTS = {
-    "verify": {
-        "mmax": 47,
-        "samples": 150,
-        "seed": 1,
-        "jobs": 1,
-        "M": 11,
-        "char": 1,
-        "coeff": "divisor",
-        "N": 20.0,
-        "L": 3.0,
-        "P": 5.0,
-    },
-    "sums": {"ell": 1},
-    "sweep": {"chars": "all", "coeff": "divisor", "jobs": 1},
-    "bench": {"samples": 200, "seed": 1},
+# kind: (flags in call order, the flag holding the modulus, method label, sum,
+# closed form or None). A leading (M, char) pair reaches the sum as one
+# character.
+_SUMS = {
+    "gauss": (("M", "char"), "M", "direct", gauss_sum, None),
+    "ramanujan": (("M", "a"), "M", "closed_form", ramanujan_sum, None),
+    "kloosterman": (("a", "b", "c"), "c", "direct", kloosterman_sum, None),
+    "frak_k": (
+        ("M", "char", "r", "ell", "n"), "M", "brute_force", frak_k, frak_k_closed_form
+    ),
+    "frak_c": (
+        ("M", "char", "r1", "r2", "alpha", "beta", "n"),
+        "M",
+        "brute_force",
+        frak_c,
+        frak_c_closed_form,
+    ),
+    "trivial_delta": (("n", "m", "q"), "q", "divisor_expansion", trivial_delta, None),
 }
+
+# every option a subcommand accepts, with its parser and its default (None:
+# no default); config files may set exactly these keys
+_OPTIONS = {
+    "verify": {
+        "suite": (str, None),
+        "mmax": (int, 47),
+        "samples": (int, 150),
+        "seed": (int, 1),
+        "jobs": (int, 1),
+        "M": (int, 11),
+        "char": (int, 1),
+        "coeff": (str, "divisor"),
+        "N": (float, 20.0),
+        "L": (float, 3.0),
+        "P": (float, 5.0),
+        "out": (str, None),
+    },
+    "sums": {
+        "kind": (str, None),
+        # the flags of every sum kind, in the order the usage line lists them
+        **dict.fromkeys(
+            ("M", "char", "a", "b", "c", "q", "n", "m", "r", "r1", "r2", "alpha", "beta"), (int, None)
+        ),
+        "ell": (int, 1),
+    },
+    "sweep": {
+        "kind": (str, None),
+        "pmin": (int, None),
+        "pmax": (int, None),
+        "chars": (str, "all"),
+        "coeff": (str, "divisor"),
+        "method": (str, None),
+        "out": (str, None),
+        # accepted so that existing config files keep working; a sweep is one
+        # character transform per modulus and has no work to spread
+        "jobs": (int, 1),
+    },
+    "bench": {"kind": (str, None), "M": (int, None), "samples": (int, 200), "seed": (int, 1)},
+}
+
+SUITES = tuple(_SUITES)
+SUM_KINDS = tuple(_SUMS)
 
 
 class ConfigError(ValueError):
     """Bad or missing command-line/config-file parameter."""
+
+
+def _choose(table: dict, what: str, name: str):
+    """table[name], or a ConfigError listing the names table accepts."""
+    if name not in table:
+        raise ConfigError(f"unknown {what} {name!r}; choose from {', '.join(table)}")
+    return table[name]
 
 
 def _fmt(x: float) -> str:
@@ -126,7 +136,7 @@ def _fmt_value(v) -> str:
 
 def _load_config_file(path: str, command: str, ns: argparse.Namespace) -> None:
     """Fill options the command line left unset from `key = value` lines."""
-    allowed = _OPTION_TYPES[command]
+    allowed = _OPTIONS[command]
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -142,7 +152,7 @@ def _load_config_file(path: str, command: str, ns: argparse.Namespace) -> None:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r} for {command}")
         if getattr(ns, key) is None:
             try:
-                setattr(ns, key, allowed[key](value))
+                setattr(ns, key, allowed[key][0](value))
             except ValueError:
                 raise ConfigError(f"{path}:{lineno}: bad value {value!r} for {key}")
 
@@ -153,20 +163,19 @@ def _require(ns: argparse.Namespace, *keys: str) -> None:
         raise ConfigError(f"missing required parameter(s): {', '.join('--' + k for k in missing)}")
 
 
+def _call_args(flags: tuple, values: dict) -> list:
+    """The sum's arguments from its flag values, with (M, char) as one character."""
+    args = [values[flag] for flag in flags]
+    if flags[:2] == ("M", "char"):
+        args[:2] = [character(*args[:2])]
+    return args
+
+
 def cmd_verify(ns: argparse.Namespace) -> int:
     _require(ns, "suite")
     checks = []
     for suite in ns.suite.split(","):
-        if suite == "appendix":
-            checks += appendix_suite(mmax=ns.mmax, samples=ns.samples, seed=ns.seed)
-        elif suite == "pipeline":
-            checks += pipeline_suite(
-                M=ns.M, char_index=ns.char, kind=ns.coeff, N=ns.N, L=ns.L, P=ns.P
-            )
-        elif suite == "transforms":
-            checks += transforms_suite()
-        else:
-            raise ConfigError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
+        checks += _choose(_SUITES, "suite", suite)(ns)
     reports = run_suite(checks, jobs=ns.jobs)
     lines = [rep.line() for rep in reports]
     for line in lines:
@@ -176,43 +185,19 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     return 0 if all(rep.passed for rep in reports) else 1
 
 
-def _sums_rows(ns: argparse.Namespace) -> list:
-    """(method, value, modulus) rows for the requested sum."""
-    kind = ns.kind
-    if kind == "gauss":
-        _require(ns, "M", "char")
-        return [("direct", gauss_sum(character(ns.M, ns.char)), ns.M)]
-    if kind == "ramanujan":
-        _require(ns, "M", "a")
-        return [("closed_form", ramanujan_sum(ns.M, ns.a), ns.M)]
-    if kind == "kloosterman":
-        _require(ns, "a", "b", "c")
-        return [("direct", kloosterman_sum(ns.a, ns.b, ns.c), ns.c)]
-    if kind == "trivial_delta":
-        _require(ns, "n", "m", "q")
-        return [("divisor_expansion", trivial_delta(ns.n, ns.m, ns.q), ns.q)]
-    if kind == "frak_k":
-        _require(ns, "M", "char", "r", "ell", "n")
-        chi = character(ns.M, ns.char)
-        rows = [("brute_force", frak_k(chi, ns.r, ns.ell, ns.n).value, ns.M)]
-        closed = frak_k_closed_form(chi, ns.r, ns.ell, ns.n)
-        if closed is not None:
-            rows.append(("closed_form", closed.value, ns.M))
-        return rows
-    if kind == "frak_c":
-        _require(ns, "M", "char", "r1", "r2", "alpha", "beta", "n")
-        chi = character(ns.M, ns.char)
-        rows = [("brute_force", frak_c(chi, ns.r1, ns.r2, ns.alpha, ns.beta, ns.n).value, ns.M)]
-        closed = frak_c_closed_form(chi, ns.r1, ns.r2, ns.alpha, ns.beta, ns.n)
-        if closed is not None:
-            rows.append(("closed_form", closed.value, ns.M))
-        return rows
-    raise ConfigError(f"unknown sum kind {kind!r}; choose from {', '.join(SUM_KINDS)}")
-
-
 def cmd_sums(ns: argparse.Namespace) -> int:
     _require(ns, "kind")
-    for method, value, modulus in _sums_rows(ns):
+    flags, modulus_flag, method, fn, closed_form = _choose(_SUMS, "sum kind", ns.kind)
+    _require(ns, *flags)
+    args = _call_args(flags, vars(ns))
+    rows = [(method, fn(*args))]
+    if closed_form is not None:
+        rows.append(("closed_form", closed_form(*args)))
+    modulus = getattr(ns, modulus_flag)
+    for method, result in rows:
+        if result is None:
+            continue
+        value = result.value if isinstance(result, ExpSumResult) else result
         mag = abs(complex(value))
         print(
             f"{ns.kind} method={method} value={_fmt_value(value)} "
@@ -230,61 +215,24 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_workload(kind: str, M: int, samples: int, seed: int):
-    """Pre-drawn deterministic arguments and the callable to time."""
-    rng = np.random.default_rng(seed)
-    if kind in ("gauss", "frak_k", "frak_c"):
-        # cycle a handful of characters so value-table caching stays bounded
-        ks = [1 + int(rng.integers(M - 2)) for _ in range(8)]
-        chis = [character(M, k) for k in ks]
-    if kind == "gauss":
-        args = [(chis[i % 8],) for i in range(samples)]
-        return args, lambda chi: gauss_sum(chi)
-    if kind == "ramanujan":
-        args = [(M, int(rng.integers(M))) for _ in range(samples)]
-        return args, lambda m, a: ramanujan_sum(m, a)
-    if kind == "kloosterman":
-        args = [(int(rng.integers(1, M)), int(rng.integers(1, M)), M) for _ in range(samples)]
-        return args, lambda a, b, c: kloosterman_sum(a, b, c)
-    if kind == "trivial_delta":
-        args = [
-            (int(rng.integers(1, 4 * M)), int(rng.integers(1, 4 * M)), M)
-            for _ in range(samples)
-        ]
-        return args, lambda n, m, q: trivial_delta(n, m, q)
-    if kind == "frak_k":
-        args = [
-            (chis[i % 8], int(rng.integers(1, M)), int(rng.integers(1, M)), int(rng.integers(0, M)))
-            for i in range(samples)
-        ]
-        return args, lambda chi, r, ell, n: frak_k(chi, r, ell, n)
-    if kind == "frak_c":
-        args = [
-            (
-                chis[i % 8],
-                int(rng.integers(1, M)),
-                int(rng.integers(1, M)),
-                int(rng.integers(1, M)),
-                int(rng.integers(1, M)),
-                int(rng.integers(0, M)),
-            )
-            for i in range(samples)
-        ]
-        return args, lambda chi, r1, r2, a, b, n: frak_c(chi, r1, r2, a, b, n)
-    raise ConfigError(f"unknown sum kind {kind!r}; choose from {', '.join(SUM_KINDS)}")
-
-
 def cmd_bench(ns: argparse.Namespace) -> int:
     _require(ns, "kind")
-    if ns.kind not in SUM_KINDS:
-        raise ConfigError(f"unknown sum kind {ns.kind!r}; choose from {', '.join(SUM_KINDS)}")
+    flags, modulus_flag, _, fn, _ = _choose(_SUMS, "sum kind", ns.kind)
     moduli = [ns.M] if ns.M is not None else list(BENCH_GRID)
     for M in moduli:
         if not is_prime(M) or M <= 3:
             raise ConfigError(f"bench modulus must be a prime > 3, got {M}")
     print("# timings vary run to run; the work per row is deterministic in (kind, M, seed)")
     for M in moduli:
-        args, fn = _bench_workload(ns.kind, M, ns.samples, ns.seed)
+        # every flag but the modulus is uniform in [1, M); characters cycle
+        # through eight indices so the value-table cache stays bounded
+        rng = np.random.default_rng(ns.seed)
+        char_pool = [1 + int(k) for k in rng.integers(M - 2, size=8)]
+        args = []
+        for i in range(ns.samples):
+            values = {flag: int(rng.integers(1, M)) for flag in flags}
+            values.update({modulus_flag: M, "char": char_pool[i % 8]})
+            args.append(_call_args(flags, values))
         t0 = time.perf_counter()
         for a in args:
             fn(*a)
@@ -303,11 +251,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exponential-sum identities, verification suites, and Burgess sweeps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, options in _OPTION_TYPES.items():
+    for command, options in _OPTIONS.items():
         p = sub.add_parser(command)
         p.add_argument("--config", type=str, default=None)
-        for key, caster in options.items():
-            p.add_argument(f"--{key}", type=caster, default=None)
+        for key, (parse, _) in options.items():
+            p.add_argument(f"--{key}", type=parse, default=None)
     return parser
 
 
@@ -325,9 +273,9 @@ def main(argv=None) -> int:
     try:
         if ns.config:
             _load_config_file(ns.config, ns.command, ns)
-        for key, value in _DEFAULTS[ns.command].items():
+        for key, (_, default) in _OPTIONS[ns.command].items():
             if getattr(ns, key) is None:
-                setattr(ns, key, value)
+                setattr(ns, key, default)
         return _HANDLERS[ns.command](ns)
     except (ConfigError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
