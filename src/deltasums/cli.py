@@ -9,7 +9,10 @@ comes from a library call, so identical (config, seed) pairs produce
 byte-identical report and CSV files. Timings are the one exception and are
 labeled as such.
 
-Exit codes: 0 success, 1 at least one failed check, 2 configuration error.
+Exit codes: 0 success; 1 at least one failed check; 2 a usage or parameter
+error (ValueError); 3 a computation that ran and did not converge
+(ArithmeticError); 4 an environment or I/O error (OSError). Codes 2-4 print
+one `error:` line on stderr.
 """
 
 from __future__ import annotations
@@ -178,8 +181,10 @@ def cmd_verify(ns: argparse.Namespace) -> int:
         checks += _choose(_SUITES, "suite", suite)(ns)
     reports = run_suite(checks, jobs=ns.jobs)
     lines = [rep.line() for rep in reports]
-    for line in lines:
+    for rep, line in zip(reports, lines):
         print(line)
+        if "error" in rep.details:
+            print(f"error: {rep.name}: {rep.details['error']}", file=sys.stderr)
     if ns.out:
         Path(ns.out).write_text("\n".join(lines) + "\n")
     return 0 if all(rep.passed for rep in reports) else 1
@@ -218,6 +223,8 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
 def cmd_bench(ns: argparse.Namespace) -> int:
     _require(ns, "kind")
     flags, modulus_flag, _, fn, _ = _choose(_SUMS, "sum kind", ns.kind)
+    if ns.samples < 1:
+        raise ConfigError(f"--samples must be at least 1, got {ns.samples}")
     moduli = [ns.M] if ns.M is not None else list(BENCH_GRID)
     for M in moduli:
         if not is_prime(M) or M <= 3:
@@ -277,9 +284,9 @@ def main(argv=None) -> int:
             if getattr(ns, key) is None:
                 setattr(ns, key, default)
         return _HANDLERS[ns.command](ns)
-    except (ConfigError, ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, ValueError) else 3 if isinstance(exc, ArithmeticError) else 4
 
 
 def entry() -> None:

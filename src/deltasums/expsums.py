@@ -8,7 +8,8 @@ The sums implemented here:
 
   an identity in which the inner sums are Ramanujan sums.
 
-* ramanujan_sum(M, a) = sum over units z mod M of e(az/M).
+* ramanujan_sum(M, a) = sum over units z mod M of e(az/M), exactly by von
+  Sterneck's formula mu(M/g) phi(M)/phi(M/g), g = gcd(M, a).
 
 * gauss_sum(chi) = sum_y chi(y) e(y/M), primitive chi only; |g_chi| = sqrt(M).
 
@@ -42,7 +43,7 @@ from functools import lru_cache
 import numpy as np
 
 from .characters import DirichletCharacter, PrincipalCharacterNotAllowed
-from .modular import inverse_table, unit_residues
+from .modular import _factorize, euler_phi, inverse_table, unit_residues
 
 __all__ = [
     "EllNotCoprime",
@@ -53,6 +54,7 @@ __all__ = [
     "trivial_delta",
     "ramanujan_sum",
     "gauss_sum",
+    "fourier_expansion",
     "fourier_expansion_check",
     "kloosterman_sum",
     "generalized_kloosterman",
@@ -155,10 +157,18 @@ def trivial_delta(n: int, m: int, q: int) -> complex:
 
 
 def ramanujan_sum(M: int, a: int) -> float:
-    """sum over units z mod M of e(az/M), real-valued."""
+    """sum over units z mod M of e(az/M), exactly, by von Sterneck's formula.
+
+    c_M(a) = mu(M/g) phi(M) / phi(M/g) with g = gcd(M, a); the integer is
+    computed exactly and returned as a float.
+    """
     if M < 1:
         raise ValueError("ramanujan_sum requires M >= 1")
-    return _unit_additive_sum(M, a % M).real
+    m = M // math.gcd(M, a)
+    factors = _factorize(m)
+    if any(e > 1 for e in factors.values()):
+        return 0.0
+    return float((-1) ** len(factors) * (euler_phi(M) // euler_phi(m)))
 
 
 def gauss_sum(chi: DirichletCharacter) -> complex:
@@ -175,15 +185,19 @@ def gauss_sum(chi: DirichletCharacter) -> complex:
     return _csum(np.exp(2j * np.pi * (num / den)))
 
 
-def fourier_expansion_check(chi: DirichletCharacter, a: int, tol: float = 1e-10) -> bool:
-    """Verify chi(a) = (1/g_chibar) sum_y chibar(y) e(ay/M)."""
+def fourier_expansion(chi: DirichletCharacter, a: int) -> complex:
+    """(1/g_chibar) sum_y chibar(y) e(ay/M), which equals chi(a) for primitive chi."""
     if chi.is_principal:
         raise PrincipalCharacterNotAllowed("expansion requires a primitive character")
     M = chi.M
     conj_tab = chi.conjugate().value_table()
     y = np.arange(M, dtype=np.int64)
-    rhs = _csum(conj_tab[y] * _exp_table(M)[(a % M) * y % M]) / gauss_sum(chi.conjugate())
-    return abs(rhs - chi(a)) < tol
+    return _csum(conj_tab[y] * _exp_table(M)[(a % M) * y % M]) / gauss_sum(chi.conjugate())
+
+
+def fourier_expansion_check(chi: DirichletCharacter, a: int, tol: float = 1e-10) -> bool:
+    """Verify chi(a) = (1/g_chibar) sum_y chibar(y) e(ay/M)."""
+    return abs(fourier_expansion(chi, a) - chi(a)) < tol
 
 
 def kloosterman_sum(a: int, b: int, c: int) -> float:

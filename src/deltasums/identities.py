@@ -26,6 +26,7 @@ import numpy as np
 from .characters import DirichletCharacter, PrincipalCharacterNotAllowed, character
 from .expsums import (
     alpha_factorization_check,
+    fourier_expansion,
     frak_c,
     frak_c_closed_form,
     frak_k,
@@ -598,12 +599,8 @@ def _fourier_expansion_check(tol: float) -> CheckReport:
             if k % (M - 1) == 0:
                 continue
             chi = character(M, k)
-            gbar = gauss_sum(chi.conjugate())
-            y = np.arange(M)
-            chibar_y = chi.conjugate().values(y)
             for a in range(M):
-                expansion = complex(np.sum(chibar_y * np.exp(2j * np.pi * (a * y % M) / M))) / gbar
-                worst = max(worst, abs(chi(a) - expansion))
+                worst = max(worst, abs(chi(a) - fourier_expansion(chi, a)))
     return _report("appendix:fourier_expansion", ("5-31",), 1.0, worst, tol)
 
 

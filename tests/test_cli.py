@@ -6,7 +6,9 @@ import re
 
 import pytest
 
+from deltasums import cli
 from deltasums.cli import main
+from deltasums.identities import Check
 from deltasums.lfunctions import load_tau_table
 
 REPORT_LINE = re.compile(
@@ -50,6 +52,41 @@ def test_verify_unknown_suite():
     assert "suite" in err
 
 
+def test_verify_prints_why_a_check_raised(monkeypatch):
+    def boom():
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._SUITES, "transforms", lambda ns: [Check("transforms:boom", boom)])
+    code, out, err = run(["verify", "--suite=transforms"])
+    assert code == 1
+    assert out.startswith("transforms:boom,") and out.endswith(",nan,inf,0.000000000e+00,fail\n")
+    assert err == "error: transforms:boom: RuntimeError('boom')\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite=appendix", "--mmax=13", "--samples=10"],
+        ["sweep", "--kind=dirichlet", "--pmin=5", "--pmax=7"],
+    ],
+)
+def test_unwritable_out_exits_4(tmp_path, argv):
+    code, _, err = run(argv + [f"--out={tmp_path / 'missing' / 'x.csv'}"])
+    assert code == 4
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_computation_that_does_not_converge_exits_3(monkeypatch):
+    def diverge(*args, **kwargs):
+        raise ArithmeticError("no convergence")
+
+    monkeypatch.setattr(cli, "burgess_sweep", diverge)
+    code, _, err = run(["sweep", "--kind=dirichlet", "--pmin=5", "--pmax=7"])
+    assert code == 3
+    assert err == "error: no convergence\n"
+
+
 def test_verify_delta_form_rebuilds_a_corrupt_tau_cache(tmp_path, monkeypatch):
     cache = tmp_path / "tau_table.txt"
     cache.write_text("6000\n1\n-24\nnot a number\n")
@@ -64,6 +101,12 @@ def test_sums_ramanujan():
     code, out, _ = run(["sums", "--kind=ramanujan", "--M=7", "--a=0"])
     assert code == 0
     assert out.startswith("ramanujan method=closed_form value=6 abs=6 ")
+
+
+def test_sums_ramanujan_is_exact():
+    code, out, _ = run(["sums", "--kind=ramanujan", "--M=12", "--a=3"])
+    assert code == 0
+    assert out.startswith("ramanujan method=closed_form value=0 abs=0 ")
 
 
 def test_sums_gauss_magnitude():
@@ -189,6 +232,12 @@ def test_bench_row_format():
     assert lines[0].startswith("# timings vary run to run")
     assert len(lines) == 2
     assert BENCH_LINE.match(lines[1]), lines[1]
+
+
+def test_bench_rejects_zero_samples():
+    code, _, err = run(["bench", "--kind=gauss", "--M=1009", "--samples=0"])
+    assert code == 2
+    assert "--samples" in err
 
 
 def test_bench_rejects_composite_modulus():

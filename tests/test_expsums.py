@@ -63,6 +63,14 @@ def test_ramanujan_sum_mobius_oracle(seed=6):
         assert abs(ramanujan_sum(q, a) - oracle) < 1e-9
 
 
+def test_ramanujan_sum_is_the_rounded_brute_sum():
+    for q in range(1, 61):
+        units = [z for z in range(q) if math.gcd(z, q) == 1]
+        for n in range(q):
+            brute = math.fsum(math.cos(2 * math.pi * (n * z % q) / q) for z in units)
+            assert ramanujan_sum(q, n) == round(brute), (q, n)
+
+
 def test_gauss_sum_direct_loop():
     for M, k in [(5, 1), (7, 3), (13, 5)]:
         chi = character(M, k)

@@ -6,6 +6,7 @@ import random
 import sys
 import threading
 from collections import OrderedDict
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -489,6 +490,10 @@ def test_tau_cache_readers_never_see_a_partial_write(tmp_path):
     assert not any(th.is_alive() for th in threads)
     assert seen == [True] * 120
     assert sorted(p.name for p in tmp_path.iterdir()) == ["tau.txt"]
+
+
+def test_session_keeps_off_the_home_tau_cache():
+    assert not default_cache_path().resolve().is_relative_to(Path.home().resolve())
 
 
 def test_default_cache_env_override(tmp_path, monkeypatch):
