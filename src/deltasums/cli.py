@@ -43,6 +43,10 @@ from .modular import is_prime
 
 BENCH_GRID = (1009, 10007, 100003)
 
+# the largest modulus `sums` and `bench` accept, refused before any residue
+# is enumerated; bench times every sum kind up to it by default
+MAX_MODULUS = BENCH_GRID[-1]
+
 _SUITES = {
     "appendix": lambda ns: appendix_suite(mmax=ns.mmax, samples=ns.samples, seed=ns.seed),
     "pipeline": lambda ns: pipeline_suite(
@@ -166,6 +170,11 @@ def _require(ns: argparse.Namespace, *keys: str) -> None:
         raise ConfigError(f"missing required parameter(s): {', '.join('--' + k for k in missing)}")
 
 
+def _check_modulus(flag: str, modulus: int) -> None:
+    if modulus > MAX_MODULUS:
+        raise ConfigError(f"--{flag} must be at most {MAX_MODULUS}, got {modulus}")
+
+
 def _call_args(flags: tuple, values: dict) -> list:
     """The sum's arguments from its flag values, with (M, char) as one character."""
     args = [values[flag] for flag in flags]
@@ -194,11 +203,12 @@ def cmd_sums(ns: argparse.Namespace) -> int:
     _require(ns, "kind")
     flags, modulus_flag, method, fn, closed_form = _choose(_SUMS, "sum kind", ns.kind)
     _require(ns, *flags)
+    modulus = getattr(ns, modulus_flag)
+    _check_modulus(modulus_flag, modulus)
     args = _call_args(flags, vars(ns))
     rows = [(method, fn(*args))]
     if closed_form is not None:
         rows.append(("closed_form", closed_form(*args)))
-    modulus = getattr(ns, modulus_flag)
     for method, result in rows:
         if result is None:
             continue
@@ -227,6 +237,7 @@ def cmd_bench(ns: argparse.Namespace) -> int:
         raise ConfigError(f"--samples must be at least 1, got {ns.samples}")
     moduli = [ns.M] if ns.M is not None else list(BENCH_GRID)
     for M in moduli:
+        _check_modulus("M", M)
         if not is_prime(M) or M <= 3:
             raise ConfigError(f"bench modulus must be a prime > 3, got {M}")
     print("# timings vary run to run; the work per row is deterministic in (kind, M, seed)")

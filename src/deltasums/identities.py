@@ -186,6 +186,8 @@ def make_pipeline_config(
     seq that falls short raises OutOfCacheRange. The amplifier is built once
     here so degenerate prime sets fail at configuration time.
     """
+    if not N > 0:
+        raise ValueError(f"N must be positive, got {N:g}")
     W = W if W is not None else bump_window()
     V = V if V is not None else plateau_window()
     rmax = math.ceil(N * W.support[1]) + 1
@@ -728,6 +730,8 @@ def _cancellation_check(family: str, M: int, samples: int, seed: int) -> CheckRe
 
 def appendix_suite(mmax: int = 47, samples: int = 150, seed: int = 1) -> list:
     """Checks for the appendix-level sum evaluations and cancellation claims."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     tol = 1e-9
     checks = [
         Check("appendix:gauss_magnitude", lambda: _gauss_magnitude_check(mmax, tol)),

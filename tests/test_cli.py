@@ -2,10 +2,15 @@
 
 import contextlib
 import io
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import deltasums
 from deltasums import cli
 from deltasums.cli import main
 from deltasums.identities import Check
@@ -50,6 +55,17 @@ def test_verify_unknown_suite():
     code, _, err = run(["verify", "--suite=nonsense"])
     assert code == 2
     assert "suite" in err
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [(["--suite=pipeline", "--N=0"], "N"), (["--suite=appendix", "--samples=0"], "samples")],
+)
+def test_verify_refuses_bad_parameters_before_any_check(argv, name):
+    code, out, err = run(["verify"] + argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {name} must be") and err.count("\n") == 1
 
 
 def test_verify_prints_why_a_check_raised(monkeypatch):
@@ -143,6 +159,40 @@ def test_sums_trivial_delta_and_kloosterman():
     assert code == 0 and " value=1 " in out
     code, out, _ = run(["sums", "--kind=kloosterman", "--a=1", "--b=1", "--c=5"])
     assert code == 0 and "value=0.381966011250105" in out
+
+
+def test_sums_refuses_a_huge_modulus_at_once():
+    # enumerating the units mod 10^23 would never finish
+    src = str(Path(deltasums.__file__).resolve().parents[1])
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    argv = ["sums", "--kind=kloosterman", "--a=1", "--b=1", f"--c={10**23}"]
+    done = subprocess.run(
+        [sys.executable, "-m", "deltasums.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == f"error: --c must be at most {cli.MAX_MODULUS}, got {10**23}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--kind=kloosterman", "--a=1", "--b=1", "--c={}"],
+        ["--kind=trivial_delta", "--n=1", "--m=1", "--q={}"],
+        ["--kind=gauss", "--M={}", "--char=1"],
+    ],
+)
+def test_sums_modulus_bound(argv):
+    code, out, _ = run(["sums"] + [a.format(cli.MAX_MODULUS) for a in argv])
+    assert code == 0 and out
+    code, out, err = run(["sums"] + [a.format(cli.MAX_MODULUS + 1) for a in argv])
+    assert code == 2 and out == ""
+    assert f"must be at most {cli.MAX_MODULUS}" in err
 
 
 def test_sums_missing_parameters():

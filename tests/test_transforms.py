@@ -4,11 +4,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import sympy
+from scipy.special import jv, y0
 
 import deltasums
 from deltasums.transforms import (
@@ -25,6 +28,7 @@ from deltasums.transforms import (
     voronoi_transform,
     voronoi_transform_batch,
 )
+from deltasums.transforms import _kernel_cycles, _panel_count, _panel_nodes, _voronoi_kernel
 
 
 def test_window_supports_and_smooth_vanishing():
@@ -149,6 +153,65 @@ def test_voronoi_transform_batch_matches_scalar():
         batch = voronoi_transform_batch(kind, sign, W, ys)
         single = np.array([voronoi_transform(kind, sign, W, float(y)) for y in ys])
         assert np.max(np.abs(batch - single)) < 1e-8
+
+
+@pytest.mark.parametrize("order", [3, 11, 23])
+def test_delta_kernel_recurrence_matches_scipy(order):
+    # below 2 * order the kernel falls back to jv; above it runs the recurrence
+    kernel = _voronoi_kernel(SimpleNamespace(kind="delta_form", weight=order + 1), 1)
+    front = 2.0 * math.pi * (-1.0) ** ((order + 1) // 2)
+    z = np.concatenate(
+        [np.linspace(0.05, 2.0 * order, 400, endpoint=False), np.geomspace(2.0 * order, 4000.0, 20000)]
+    )
+    z = z.reshape(3, -1)  # the batch passes matrices
+    got = kernel(z)
+    assert got.shape == z.shape
+    envelope = np.sqrt(2.0 / (math.pi * z))
+    assert np.all(np.abs(got / front - jv(order, z)) <= 1e-12 * envelope)
+
+
+def _full_matrix_batch(kernel, W, ys):
+    """The batch with each geometric block's kernel matrix built whole, and
+    the same rule applied to |kernel|: the scale of each value's rounding."""
+    out, scale = np.empty_like(ys), np.empty_like(ys)
+    order_idx = np.argsort(ys, kind="stable")
+    sorted_y = ys[order_idx]
+    start = 0
+    while start < sorted_y.size:
+        stop = int(np.searchsorted(sorted_y, 4.0 * sorted_y[start], side="right"))
+        block = sorted_y[start:stop]
+        pts, wts = _panel_nodes(*W.support, _panel_count(_kernel_cycles(W, block[-1]), 1.0), 12)
+        args = 4.0 * np.pi * np.sqrt(np.multiply.outer(block, pts))
+        values = kernel(args)
+        out[order_idx[start:stop]] = values @ (W(pts) * wts)
+        scale[order_idx[start:stop]] = np.abs(values) @ (W(pts) * wts)
+        start = stop
+    return out, scale
+
+
+@pytest.mark.parametrize(
+    "kind, kernel",
+    [
+        ("delta_form", lambda z: 2.0 * np.pi * jv(11, z)),
+        ("divisor", lambda z: -2.0 * np.pi * y0(z)),
+    ],
+)
+def test_voronoi_batch_chunks_match_full_matrix_in_bounded_memory(kind, kernel):
+    # shuffled y in (0, 1500]: the largest blocks span dozens of row chunks
+    W = bump_window()
+    ys = np.random.default_rng(7).permutation(np.arange(1, 3001) * 0.5)
+    ref, scale = _full_matrix_batch(kernel, W, ys)
+    voronoi_transform_batch(kind, 1, W, ys[:4])  # window and rule caches warm
+    tracemalloc.start()
+    try:
+        got = voronoi_transform_batch(kind, 1, W, ys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # relative to the integral of |kernel * W|: the small transforms at large y
+    # are cancellations of O(1) terms and carry their rounding
+    assert np.all(np.abs(got - ref) <= 1e-12 * scale)
+    assert peak < 16 * 2**20
 
 
 def test_voronoi_transform_matches_fine_fixed_rule():
