@@ -33,7 +33,7 @@ def dual_decay() -> None:
     print("\n|V_dual(x)| decays faster than any power:")
     for x in (0.0, 2.0, 8.0, 32.0):
         print(f"  x = {x:5.1f}: {abs(fourier_dual(V, x)):.3e}")
-    rep = decay_check("fourier_dual", 4.0, np.geomspace(1.0, 100.0, 13), window=V)
+    rep = decay_check(lambda x: fourier_dual(V, x), 4.0, np.geomspace(1.0, 100.0, 13))
     print(f"  sup |V_dual(x)| (1+x)^4 over [1, 100] = {rep.constant:.4f} (finite)")
 
 

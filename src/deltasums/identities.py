@@ -730,6 +730,8 @@ def _cancellation_check(family: str, M: int, samples: int, seed: int) -> CheckRe
 
 def appendix_suite(mmax: int = 47, samples: int = 150, seed: int = 1) -> list:
     """Checks for the appendix-level sum evaluations and cancellation claims."""
+    if mmax < 5:  # the Gauss check runs over the primes in [5, mmax]
+        raise ValueError(f"mmax must be >= 5, got {mmax}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     tol = 1e-9
@@ -862,7 +864,8 @@ def _fourier_normalization_check(tol: float) -> CheckReport:
 
 
 def _fourier_decay_check() -> CheckReport:
-    rep = decay_check("fourier_dual", 4, np.geomspace(1.0, 200.0, 40), window=plateau_window())
+    V = plateau_window()
+    rep = decay_check(lambda x: fourier_dual(V, x), 4, np.geomspace(1.0, 200.0, 40))
     return _report(
         "transforms:fourier_decay_A4",
         ("plateau", 4),

@@ -54,7 +54,13 @@ from deltasums.lfunctions import (
     write_sweep_csv,
 )
 from deltasums.modular import divisors, primes_in
-from deltasums.transforms import bump_window, decay_check, plateau_window
+from deltasums.transforms import (
+    bump_window,
+    decay_check,
+    fourier_dual,
+    plateau_window,
+    voronoi_transform,
+)
 
 ARTIFACTS = Path(__file__).resolve().parent / "artifacts"
 RESULT_LINES: list[str] = []  # replayed by the conftest terminal summary
@@ -394,17 +400,11 @@ def test_criterion_10_burgess_scaling():
 
 def test_criterion_11_transform_decay():
     t0 = time.perf_counter()
-    v_rep = decay_check(
-        "fourier_dual", 4.0, np.geomspace(1.0, 100.0, 13), window=plateau_window()
-    )
+    V, W = plateau_window(), bump_window()
+    v_rep = decay_check(lambda x: fourier_dual(V, x), 4.0, np.geomspace(1.0, 100.0, 13))
     seq = divisor_sequence(6000)
     w_rep = decay_check(
-        "voronoi_transform",
-        4.0,
-        np.geomspace(1.0, 50.0, 9),
-        seq=seq,
-        sign=-1,
-        window=bump_window(),
+        lambda x: voronoi_transform(seq, -1, W, x), 4.0, np.geomspace(1.0, 50.0, 9)
     )
     resids = [
         voronoi_step_check(seq, 1, 3, 40.0, quad_order=3, panel_scale=s).details["relative"]

@@ -59,7 +59,11 @@ def test_verify_unknown_suite():
 
 @pytest.mark.parametrize(
     "argv, name",
-    [(["--suite=pipeline", "--N=0"], "N"), (["--suite=appendix", "--samples=0"], "samples")],
+    [
+        (["--suite=pipeline", "--N=0"], "N"),
+        (["--suite=appendix", "--samples=0"], "samples"),
+        (["--suite=appendix", "--mmax=4"], "mmax"),
+    ],
 )
 def test_verify_refuses_bad_parameters_before_any_check(argv, name):
     code, out, err = run(["verify"] + argv)

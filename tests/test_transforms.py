@@ -28,7 +28,7 @@ from deltasums.transforms import (
     voronoi_transform,
     voronoi_transform_batch,
 )
-from deltasums.transforms import _kernel_cycles, _panel_count, _panel_nodes, _voronoi_kernel
+from deltasums.transforms import _kernel_cycles, _panel_nodes, _rule, _voronoi_kernel
 
 
 def test_window_supports_and_smooth_vanishing():
@@ -134,6 +134,12 @@ def test_adaptive_quadrature_oscillatory():
     assert abs(val - math.sin(40.0) / 40.0) < 1e-11
 
 
+def test_adaptive_quadrature_raises_when_unconverged():
+    # a jump inside a panel caps the rule at first order: 2^16 panels miss 1e-13
+    with pytest.raises(ArithmeticError):
+        adaptive_quadrature(lambda x: np.sign(x - 1.0 / 3.0), 0.0, 1.0, tol=1e-13)
+
+
 def test_fourier_dual_at_zero_is_mass():
     V = plateau_window()
     assert abs(fourier_dual(V, 0.0) - V.mass()) < 1e-10
@@ -180,7 +186,7 @@ def _full_matrix_batch(kernel, W, ys):
     while start < sorted_y.size:
         stop = int(np.searchsorted(sorted_y, 4.0 * sorted_y[start], side="right"))
         block = sorted_y[start:stop]
-        pts, wts = _panel_nodes(*W.support, _panel_count(_kernel_cycles(W, block[-1]), 1.0), 12)
+        pts, wts = _panel_nodes(*W.support, *_rule(_kernel_cycles(W, block[-1]), None, 1.0))
         args = 4.0 * np.pi * np.sqrt(np.multiply.outer(block, pts))
         values = kernel(args)
         out[order_idx[start:stop]] = values @ (W(pts) * wts)
@@ -215,7 +221,7 @@ def test_voronoi_batch_chunks_match_full_matrix_in_bounded_memory(kind, kernel):
 
 
 def test_voronoi_transform_matches_fine_fixed_rule():
-    # the adaptive scalar path against the fixed rule at eight times the panels
+    # the default rule against the same rule at eight times the panels
     W = bump_window()
     for kind, sign in (("delta_form", 1), ("divisor", 1), ("divisor", -1)):
         for y in np.geomspace(0.01, 200.0, 20):
@@ -259,7 +265,8 @@ def test_voronoi_main_term_quadrature_oracle():
 
 
 def test_decay_check_fourier_dual():
-    rep = decay_check("fourier_dual", 4.0, np.linspace(1.0, 12.0, 10), window=plateau_window())
+    V = plateau_window()
+    rep = decay_check(lambda x: fourier_dual(V, x), 4.0, np.linspace(1.0, 12.0, 10))
     assert rep.finite
     assert rep.constant < 50.0
     assert rep.A == 4.0
@@ -267,7 +274,7 @@ def test_decay_check_fourier_dual():
 
 def test_decay_check_rejects_steep_exponent():
     with pytest.raises(ValueError):
-        decay_check("fourier_dual", 7.0, np.linspace(1.0, 4.0, 4), window=plateau_window())
+        decay_check(lambda x: fourier_dual(plateau_window(), x), 7.0, np.linspace(1.0, 4.0, 4))
 
 
 def test_linear_combination_window():
