@@ -186,7 +186,8 @@ def _full_matrix_batch(kernel, W, ys):
     while start < sorted_y.size:
         stop = int(np.searchsorted(sorted_y, 4.0 * sorted_y[start], side="right"))
         block = sorted_y[start:stop]
-        pts, wts = _panel_nodes(*W.support, *_rule(_kernel_cycles(W, block[-1]), None, 1.0))
+        rule = _rule(_kernel_cycles(W, block[-1]), W.support[1] - W.support[0], None, 1.0)
+        pts, wts = _panel_nodes(*W.support, *rule)
         args = 4.0 * np.pi * np.sqrt(np.multiply.outer(block, pts))
         values = kernel(args)
         out[order_idx[start:stop]] = values @ (W(pts) * wts)
@@ -228,6 +229,54 @@ def test_voronoi_transform_matches_fine_fixed_rule():
             ref = voronoi_transform(kind, sign, W, float(y), panel_scale=8.0)
             got = voronoi_transform(kind, sign, W, float(y))
             assert abs(got - ref) < 1e-11 * (1.0 + abs(ref))
+
+
+@pytest.mark.parametrize("kind", ["delta_form", "divisor"])
+def test_default_rule_matches_fine_rule_on_dual_sums(kind):
+    # every 7th plus-side dual term of the criterion-6 sums (a, c, N) =
+    # (1, 3, 40) and (2, 5, 60), y up to 26667, where the oscillations and not
+    # the floor set the panel count; per term, against four times the panels
+    W = bump_window()
+    for c, N in ((3, 40.0), (5, 60.0)):
+        ys = np.arange(1, 6001, 7) * (N / c**2)
+        got = voronoi_transform_batch(kind, 1, W, ys)
+        ref = voronoi_transform_batch(kind, 1, W, ys, panel_scale=4.0)
+        assert np.max(np.abs(got - ref)) <= 1e-13
+
+
+def test_explicit_order_rule_is_the_refinement_sequence():
+    # three panels per oscillation, whatever the width: the sequence the
+    # convergence checks rate
+    for cycles in (0.0, 0.4, 3.0, 57.5, 1234.0):
+        for q in (1, 2, 3, 12):
+            for s in (0.5, 1.0, 2.0, 4.0):
+                panels = max(8, math.ceil(3 * cycles * s + 8 * s))
+                assert _rule(cycles, 2.5, q, s) == (panels, q)
+
+
+def test_rule_floor_counts_per_unit_width():
+    # the plateau window is 2.5 wide: 80 panels give its mass 7/4 to rounding
+    assert abs(fourier_dual(plateau_window(), 0.0) - 1.75) <= 1e-15
+    assert _rule(0.0, 1.0, None, 1.0) == (32, 12)
+    assert _rule(0.0, 2.5, None, 1.0) == (80, 12)
+
+
+@pytest.mark.parametrize("panel_scale", [-3.0, 0.0, float("nan"), float("inf")])
+def test_rule_refuses_bad_panel_scale(panel_scale):
+    with pytest.raises(ValueError, match="panel_scale"):
+        fourier_dual(plateau_window(), 50.0, panel_scale=panel_scale)
+    with pytest.raises(ValueError, match="panel_scale"):
+        voronoi_transform("divisor", 1, bump_window(), 500.0, panel_scale=panel_scale)
+    with pytest.raises(ValueError, match="panel_scale"):
+        voronoi_main_term("divisor", bump_window(), 3, 40.0, panel_scale=panel_scale)
+
+
+@pytest.mark.parametrize("quad_order", [0, -2])
+def test_rule_refuses_bad_quad_order(quad_order):
+    with pytest.raises(ValueError, match="quad_order"):
+        fourier_dual(plateau_window(), 50.0, quad_order=quad_order)
+    with pytest.raises(ValueError, match="quad_order"):
+        voronoi_transform("divisor", 1, bump_window(), 500.0, quad_order=quad_order)
 
 
 def test_voronoi_transform_rejects_nonpositive_y():
