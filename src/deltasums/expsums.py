@@ -368,23 +368,23 @@ def alpha_factorization_check(
 def weil_bound_profile(pmax: int) -> tuple[float, int]:
     """Largest |S(a,b;p)| / (2*sqrt(p)) over (a, b) != (0, 0) mod p, p <= pmax.
 
-    Evaluates every Kloosterman sum mod p at once as a matrix product
-    e(ax/p) @ e(b*xbar/p); returns (max ratio, the prime attaining it).
+    S(a, b; p) = S(1, ab; p) when p does not divide a, and the sum is -1 when
+    exactly one of a, b is 0 mod p, so the row S(1, m; p) for every m mod p
+    (m = 0 included, where it is -1) holds every magnitude; it is one
+    (p, p-1) gather of e(./p). Returns (max ratio, the prime attaining it).
     The Weil bound asserts the ratio never exceeds 1; the fully degenerate
     pair a = b = 0, where the sum collapses to phi(p), is excluded.
     """
     from .modular import primes_in
 
+    if pmax < 2:
+        raise ValueError(f"pmax must be >= 2, got {pmax}")
     worst, worst_p = 0.0, 0
     for p in primes_in(2, pmax):
         units = unit_residues(p)
         inv = inverse_table(p)
-        tab = _exp_table(p)
-        left = tab[np.outer(np.arange(p), units) % p]
-        right = tab[np.outer(inv, np.arange(p)) % p]
-        mags = np.abs(left @ right)
-        mags[0, 0] = 0.0
-        ratio = float(mags.max()) / (2.0 * math.sqrt(p))
+        phases = (units + np.multiply.outer(np.arange(p), inv)) % p
+        ratio = float(np.abs(_exp_table(p)[phases].sum(axis=1)).max()) / (2.0 * math.sqrt(p))
         if ratio > worst:
             worst, worst_p = ratio, p
     return worst, worst_p

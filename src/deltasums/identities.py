@@ -11,6 +11,14 @@ The suite builders (appendix_suite, pipeline_suite, transforms_suite)
 assemble named Check thunks; run_suite executes them, optionally in
 threads, and always returns reports sorted by name so the rendered report
 is deterministic regardless of scheduling.
+
+transforms:quadrature_convergence rates the explicit-order refinement
+sequence (quad_order=2 at panel_scale 1, 2, 4, 8) on the integrals
+themselves, not on a rebuilt identity: both divisor dual transforms at 129
+of the 6000 dual points of (a, c, N) = (1, 3, 40) and its main-term
+integral, against the default 12-node rule. Each doubling must cut the
+worst error by at least 4; errors under 1e-8 are not rated, and fewer than
+two rated doublings fail the check.
 """
 
 from __future__ import annotations
@@ -900,30 +908,40 @@ def _voronoi_smoke_check() -> CheckReport:
 
 
 def _quadrature_convergence_check() -> CheckReport:
-    seq = divisor_sequence(6000)
+    # the integrals the (1, 3, 40) divisor identity sums: both dual transforms
+    # at every 47th dual point y = n N / c^2 of n in [1, 6000] plus n = 6000,
+    # and the main-term integral without its N/c factor
+    c, N, W = 3, 40.0, bump_window()
+    ys = np.append(np.arange(1, 6000, 47), 6000) * (N / c**2)
+
+    def integrals(quad_order, panel_scale):
+        duals = [
+            voronoi_transform_batch("divisor", sign, W, ys, quad_order, panel_scale)
+            for sign in (+1, -1)
+        ]
+        main = voronoi_main_term("divisor", W, c, N, quad_order, panel_scale) * c / N
+        return np.append(np.concatenate(duals), main)
+
+    reference = integrals(None, 2.0)
     # scale 1 is the coarsest setting inside the asymptotic regime at order
     # 2 (three panels per oscillation); below that the error is O(1)
     scales = (1.0, 2.0, 4.0, 8.0)
-    resids = [
-        voronoi_step_check(seq, 1, 3, 40.0, quad_order=2, panel_scale=s).residual
-        for s in scales
-    ]
+    errors = [float(np.max(np.abs(integrals(2, s) - reference))) for s in scales]
     floor = 1e-8
-    worst_gap = 0.0
-    min_ratio = float("inf")
-    for prev, nxt in zip(resids, resids[1:]):
-        if nxt < floor:
-            continue
-        ratio = prev / nxt if nxt > 0 else float("inf")
-        min_ratio = min(min_ratio, ratio)
-        worst_gap = max(worst_gap, max(0.0, 4.0 - ratio))
+    ratios = np.array([prev / nxt for prev, nxt in zip(errors, errors[1:]) if nxt >= floor])
+    details = {"errors": errors}
+    if ratios.size < 2:  # nothing rated is no pass
+        gap = float("inf")
+        details["reason"] = f"{ratios.size} refinement pair(s) above the {floor:g} floor; 2 needed"
+    else:  # NaN propagates into a failing gap
+        gap = float(np.max(np.maximum(0.0, 4.0 - ratios)))
     return _report(
         "transforms:quadrature_convergence",
-        ("divisor", 1, 3, 40.0, scales),
-        min_ratio if math.isfinite(min_ratio) else 0.0,
-        worst_gap,
+        ("divisor", c, N, ys.size, scales),
+        float(ratios.min()) if ratios.size else 0.0,
+        gap,
         1e-9,
-        residuals=resids,
+        **details,
     )
 
 

@@ -4,6 +4,7 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 import sympy
 
@@ -26,7 +27,7 @@ from deltasums.expsums import (
     trivial_delta,
     weil_bound_profile,
 )
-from deltasums.modular import mod_inverse, unit_residues
+from deltasums.modular import mod_inverse, primes_in, unit_residues
 
 
 def _e(x: float) -> complex:
@@ -113,6 +114,30 @@ def test_weil_bound_profile():
     ratio, p_at = weil_bound_profile(200)
     assert ratio < 1.0
     assert 2 <= p_at <= 199
+
+
+def test_weil_bound_profile_matches_full_matrix_brute():
+    # every S(a, b; p) as the matrix product e(ax/p) @ e(b*xbar/p)
+    worst, worst_p = 0.0, 0
+    for p in primes_in(2, 60):
+        x = np.arange(1, p)
+        xbar = np.array([mod_inverse(int(v), p) for v in x])
+        r = np.arange(p)
+        sums = np.exp(2j * np.pi * np.outer(r, x) / p) @ np.exp(2j * np.pi * np.outer(xbar, r) / p)
+        mags = np.abs(sums)
+        mags[0, 0] = 0.0  # a = b = 0 is excluded
+        ratio = mags.max() / (2.0 * math.sqrt(p))
+        if ratio > worst:
+            worst, worst_p = ratio, p
+        got, got_p = weil_bound_profile(p)
+        assert got_p == worst_p
+        assert abs(got - worst) <= 1e-12, (p, got, worst)
+
+
+@pytest.mark.parametrize("pmax", [1, 0, -7])
+def test_weil_bound_profile_refuses_pmax_below_2(pmax):
+    with pytest.raises(ValueError, match="pmax"):
+        weil_bound_profile(pmax)
 
 
 def test_generalized_kloosterman_conjugation(seed=12):

@@ -6,12 +6,14 @@ import re
 import numpy as np
 import pytest
 
+from deltasums import transforms
 from deltasums.characters import PrincipalCharacterNotAllowed, character
 from deltasums.identities import (
     Check,
     CheckReport,
     ExactnessViolated,
     InvalidDivisor,
+    _quadrature_convergence_check,
     appendix_suite,
     beta_sum_evaluation_check,
     choose_detection_scale,
@@ -184,6 +186,44 @@ def test_transforms_suite_passes():
     assert reports and all(r.passed for r in reports), [
         r.line() for r in reports if not r.passed
     ]
+
+
+def test_quadrature_convergence_rates_every_refinement():
+    rep = _quadrature_convergence_check()
+    assert rep.passed, rep.details
+    errors = rep.details["errors"]
+    assert len(errors) == 4 and min(errors) >= 1e-8  # all three pairs rated
+    assert rep.lhs_abs == pytest.approx(min(a / b for a, b in zip(errors, errors[1:])))
+
+
+def test_quadrature_convergence_fails_when_nothing_is_rated(monkeypatch):
+    # every explicit order becomes the 12-node rule: all errors fall to
+    # roundoff, under the floor, and no refinement pair is left to rate
+    rule = transforms._rule
+    monkeypatch.setattr(transforms, "_rule", lambda cyc, width, q, s: rule(cyc, width, None, s))
+    rep = _quadrature_convergence_check()
+    assert max(rep.details["errors"]) < 1e-8
+    assert not rep.passed
+    assert "floor" in rep.details["reason"]
+
+
+def test_quadrature_convergence_fails_when_panel_scale_is_ignored(monkeypatch):
+    rule = transforms._rule
+    monkeypatch.setattr(
+        transforms, "_rule", lambda cyc, width, q, s: rule(cyc, width, q, s if q is None else 1.0)
+    )
+    assert not _quadrature_convergence_check().passed
+
+
+def test_quadrature_convergence_fails_on_a_perturbed_order_2_weight(monkeypatch):
+    gauss = transforms._gauss_rule
+
+    def perturbed(order):
+        nodes, weights = gauss(order)
+        return (nodes, weights * [1.0 + 1e-6, 1.0]) if order == 2 else (nodes, weights)
+
+    monkeypatch.setattr(transforms, "_gauss_rule", perturbed)
+    assert not _quadrature_convergence_check().passed
 
 
 def test_report_line_format():
