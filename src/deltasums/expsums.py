@@ -37,6 +37,7 @@ and compensated summation via math.fsum on the real and imaginary parts.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -83,7 +84,9 @@ class ParameterConflict(ValueError):
 def _csum(values: np.ndarray) -> complex:
     """Compensated complex reduction (exact fsum on each part)."""
     arr = np.asarray(values, dtype=np.complex128).ravel()
-    return complex(math.fsum(arr.real), math.fsum(arr.imag))
+    # fsum is correctly rounded, so Python floats give the same bits as numpy
+    # scalars and are faster to iterate
+    return complex(math.fsum(arr.real.tolist()), math.fsum(arr.imag.tolist()))
 
 
 @lru_cache(maxsize=None)
@@ -134,25 +137,34 @@ class CancellationProfile:
     mean_ratio: float
 
 
+@lru_cache(maxsize=4096)
+def _divisor_pairs(q: int) -> tuple:
+    """Divisors of q in pairs (c, q//c) for c <= sqrt(q), each divisor once."""
+    out = []
+    c = 1
+    while c * c <= q:
+        if q % c == 0:
+            out.append(c)
+            if q // c != c:
+                out.append(q // c)
+        c += 1
+    return tuple(out)
+
+
 def trivial_delta(n: int, m: int, q: int) -> complex:
     """The divisor-dissected indicator of n = m (mod q).
 
     Evaluates (1/q) sum_{c|q} sum_{(a,c)=1} e(a(n-m)/c) by brute force over
     coprime residues; the value equals the indicator exactly for every q >= 1.
+    n, m and q must be integers (numpy integers included).
     """
+    n, m, q = operator.index(n), operator.index(m), operator.index(q)
     if q < 1:
         raise ValueError("trivial_delta requires q >= 1")
     d = n - m
     total = 0.0 + 0.0j
-    c = 1
-    # iterate divisors without materializing them: q is desk-scale
-    while c * c <= q:
-        if q % c == 0:
-            total += _unit_additive_sum(c, d % c)
-            c2 = q // c
-            if c2 != c:
-                total += _unit_additive_sum(c2, d % c2)
-        c += 1
+    for c in _divisor_pairs(q):
+        total += _unit_additive_sum(c, d % c)
     return total / q
 
 

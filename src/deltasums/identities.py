@@ -292,7 +292,8 @@ def delta_detection_expansion(cfg: PipelineConfig, tol: float = 1e-8) -> CheckRe
     lam(rl) = sum_n lam(n) delta(n = rl) and replaces the delta by
     (1/P*) sum_{p in P} (1/(pM)) sum_{c | pM} sum*_{a mod c} e(a(n-rl)/c),
     which is exact as long as p*M exceeds every |n - rl| the windows admit;
-    the guard p*M > 8NL enforces that with margin.
+    the guard p*M > 8NL enforces that with margin. The brute divisor sum
+    depends only on n - rl, so it is evaluated once per difference and q.
     """
     amp = cfg.amplifier()
     guard = 8.0 * cfg.N * cfg.L
@@ -313,18 +314,26 @@ def delta_detection_expansion(cfg: PipelineConfig, tol: float = 1e-8) -> CheckRe
     if n_max > cfg.seq.bound:
         raise OutOfCacheRange(f"need coefficients to {n_max}, cache ends at {cfg.seq.bound}")
 
+    # one table D_q[d - d_lo] = trivial_delta(d, 0, q) per q over every
+    # d = n - r*ell the sum reaches; the detected side at m = r*ell is the
+    # correlation sum_{n <= n_max} lam(n) D_q[n - m], reduced by fsum
+    d_lo = 1 - n_max
+    d_hi = n_max - int(r[0]) * min(amp.ells)
+    tables = {
+        p: np.array([trivial_delta(d, 0, p * cfg.M).real for d in range(d_lo, d_hi + 1)])
+        for p in amp.ps
+    }
+    lam_n = lam[1 : n_max + 1].astype(np.float64)
     pre = 0j
     post = 0j
     for ell in amp.ells:
         lam_ell = float(lam[ell])
         pre += lam_ell * complex(np.sum(lam[r * ell] * chiw))
         for p in amp.ps:
-            q = p * cfg.M
+            D = tables[p]
             for rv, cw in zip(r.tolist(), chiw.tolist()):
-                m = rv * ell
-                detected = math.fsum(
-                    float(lam[n]) * trivial_delta(n, m, q).real for n in range(1, n_max + 1)
-                )
+                start = 1 - rv * ell - d_lo
+                detected = math.fsum((lam_n * D[start : start + n_max]).tolist())
                 post += lam_ell * cw * detected
     pre /= amp.lstar
     post /= amp.lstar * amp.pstar
@@ -338,6 +347,8 @@ def delta_detection_expansion(cfg: PipelineConfig, tol: float = 1e-8) -> CheckRe
         ps=amp.ps,
         ells=amp.ells,
         n_max=n_max,
+        expansion_values=sum(t.size for t in tables.values()),
+        expanded=post,
         exactness_margin=min(p * cfg.M for p in amp.ps) - guard,
     )
 

@@ -319,7 +319,7 @@ def smoothed_sum(
     terms = chi.values(n) * W(n / N)
     if seq is not None:
         terms = terms * seq.values(n)
-    return complex(math.fsum(terms.real), math.fsum(terms.imag))
+    return complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
 
 
 # Bernoulli numbers B_2 .. B_16 for the Euler-Maclaurin tail
@@ -600,7 +600,7 @@ def rankin_selberg_average(
     if n.size == 0:
         return RankinReport(X, 0.0, 0.0)
     vals = seq.values(n)
-    total = float(math.fsum(vals * vals * W(n / X)))
+    total = math.fsum((vals * vals * W(n / X)).tolist())
     return RankinReport(X, total, total / X if X > 0 else 0.0)
 
 

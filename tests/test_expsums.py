@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from deltasums.expsums import (
     AlphaBetaNotCoprime,
     EllNotCoprime,
     ParameterConflict,
+    _csum,
+    _divisor_pairs,
     alpha_factorization_check,
     fourier_expansion_check,
     frak_c,
@@ -52,6 +55,30 @@ def test_trivial_delta_q1():
 def test_trivial_delta_rejects_bad_modulus():
     with pytest.raises(ValueError):
         trivial_delta(1, 1, 0)
+
+
+def test_trivial_delta_refuses_non_integers():
+    for args in ((7, 2, 5.5), (7.0, 2, 5), (7, Fraction(2), 5), (7, 2, "5")):
+        with pytest.raises(TypeError):
+            trivial_delta(*args)
+
+
+def test_trivial_delta_accepts_numpy_integers():
+    assert trivial_delta(np.int64(47), np.int32(2), np.int64(5)) == trivial_delta(47, 2, 5)
+
+
+def test_divisor_pairs_keep_the_pair_order():
+    assert _divisor_pairs(12) == (1, 12, 2, 6, 3, 4)
+    assert _divisor_pairs(49) == (1, 49, 7)
+    assert _divisor_pairs(1) == (1,)
+
+
+def test_csum_matches_fsum_over_numpy_scalars(seed=8):
+    rng = np.random.default_rng(seed)
+    for size in (0, 1, 480, 5000):
+        z = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 8, size)
+        z = z + 1j * rng.standard_normal(size)
+        assert _csum(z) == complex(math.fsum(z.real), math.fsum(z.imag))
 
 
 def test_ramanujan_sum_mobius_oracle(seed=6):

@@ -1,12 +1,13 @@
 """Pipeline identity checks, suites and their failure modes."""
 
 import dataclasses
+import math
 import re
 
 import numpy as np
 import pytest
 
-from deltasums import transforms
+from deltasums import identities, transforms
 from deltasums.characters import PrincipalCharacterNotAllowed, character
 from deltasums.identities import (
     Check,
@@ -14,6 +15,7 @@ from deltasums.identities import (
     ExactnessViolated,
     InvalidDivisor,
     _quadrature_convergence_check,
+    _support_range,
     appendix_suite,
     beta_sum_evaluation_check,
     choose_detection_scale,
@@ -68,6 +70,75 @@ def test_delta_detection_guard():
     cfg = make_pipeline_config(kind="divisor", M=11, N=40.0, L=3, P=5)
     with pytest.raises(ExactnessViolated):
         delta_detection_expansion(cfg)
+
+
+def _detection_cfg(kind, M, N, L):
+    P = choose_detection_scale(M, N, L)
+    return make_pipeline_config(kind=kind, M=M, N=N, L=L, P=float(P))
+
+
+def _per_n_detection(cfg):
+    """(pre, post) by one trivial_delta call per (ell, p, r, n)."""
+    amp = cfg.amplifier()
+    r_all = _support_range(cfg.N, cfg.W)
+    w_all = cfg.W(r_all / cfg.N)
+    r = r_all[w_all != 0.0]
+    chiw = cfg.chi.values(r) * w_all[w_all != 0.0]
+    lam = cfg.seq.lam
+    n_max = int(r[-1]) * max(amp.ells)
+    pre = post = 0j
+    for ell in amp.ells:
+        lam_ell = float(lam[ell])
+        pre += lam_ell * complex(np.sum(lam[r * ell] * chiw))
+        for p in amp.ps:
+            for rv, cw in zip(r.tolist(), chiw.tolist()):
+                detected = math.fsum(
+                    float(lam[n]) * identities.trivial_delta(n, rv * ell, p * cfg.M).real
+                    for n in range(1, n_max + 1)
+                )
+                post += lam_ell * cw * detected
+    return pre / amp.lstar, post / (amp.lstar * amp.pstar)
+
+
+@pytest.mark.parametrize("kind", ["divisor", "delta_form"])
+@pytest.mark.parametrize("M,N,L", [(11, 20.0, 3), (101, 10.0, 2)])
+def test_delta_detection_matches_the_per_n_expansion(kind, M, N, L):
+    cfg = _detection_cfg(kind, M, N, L)
+    rep = delta_detection_expansion(cfg)
+    pre, post = _per_n_detection(cfg)
+    assert rep.passed
+    assert abs(rep.details["expanded"] - post) <= 1e-12 * (1 + abs(pre))
+    assert abs(rep.lhs_abs - abs(pre)) <= 1e-12 * (1 + abs(pre))
+
+
+def test_delta_detection_tabulates_each_difference_once(monkeypatch):
+    calls = []
+    real = identities.trivial_delta
+
+    def counting(n, m, q):
+        calls.append(q)
+        return real(n, m, q)
+
+    monkeypatch.setattr(identities, "trivial_delta", counting)
+    cfg = _detection_cfg("divisor", 11, 20.0, 3)
+    rep = delta_detection_expansion(cfg)
+    ps = rep.details["ps"]
+    assert rep.passed
+    assert 0 < len(calls) <= len(ps) * 2 * rep.details["n_max"]
+    assert rep.details["expansion_values"] == len(calls)
+    assert set(calls) == {p * 11 for p in ps}
+
+
+def test_delta_detection_fails_on_a_perturbed_residue_class(monkeypatch):
+    real = identities.trivial_delta
+
+    def perturbed(n, m, q):
+        return real(n, m, q) + (1e-6 if (n - m) % q == 1 else 0.0)
+
+    monkeypatch.setattr(identities, "trivial_delta", perturbed)
+    rep = delta_detection_expansion(_detection_cfg("divisor", 101, 10.0, 2))
+    assert not rep.passed
+    assert rep.residual > rep.tolerance
 
 
 def test_choose_detection_scale_satisfies_guard():
