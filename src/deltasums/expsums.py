@@ -89,7 +89,7 @@ def _csum(values: np.ndarray) -> complex:
     return complex(math.fsum(arr.real.tolist()), math.fsum(arr.imag.tolist()))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _exp_table(c: int) -> np.ndarray:
     """e(j/c) for j in [0, c), read-only."""
     tab = np.exp(2j * np.pi * np.arange(c) / c)

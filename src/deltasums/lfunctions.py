@@ -27,26 +27,34 @@ Central values:
   with zeta(s, a) evaluated by Euler-Maclaurin, or a smoothly truncated
   series of effective length >= 50 sqrt(M) log M whose truncation scale is
   doubled until two evaluations agree.
-* l_value_twist(seq, chi): smoothly truncated series of effective length
-  >= 50 M log M; for the divisor function the value equals L(1/2, chi)^2.
+* l_value_twist(seq, chi): exact by default.  For the divisor function
+  L(s, E x chi) = L(s, chi)^2, the square of the Hurwitz value; for the
+  weight-12 form the approximate functional equation at conductor M^2
+  (Iwaniec-Kowalski, Analytic Number Theory, Thm 5.3 and Prop 14.20),
+  evaluated at two splitting points whose values must agree.  The smoothly
+  truncated series of effective length >= 50 M log M stays available as
+  method "smoothed".
 
-Both reduce to a character sum sum_a chi(a) v[a] over a real vector indexed
-by residue: the Hurwitz values zeta(1/2, a/M), or the residue-class sums of
-the truncated series.  With chi_k(g^j) = e(kj/(M-1)) for the primitive root
-g, reordering v by powers of g turns the sums for all M-1 characters into
-one discrete Fourier transform of length M-1, taken as a single real FFT
-(_character_transform).  So the Hurwitz identity is evaluated once per
-modulus for every character (_l_values_all), and each step of a smoothed
-series costs one FFT of its class vector.
+All of these reduce to character sums sum_a chi(a) v[a] over real vectors
+indexed by residue: the Hurwitz values zeta(1/2, a/M), the residue-class
+sums of an AFE half or of a truncated series, cos and sin(2 pi a/M) for the
+Gauss sums.  With chi_k(g^j) = e(kj/(M-1)) for the primitive root g,
+reordering v by powers of g turns the sums for all M-1 characters into one
+discrete Fourier transform of length M-1, taken as a single real FFT
+(_character_transform).  So the Hurwitz identity and the twist AFE are
+evaluated once per modulus for every character (_l_values_all,
+_twist_values_all), and each step of a smoothed series costs one FFT of
+its class vector.
 
 Burgess sweeps record |L|/M^exponent with exponent 3/16 (Dirichlet) or 3/8
 (twist), sorted by modulus, with a CSV writer matching the fixed schema.
-Each modulus of a sweep costs one character transform for all its rows.
+Each modulus of a sweep takes all its rows from one per-modulus row.
 """
 
 from __future__ import annotations
 
 import decimal
+import logging
 import math
 import os
 import tempfile
@@ -57,6 +65,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
+from scipy.special import gammaincc
 
 from .characters import DirichletCharacter, PrincipalCharacterNotAllowed, character
 from .modular import prime_modulus, primes_in, primes_up_to
@@ -89,14 +98,14 @@ __all__ = [
     "write_sweep_csv",
     "monotone_envelope",
     "CSV_HEADER",
-    "afe_supremum_probe",
-    "AfeProbe",
 ]
 
 DEFAULT_TAU_BOUND = 1_000_000
 
 _TERM_DIGITS = 40  # decimal digits per Kronecker slot
 _TERM_BASE = 10**_TERM_DIGITS
+
+_log = logging.getLogger("deltasums")
 
 
 class OutOfCacheRange(ValueError):
@@ -287,8 +296,8 @@ def ramanujan_tau_table(bound: int, cache: str | os.PathLike | None = "auto") ->
     if path is not None:
         try:
             save_tau_table(tau, path)
-        except OSError:
-            pass  # cache directory not writable; recompute next time
+        except OSError as exc:
+            _log.warning("tau cache %s not written (%s); it is rebuilt next time", path, exc)
     return tau
 
 
@@ -384,6 +393,65 @@ def _l_values_all(M: int) -> np.ndarray:
     vals = _character_transform(zeta, M) / math.sqrt(M)
     vals.setflags(write=False)
     return vals
+
+
+# The twist AFE weight Q(6, x) = gammaincc(6, x) is cut where x = 2 pi n/(M X)
+# passes 50, Q(6, 50) = 5.6e-16; the value is formed at both splitting points
+# X and must agree to _AFE_TOL (1 + |L|).
+_AFE_CUT = 50.0
+_AFE_X = (1.0, 1.25)
+_AFE_TOL = 1e-10
+
+
+def _afe_terms(M: int) -> int:
+    """Coefficients the delta-form twist AFE mod M reads: about 10 M."""
+    return math.floor(_AFE_CUT * max(_AFE_X) * M / (2.0 * math.pi))
+
+
+def _twist_values_all(seq: CoefficientSequence, M: int) -> np.ndarray:
+    """L(1/2, g x chi_k) for every index k mod the prime M (index 0 is not a
+    primitive twist and is never read).
+
+    Divisor kind: L(s, E x chi) = L(s, chi)^2, the squared Hurwitz row; no
+    coefficient is read. Delta form: the approximate functional equation at
+    conductor M^2 with root number eps = tau(chi)^2 / M,
+        L = sum lam(n) chi(n) n^{-1/2} Q(6, 2 pi n/(M X))
+            + eps sum lam(n) conj(chi(n)) n^{-1/2} Q(6, 2 pi n X/M),
+    each half one class vector through _character_transform, the Gauss sums
+    tau(chi) the transforms of cos and sin(2 pi a/M). The value does not
+    depend on X; it is formed at both _AFE_X points, and a gap above
+    _AFE_TOL (1 + |L|) raises ArithmeticError.
+    """
+    if seq.kind == "divisor":
+        return _l_values_all(M) ** 2
+    if seq.kind != "delta_form":
+        raise ValueError(f"no twist central values for coefficient kind {seq.kind!r}")
+    n_max = _afe_terms(M)
+    if n_max > seq.bound:
+        raise OutOfCacheRange(
+            f"twist AFE mod {M} needs coefficients up to {n_max} > bound {seq.bound}"
+        )
+    n = np.arange(1, n_max + 1, dtype=np.float64)
+    w = seq.lam[1 : n_max + 1] / np.sqrt(n)
+    res = np.arange(1, n_max + 1) % M
+    angle = 2.0 * math.pi * np.arange(M) / M
+    gauss = _character_transform(np.cos(angle), M) + 1j * _character_transform(np.sin(angle), M)
+    eps = gauss * gauss / M
+
+    def at(X: float) -> np.ndarray:
+        first = np.bincount(res, weights=w * gammaincc(6, 2.0 * math.pi * n / (M * X)), minlength=M)
+        second = np.bincount(res, weights=w * gammaincc(6, 2.0 * math.pi * n * X / M), minlength=M)
+        return _character_transform(first, M) + eps * np.conj(_character_transform(second, M))
+
+    row, other = (at(X) for X in _AFE_X)
+    bad = np.abs(row - other)[1:] > _AFE_TOL * (1.0 + np.abs(row[1:]))
+    if bad.any():
+        k = 1 + int(np.argmax(bad))
+        raise ArithmeticError(
+            f"twist AFE mod {M} depends on its splitting point: gap "
+            f"{abs(row[k] - other[k]):.3g} at character {k}"
+        )
+    return row
 
 
 def _smooth_cutoff(t: np.ndarray) -> np.ndarray:
@@ -497,19 +565,25 @@ def l_value_dirichlet(chi: DirichletCharacter, method: str = "hurwitz_oracle") -
 def l_value_twist(
     seq: CoefficientSequence,
     chi: DirichletCharacter,
-    method: str = "smoothed",
+    method: str = "exact",
     tol: float = 1e-5,
 ) -> complex:
-    """L(1/2, g x chi) = sum lam(n) chi(n) n^{-1/2}, smoothly truncated.
+    """L(1/2, g x chi) for primitive chi mod a prime M.
 
-    The truncation doubles from effective length 50 M log M until the step
-    gap falls under tol. The twist conductor is M^2, so tight gaps need
-    lengths well past the conductor; when the cache cannot carry the ladder
-    that far the evaluation refuses rather than returning a moving value.
+    "exact": the entry of _twist_values_all, L(1/2, chi)^2 for the divisor
+    kind and the approximate functional equation, checked at two splitting
+    points, for the delta form (which reads coefficients to about 10 M).
+    "dirichlet_square": L(1/2, chi)^2 by the Hurwitz identity, divisor kind
+    only. "smoothed": sum lam(n) chi(n) n^{-1/2}, smoothly truncated, the
+    truncation doubling from effective length 50 M log M until the step gap
+    falls under tol; when the cache cannot carry the ladder that far the
+    evaluation refuses rather than returning a moving value.
     """
     if chi.is_principal:
         raise PrincipalCharacterNotAllowed("central values require a primitive character")
     M = chi.M
+    if method == "exact":
+        return complex(_twist_values_all(seq, M)[chi.index])
     if method == "dirichlet_square":
         if seq.kind != "divisor":
             raise ValueError("dirichlet_square applies to the divisor kind only")
@@ -628,6 +702,7 @@ CSV_HEADER = "M,char_index,kind,re_L,im_L,abs_L,exponent,ratio"
 
 _DIRICHLET_EXPONENT = 3.0 / 16.0
 _TWIST_EXPONENT = 3.0 / 8.0
+_SWEEP_LIMIT = 10_000
 
 
 def _char_indices(M: int, chars) -> list[int]:
@@ -650,34 +725,31 @@ def burgess_sweep(
     seq: CoefficientSequence | None = None,
     method: str | None = None,
 ) -> list[SweepRecord]:
-    """Burgess-ratio records over primes in [pmin, pmax], sorted by (M, index).
+    """Burgess-ratio records over primes in [pmin, pmax <= 10^4], sorted by
+    (M, index).
 
-    kind "dirichlet" uses the Hurwitz oracle (feasible to M <= 10^4); kind
-    "twist" reports the feasibility-length smoothed value over the given
-    coefficient kind (M <= 500), exploratory resolution rather than a
-    stabilized central value: central twist values at conductor M^2 do not
-    stabilize tightly at desk-scale lengths, so rows carry the value one
-    dyadic step above the effective length 50 M log M (step gap at the
-    few-percent level near M = 500). Either way one character transform per
-    modulus gives every row; method "smoothed" (dirichlet) or
-    "dirichlet_square" (twist) evaluates each character on its own instead.
+    kind "dirichlet" uses the Hurwitz oracle; kind "twist" the exact central
+    values of _twist_values_all over the given coefficient kind: squared
+    Hurwitz values for divisor rows, the X-checked approximate functional
+    equation for delta-form rows. A missing seq is built to the AFE length
+    of pmax for the delta form; divisor rows read no coefficient. Either way
+    one per-modulus row gives every character; method "smoothed" (dirichlet)
+    or "dirichlet_square" (twist) evaluates each character on its own instead.
     chars: "all", "quadratic", or an integer count of indices per modulus.
     """
     if kind not in ("dirichlet", "twist"):
         raise ValueError(f"sweep kind must be dirichlet or twist, got {kind!r}")
     if kind == "twist" and method not in (None, "dirichlet_square"):
         raise ValueError(f"unknown twist method {method!r}")
-    limit = 10_000 if kind == "dirichlet" else 500
-    if pmax > limit:
-        raise ValueError(f"{kind} sweeps are oracle-feasible only up to M = {limit}")
+    if pmax > _SWEEP_LIMIT:
+        raise ValueError(f"{kind} sweeps are oracle-feasible only up to M = {_SWEEP_LIMIT}")
     primes = primes_in(max(5, pmin), pmax)
     records: list[SweepRecord] = []
     if kind == "twist" and primes and seq is None:
-        need = math.ceil(4.0 * 50.0 * pmax * math.log(pmax)) + 10
         if coeff == "divisor":
-            seq = divisor_sequence(need)
+            seq = divisor_sequence(1)
         elif coeff in ("delta", "delta_form"):
-            seq = delta_sequence(need)
+            seq = delta_sequence(_afe_terms(pmax))
         else:
             raise ValueError(f"unknown coefficient kind {coeff!r}")
     for M in primes:
@@ -693,8 +765,7 @@ def burgess_sweep(
             if method == "dirichlet_square":
                 row = {k: l_value_twist(seq, character(M, k), method) for k in indices}
             else:
-                X0 = 50.0 * M * math.log(M)
-                row = _character_transform(_class_vector(seq, M, 2.0 * X0), M)
+                row = _twist_values_all(seq, M)
         for k in indices:
             val = complex(row[k])
             records.append(SweepRecord(M, k, rec_kind, val, exponent, abs(val) / M**exponent))
@@ -719,35 +790,3 @@ def monotone_envelope(records: list[SweepRecord]) -> tuple[np.ndarray, np.ndarra
     ms = np.array(sorted(by_m), dtype=np.int64)
     env = np.maximum.accumulate(np.array([by_m[m] for m in ms]))
     return ms, env
-
-
-@dataclass(frozen=True)
-class AfeProbe:
-    """Supremum of |S(N)|/sqrt(N) over a dyadic grid, next to the L-value."""
-
-    M: int
-    char_index: int
-    sup_ratio: float
-    N_at_sup: float
-    l_value_abs: float
-
-
-def afe_supremum_probe(
-    chi: DirichletCharacter,
-    seq: CoefficientSequence | None = None,
-    window: SmoothWindow | None = None,
-    n_octaves: int = 12,
-) -> AfeProbe:
-    """Scan S(N) = sum lam(n) chi(n) W(n/N) over N = 1, 2, 4, ... and report
-    the largest |S(N)|/sqrt(N), alongside |L(1/2, .)| from the oracle."""
-    W = window if window is not None else bump_window()
-    best, best_n = 0.0, 1.0
-    for j in range(n_octaves):
-        N = float(1 << j)
-        if seq is not None and W.support[1] * N > seq.bound:
-            break
-        ratio = abs(smoothed_sum(seq, chi, N, W)) / math.sqrt(N)
-        if ratio > best:
-            best, best_n = ratio, N
-    lval = abs(l_value_dirichlet(chi)) if seq is None else float("nan")
-    return AfeProbe(chi.M, chi.index, best, best_n, lval)

@@ -128,7 +128,7 @@ def euler_phi(n: int) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def unit_residues(c: int) -> np.ndarray:
     """Residues a mod c with gcd(a, c) = 1, as a read-only int64 array.
 
@@ -144,7 +144,7 @@ def unit_residues(c: int) -> np.ndarray:
     return arr
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def inverse_table(c: int) -> np.ndarray:
     """Inverses of unit_residues(c) mod c, aligned entrywise; read-only."""
     units = unit_residues(c)
@@ -260,7 +260,8 @@ class PrimeModulus:
         return f"PrimeModulus(M={self.M}, g={self.g})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def prime_modulus(M: int) -> PrimeModulus:
-    """Cached PrimeModulus factory; one shared instance per modulus."""
+    """Cached PrimeModulus factory; one shared instance per modulus among the
+    256 most recently used."""
     return PrimeModulus(M)

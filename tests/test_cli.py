@@ -255,6 +255,17 @@ def test_sweep_limits():
     assert code == 2 and "bogus" in err
 
 
+def test_sweep_twist_delta_forced_zero():
+    code, out, err = run(
+        ["sweep", "--kind=twist", "--coeff=delta", "--pmin=103", "--pmax=103", "--chars=quadratic"]
+    )
+    assert code == 0, err
+    header, row = out.splitlines()
+    fields = dict(zip(header.split(","), row.split(",")))
+    assert fields["M"] == "103" and fields["kind"] == "delta_form"
+    assert float(fields["abs_L"]) < 1e-12
+
+
 def test_config_file_fills_unset_flags(tmp_path):
     cfg = tmp_path / "sums.cfg"
     cfg.write_text("kind = ramanujan\nM = 7\na = 0\n")

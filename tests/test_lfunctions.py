@@ -1,6 +1,7 @@
 """Coefficient sequences, L-values, amplifiers and sweeps."""
 
 import io
+import logging
 import math
 import random
 import sys
@@ -12,6 +13,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 import sympy
+from scipy.special import gammaincc
 
 from deltasums import lfunctions
 from deltasums.characters import PrincipalCharacterNotAllowed, character
@@ -20,7 +22,6 @@ from deltasums.lfunctions import (
     DEFAULT_TAU_BOUND,
     DegenerateAmplifier,
     OutOfCacheRange,
-    afe_supremum_probe,
     amplifier_lstar,
     burgess_sweep,
     coeff_eval,
@@ -40,7 +41,7 @@ from deltasums.lfunctions import (
     smoothed_sum,
     write_sweep_csv,
 )
-from deltasums.lfunctions import _character_transform, _class_vector
+from deltasums.lfunctions import _character_transform, _class_vector, _twist_values_all
 from deltasums.transforms import bump_window
 
 # q-expansion of Delta, Hecke-normalized later; classical table
@@ -237,7 +238,54 @@ def test_twist_refuses_insufficient_cache():
     # the doubling ladder must not return a still-moving value
     small = divisor_sequence(2048)
     with pytest.raises(OutOfCacheRange):
-        l_value_twist(small, character(101, 1))
+        l_value_twist(small, character(101, 1), method="smoothed")
+
+
+def test_twist_afe_is_independent_of_the_splitting_point(delta_seq, monkeypatch):
+    for M in (5, 31, 101, 499):
+        rows = []
+        for X in (1.0, 1.25):
+            monkeypatch.setattr(lfunctions, "_AFE_X", (X, X))
+            rows.append(_twist_values_all(delta_seq, M))
+        assert np.abs(rows[0] - rows[1])[1:].max() <= 1e-12
+
+
+def test_twist_afe_forced_zeros(delta_seq):
+    # a quadratic character mod M = 3 (mod 4) has tau(chi)^2 = -M, so the
+    # root number is -1 and the real central value must vanish
+    for M in (103, 499):
+        chi = character(M, (M - 1) // 2)
+        assert chi.is_quadratic
+        assert abs(l_value_twist(delta_seq, chi)) <= 1e-12
+
+
+def test_twist_afe_matches_converged_smoothed_ladder(delta_seq):
+    for M in (5, 7, 13):
+        for k in range(1, M - 1):
+            chi = character(M, k)
+            exact = l_value_twist(delta_seq, chi)
+            assert abs(exact - l_value_twist(delta_seq, chi, "smoothed")) <= 1e-6
+
+
+def test_twist_afe_refuses_short_sequence():
+    short = delta_sequence(64, cache=None)
+    with pytest.raises(OutOfCacheRange, match="twist AFE mod 101"):
+        l_value_twist(short, character(101, 1))
+
+
+def test_twist_afe_splitting_gap_raises(delta_seq, monkeypatch):
+    # a wrong root number breaks the X-independence the row is checked by
+    real = lfunctions._character_transform
+    calls = []
+
+    def skewed(vec, M):
+        calls.append(M)
+        out = real(vec, M)
+        return out * 1.01 if len(calls) == 1 else out
+
+    monkeypatch.setattr(lfunctions, "_character_transform", skewed)
+    with pytest.raises(ArithmeticError, match="splitting point"):
+        lfunctions._twist_values_all(delta_seq, 31)
 
 
 def test_smoothed_sum_direct_loop(div_seq):
@@ -311,8 +359,9 @@ def test_burgess_sweep_empty_range():
 def test_burgess_sweep_limits():
     with pytest.raises(ValueError):
         burgess_sweep("dirichlet", 5, 20_000)
-    with pytest.raises(ValueError):
-        burgess_sweep("twist", 5, 600)
+    with pytest.raises(ValueError, match="10000"):
+        burgess_sweep("twist", 5, 10_001)
+    assert len(burgess_sweep("twist", 590, 600, chars="quadratic")) == 2
     with pytest.raises(ValueError):
         burgess_sweep("maass", 5, 50)
     with pytest.raises(ValueError, match="bogus"):
@@ -327,14 +376,27 @@ def test_burgess_sweep_twist_kinds():
     assert {r.char_index for r in recs2} <= {1, 2}
 
 
-def test_twist_sweep_rows_match_per_character_dot(div_seq):
-    # the sweep's row is the smoothed series at twice the effective length
-    # 50 M log M, the character entering through its value table
+def test_twist_sweep_divisor_rows_are_dirichlet_squares(div_seq):
     recs = burgess_sweep("twist", 5, 31, seq=div_seq)
     assert len(recs) == sum(p - 2 for p in sympy.primerange(5, 32))
     for r in recs:
-        X = 2.0 * (50.0 * r.M * math.log(r.M))
-        ref = np.dot(character(r.M, r.char_index).value_table(), _class_vector(div_seq, r.M, X))
+        ref = l_value_twist(div_seq, character(r.M, r.char_index), "dirichlet_square")
+        assert abs(r.l_value - ref) <= 1e-15 * (1 + abs(ref))
+
+
+def test_twist_sweep_delta_rows_match_per_character_afe(delta_seq):
+    # the AFE written out per character, at X = 1, from value tables and a
+    # directly summed Gauss sum
+    recs = burgess_sweep("twist", 5, 31, seq=delta_seq)
+    assert len(recs) == sum(p - 2 for p in sympy.primerange(5, 32))
+    for r in recs:
+        chi = character(r.M, r.char_index).value_table()
+        n_max = math.floor(50.0 * 1.25 * r.M / (2.0 * math.pi))
+        n = np.arange(1, n_max + 1)
+        w = delta_seq.lam[n] / np.sqrt(n)
+        gauss = np.sum(chi * np.exp(2j * np.pi * np.arange(r.M) / r.M))
+        q = w * gammaincc(6, 2.0 * np.pi * n / r.M)  # at X = 1 both halves weigh alike
+        ref = np.sum(q * chi[n % r.M]) + gauss**2 / r.M * np.sum(q * np.conj(chi[n % r.M]))
         assert abs(r.l_value - ref) <= 1e-12 * (1 + abs(ref))
 
 
@@ -408,6 +470,18 @@ def test_monotone_envelope_nondecreasing():
     assert list(ms) == sorted(set(r.M for r in recs))
     assert np.all(np.diff(env) >= 0)
     assert env[0] == recs[0].ratio
+
+
+def test_tau_cache_write_failure_is_logged(tmp_path, caplog):
+    blocker = tmp_path / "not_a_dir"
+    blocker.write_text("")
+    path = blocker / "tau.txt"  # its parent is a file, so the write fails
+    with caplog.at_level(logging.WARNING, logger="deltasums"):
+        tab = ramanujan_tau_table(10, cache=path)
+    assert tab == TAU_KNOWN
+    [record] = caplog.records
+    assert record.name == "deltasums" and record.levelno == logging.WARNING
+    assert str(path) in record.getMessage()
 
 
 def test_tau_cache_round_trip(tmp_path):
@@ -504,11 +578,3 @@ def test_default_cache_env_override(tmp_path, monkeypatch):
     # second build must come from the file and agree
     seq2 = delta_sequence(64, cache="auto")
     assert np.array_equal(seq.lam, seq2.lam)
-
-
-def test_afe_probe(div_seq):
-    probe = afe_supremum_probe(character(11, 5), seq=div_seq)
-    assert probe.M == 11 and probe.sup_ratio > 0
-    assert math.isnan(probe.l_value_abs)
-    probe2 = afe_supremum_probe(character(11, 5))
-    assert abs(probe2.l_value_abs - abs(l_value_dirichlet(character(11, 5)))) < 1e-12
