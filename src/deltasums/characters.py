@@ -30,7 +30,6 @@ __all__ = [
     "DirichletCharacter",
     "character",
     "enumerate_characters",
-    "orthogonality_check",
 ]
 
 
@@ -156,18 +155,3 @@ def enumerate_characters(M: int, which: str = "all") -> list[DirichletCharacter]
         raise ValueError(f"unknown character filter {which!r}")
     return [DirichletCharacter(mod, k) for k in indices]
 
-
-def orthogonality_check(M: int, tol: float = 1e-12) -> bool:
-    """Row and column orthogonality of the full character table mod M.
-
-    Checks sum_n chi(n) = 0 for every non-principal chi, and
-    sum_chi chi(n) = 0 for every n != 1 in [0, M).
-    """
-    chars = enumerate_characters(M, "all")
-    table = np.vstack([chi.value_table() for chi in chars])
-    row_sums = table.sum(axis=1)
-    col_sums = table.sum(axis=0)
-    rows_ok = bool(np.all(np.abs(row_sums[1:]) < tol))
-    cols = np.abs(col_sums)
-    cols_ok = bool(np.all(np.delete(cols, 1) < tol))
-    return rows_ok and cols_ok

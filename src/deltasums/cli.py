@@ -1,13 +1,11 @@
 """Command-line driver for the library.
 
-Subcommands: verify (identity suites), sums (single sum evaluation), sweep
-(Burgess-ratio CSV over a prime range), bench (throughput timings). All
-flags are --key=value; a config file of `key = value` lines may supply
-defaults, with command-line flags taking precedence and unknown keys
-rejected. The CLI performs no arithmetic of its own: every printed number
-comes from a library call, so identical (config, seed) pairs produce
-byte-identical report and CSV files. Timings are the one exception and are
-labeled as such.
+Subcommands: verify (identity suites), sums (single sum evaluation) and
+sweep (Burgess-ratio CSV over a prime range). All flags are --key=value; a
+config file of `key = value` lines may supply defaults, with command-line
+flags taking precedence and unknown keys rejected. The CLI performs no
+arithmetic of its own: every printed number comes from a library call, so
+identical (config, seed) pairs produce byte-identical report and CSV files.
 
 Exit codes: 0 success; 1 at least one failed check; 2 a usage or parameter
 error (ValueError); 3 a computation that ran and did not converge
@@ -20,10 +18,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-import time
 from pathlib import Path
-
-import numpy as np
 
 from .characters import character
 from .expsums import (
@@ -39,13 +34,9 @@ from .expsums import (
 )
 from .identities import appendix_suite, pipeline_suite, run_suite, transforms_suite
 from .lfunctions import burgess_sweep, write_sweep_csv
-from .modular import is_prime
 
-BENCH_GRID = (1009, 10007, 100003)
-
-# the largest modulus `sums` and `bench` accept, refused before any residue
-# is enumerated; bench times every sum kind up to it by default
-MAX_MODULUS = BENCH_GRID[-1]
+# the largest modulus `sums` accepts, refused before any residue is enumerated
+MAX_MODULUS = 100_003
 
 _SUITES = {
     "appendix": lambda ns: appendix_suite(mmax=ns.mmax, samples=ns.samples, seed=ns.seed),
@@ -106,13 +97,8 @@ _OPTIONS = {
         "pmax": (int, None),
         "chars": (str, "all"),
         "coeff": (str, "divisor"),
-        "method": (str, None),
         "out": (str, None),
-        # accepted so that existing config files keep working; a sweep is one
-        # character transform per modulus and has no work to spread
-        "jobs": (int, 1),
     },
-    "bench": {"kind": (str, None), "M": (int, None), "samples": (int, 200), "seed": (int, 1)},
 }
 
 SUITES = tuple(_SUITES)
@@ -170,19 +156,6 @@ def _require(ns: argparse.Namespace, *keys: str) -> None:
         raise ConfigError(f"missing required parameter(s): {', '.join('--' + k for k in missing)}")
 
 
-def _check_modulus(flag: str, modulus: int) -> None:
-    if modulus > MAX_MODULUS:
-        raise ConfigError(f"--{flag} must be at most {MAX_MODULUS}, got {modulus}")
-
-
-def _call_args(flags: tuple, values: dict) -> list:
-    """The sum's arguments from its flag values, with (M, char) as one character."""
-    args = [values[flag] for flag in flags]
-    if flags[:2] == ("M", "char"):
-        args[:2] = [character(*args[:2])]
-    return args
-
-
 def cmd_verify(ns: argparse.Namespace) -> int:
     _require(ns, "suite")
     checks = []
@@ -204,8 +177,11 @@ def cmd_sums(ns: argparse.Namespace) -> int:
     flags, modulus_flag, method, fn, closed_form = _choose(_SUMS, "sum kind", ns.kind)
     _require(ns, *flags)
     modulus = getattr(ns, modulus_flag)
-    _check_modulus(modulus_flag, modulus)
-    args = _call_args(flags, vars(ns))
+    if modulus > MAX_MODULUS:
+        raise ConfigError(f"--{modulus_flag} must be at most {MAX_MODULUS}, got {modulus}")
+    args = [getattr(ns, flag) for flag in flags]
+    if flags[:2] == ("M", "char"):
+        args[:2] = [character(*args[:2])]
     rows = [(method, fn(*args))]
     if closed_form is not None:
         rows.append(("closed_form", closed_form(*args)))
@@ -223,43 +199,8 @@ def cmd_sums(ns: argparse.Namespace) -> int:
 
 def cmd_sweep(ns: argparse.Namespace) -> int:
     _require(ns, "kind", "pmin", "pmax")
-    records = burgess_sweep(
-        ns.kind, ns.pmin, ns.pmax, chars=ns.chars, coeff=ns.coeff, method=ns.method
-    )
+    records = burgess_sweep(ns.kind, ns.pmin, ns.pmax, chars=ns.chars, coeff=ns.coeff)
     write_sweep_csv(records, ns.out or sys.stdout)
-    return 0
-
-
-def cmd_bench(ns: argparse.Namespace) -> int:
-    _require(ns, "kind")
-    flags, modulus_flag, _, fn, _ = _choose(_SUMS, "sum kind", ns.kind)
-    if ns.samples < 1:
-        raise ConfigError(f"--samples must be at least 1, got {ns.samples}")
-    moduli = [ns.M] if ns.M is not None else list(BENCH_GRID)
-    for M in moduli:
-        _check_modulus("M", M)
-        if not is_prime(M) or M <= 3:
-            raise ConfigError(f"bench modulus must be a prime > 3, got {M}")
-    print("# timings vary run to run; the work per row is deterministic in (kind, M, seed)")
-    for M in moduli:
-        # every flag but the modulus is uniform in [1, M); characters cycle
-        # through eight indices so the value-table cache stays bounded
-        rng = np.random.default_rng(ns.seed)
-        char_pool = [1 + int(k) for k in rng.integers(M - 2, size=8)]
-        args = []
-        for i in range(ns.samples):
-            values = {flag: int(rng.integers(1, M)) for flag in flags}
-            values.update({modulus_flag: M, "char": char_pool[i % 8]})
-            args.append(_call_args(flags, values))
-        t0 = time.perf_counter()
-        for a in args:
-            fn(*a)
-        dt = time.perf_counter() - t0
-        rate = ns.samples / dt if dt > 0 else float("inf")
-        print(
-            f"kind={ns.kind} M={M} samples={ns.samples} wall_s={dt:.4f} "
-            f"per_sum_ms={1e3 * dt / ns.samples:.4f} sums_per_s={rate:.1f}"
-        )
     return 0
 
 
@@ -281,7 +222,6 @@ _HANDLERS = {
     "verify": cmd_verify,
     "sums": cmd_sums,
     "sweep": cmd_sweep,
-    "bench": cmd_bench,
 }
 
 

@@ -56,7 +56,6 @@ __all__ = [
     "ramanujan_sum",
     "gauss_sum",
     "fourier_expansion",
-    "fourier_expansion_check",
     "kloosterman_sum",
     "generalized_kloosterman",
     "frak_k",
@@ -205,11 +204,6 @@ def fourier_expansion(chi: DirichletCharacter, a: int) -> complex:
     conj_tab = chi.conjugate().value_table()
     y = np.arange(M, dtype=np.int64)
     return _csum(conj_tab[y] * _exp_table(M)[(a % M) * y % M]) / gauss_sum(chi.conjugate())
-
-
-def fourier_expansion_check(chi: DirichletCharacter, a: int, tol: float = 1e-10) -> bool:
-    """Verify chi(a) = (1/g_chibar) sum_y chibar(y) e(ay/M)."""
-    return abs(fourier_expansion(chi, a) - chi(a)) < tol
 
 
 def kloosterman_sum(a: int, b: int, c: int) -> float:

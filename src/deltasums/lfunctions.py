@@ -30,10 +30,10 @@ Central values:
 * l_value_twist(seq, chi): exact by default.  For the divisor function
   L(s, E x chi) = L(s, chi)^2, the square of the Hurwitz value; for the
   weight-12 form the approximate functional equation at conductor M^2
-  (Iwaniec-Kowalski, Analytic Number Theory, Thm 5.3 and Prop 14.20),
-  evaluated at two splitting points whose values must agree.  The smoothly
-  truncated series of effective length >= 50 M log M stays available as
-  method "smoothed".
+  (Iwaniec-Kowalski, Analytic Number Theory, Thm 5.3 and Prop 14.20) with
+  weight Q(6, x) = e^{-x} sum_{j<6} x^j/j!, evaluated at two splitting
+  points whose values must agree.  The smoothly truncated series of
+  effective length >= 50 M log M stays available as method "smoothed".
 
 All of these reduce to character sums sum_a chi(a) v[a] over real vectors
 indexed by residue: the Hurwitz values zeta(1/2, a/M), the residue-class
@@ -65,11 +65,10 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy.special import gammaincc
 
-from .characters import DirichletCharacter, PrincipalCharacterNotAllowed, character
+from .characters import DirichletCharacter, PrincipalCharacterNotAllowed
 from .modular import prime_modulus, primes_in, primes_up_to
-from .transforms import SmoothWindow, bump_window
+from .transforms import SmoothWindow
 
 __all__ = [
     "OutOfCacheRange",
@@ -77,7 +76,6 @@ __all__ = [
     "CoefficientSequence",
     "AmplifierSpec",
     "LstarReport",
-    "RankinReport",
     "SweepRecord",
     "divisor_sequence",
     "delta_sequence",
@@ -86,14 +84,12 @@ __all__ = [
     "load_tau_table",
     "default_cache_path",
     "coeff_eval",
-    "hecke_relation_check",
     "smoothed_sum",
     "hurwitz_zeta",
     "l_value_dirichlet",
     "l_value_twist",
     "make_amplifier",
     "amplifier_lstar",
-    "rankin_selberg_average",
     "burgess_sweep",
     "write_sweep_csv",
     "monotone_envelope",
@@ -301,15 +297,6 @@ def ramanujan_tau_table(bound: int, cache: str | os.PathLike | None = "auto") ->
     return tau
 
 
-def hecke_relation_check(seq: CoefficientSequence, r: int, ell: int, tol: float = 1e-10) -> bool:
-    """lam(r*ell) = lam(r)lam(ell) - [ell | r] lam(r/ell), within tol."""
-    lhs = coeff_eval(seq, r * ell)
-    rhs = coeff_eval(seq, r) * coeff_eval(seq, ell)
-    if r % ell == 0:
-        rhs -= coeff_eval(seq, r // ell)
-    return abs(lhs - rhs) < tol
-
-
 def smoothed_sum(
     seq: CoefficientSequence | None,
     chi: DirichletCharacter,
@@ -395,12 +382,17 @@ def _l_values_all(M: int) -> np.ndarray:
     return vals
 
 
-# The twist AFE weight Q(6, x) = gammaincc(6, x) is cut where x = 2 pi n/(M X)
-# passes 50, Q(6, 50) = 5.6e-16; the value is formed at both splitting points
-# X and must agree to _AFE_TOL (1 + |L|).
+# The twist AFE weight Q(6, x) is cut where x = 2 pi n/(M X) passes 50,
+# Q(6, 50) = 5.6e-16; the value is formed at both splitting points X and
+# must agree to _AFE_TOL (1 + |L|).
 _AFE_CUT = 50.0
 _AFE_X = (1.0, 1.25)
 _AFE_TOL = 1e-10
+
+
+def _afe_weight(x: np.ndarray) -> np.ndarray:
+    """Q(6, x) = Gamma(6, x)/Gamma(6) = e^{-x} sum_{j<6} x^j/j!, in Horner form."""
+    return np.exp(-x) * (1.0 + x * (1.0 + x / 2 * (1.0 + x / 3 * (1.0 + x / 4 * (1.0 + x / 5)))))
 
 
 def _afe_terms(M: int) -> int:
@@ -439,8 +431,8 @@ def _twist_values_all(seq: CoefficientSequence, M: int) -> np.ndarray:
     eps = gauss * gauss / M
 
     def at(X: float) -> np.ndarray:
-        first = np.bincount(res, weights=w * gammaincc(6, 2.0 * math.pi * n / (M * X)), minlength=M)
-        second = np.bincount(res, weights=w * gammaincc(6, 2.0 * math.pi * n * X / M), minlength=M)
+        first = np.bincount(res, weights=w * _afe_weight(2.0 * math.pi * n / (M * X)), minlength=M)
+        second = np.bincount(res, weights=w * _afe_weight(2.0 * math.pi * n * X / M), minlength=M)
         return _character_transform(first, M) + eps * np.conj(_character_transform(second, M))
 
     row, other = (at(X) for X in _AFE_X)
@@ -573,8 +565,7 @@ def l_value_twist(
     "exact": the entry of _twist_values_all, L(1/2, chi)^2 for the divisor
     kind and the approximate functional equation, checked at two splitting
     points, for the delta form (which reads coefficients to about 10 M).
-    "dirichlet_square": L(1/2, chi)^2 by the Hurwitz identity, divisor kind
-    only. "smoothed": sum lam(n) chi(n) n^{-1/2}, smoothly truncated, the
+    "smoothed": sum lam(n) chi(n) n^{-1/2}, smoothly truncated, the
     truncation doubling from effective length 50 M log M until the step gap
     falls under tol; when the cache cannot carry the ladder that far the
     evaluation refuses rather than returning a moving value.
@@ -584,11 +575,6 @@ def l_value_twist(
     M = chi.M
     if method == "exact":
         return complex(_twist_values_all(seq, M)[chi.index])
-    if method == "dirichlet_square":
-        if seq.kind != "divisor":
-            raise ValueError("dirichlet_square applies to the divisor kind only")
-        base = l_value_dirichlet(chi)
-        return base * base
     if method != "smoothed":
         raise ValueError(f"unknown method {method!r}")
     X0 = 50.0 * M * math.log(M)
@@ -617,13 +603,6 @@ class LstarReport:
     ells: tuple[int, ...]
     lstar: float
     ratio_to_scale: float  # lstar / (L / log L)
-
-
-@dataclass(frozen=True)
-class RankinReport:
-    X: float
-    value: float
-    ratio: float  # value / X
 
 
 def make_amplifier(
@@ -661,23 +640,6 @@ def amplifier_lstar(seq: CoefficientSequence, L: int) -> LstarReport:
     return LstarReport(L, ells, lstar, lstar / scale)
 
 
-def rankin_selberg_average(
-    seq: CoefficientSequence, X: float, window: SmoothWindow | None = None
-) -> RankinReport:
-    """sum of lam(n)^2 W(n/X) for the canonical bump, and its ratio to X."""
-    W = window if window is not None else bump_window()
-    lo, hi = W.support
-    n_hi = math.floor(hi * X) + 1
-    if n_hi > seq.bound:
-        raise OutOfCacheRange(f"need coefficients up to {n_hi}, have {seq.bound}")
-    n = np.arange(max(1, math.floor(lo * X)), n_hi + 1, dtype=np.int64)
-    if n.size == 0:
-        return RankinReport(X, 0.0, 0.0)
-    vals = seq.values(n)
-    total = math.fsum((vals * vals * W(n / X)).tolist())
-    return RankinReport(X, total, total / X if X > 0 else 0.0)
-
-
 @dataclass(frozen=True)
 class SweepRecord:
     """One Burgess-ratio row: modulus, character, L-value and normalized size."""
@@ -705,15 +667,19 @@ _TWIST_EXPONENT = 3.0 / 8.0
 _SWEEP_LIMIT = 10_000
 
 
-def _char_indices(M: int, chars) -> list[int]:
+def _char_indices(chars):
+    """The map from a modulus M to the character indices chars selects."""
     if chars == "all":
-        return list(range(1, M - 1))
+        return lambda M: range(1, M - 1)
     if chars == "quadratic":
-        return [(M - 1) // 2]
-    k = int(chars)
-    if k < 1:
-        raise ValueError("character count must be >= 1")
-    return list(range(1, min(k, M - 2) + 1))
+        return lambda M: [(M - 1) // 2]
+    try:
+        count = int(chars)
+    except (TypeError, ValueError):
+        count = 0
+    if count < 1:
+        raise ValueError(f"chars must be all, quadratic or a positive integer, got {chars!r}")
+    return lambda M: range(1, min(count, M - 2) + 1)
 
 
 def burgess_sweep(
@@ -723,50 +689,36 @@ def burgess_sweep(
     chars="all",
     coeff: str = "divisor",
     seq: CoefficientSequence | None = None,
-    method: str | None = None,
 ) -> list[SweepRecord]:
     """Burgess-ratio records over primes in [pmin, pmax <= 10^4], sorted by
     (M, index).
 
     kind "dirichlet" uses the Hurwitz oracle; kind "twist" the exact central
-    values of _twist_values_all over the given coefficient kind: squared
-    Hurwitz values for divisor rows, the X-checked approximate functional
-    equation for delta-form rows. A missing seq is built to the AFE length
-    of pmax for the delta form; divisor rows read no coefficient. Either way
-    one per-modulus row gives every character; method "smoothed" (dirichlet)
-    or "dirichlet_square" (twist) evaluates each character on its own instead.
-    chars: "all", "quadratic", or an integer count of indices per modulus.
+    values of _twist_values_all over the given coefficient kind (coeff
+    "divisor", "delta" or "delta_form"): squared Hurwitz values for divisor
+    rows, the X-checked approximate functional equation for delta-form rows.
+    A missing seq is built to the AFE length of pmax for the delta form;
+    divisor rows read no coefficient. Either way one per-modulus row gives
+    every character. chars: "all", "quadratic", or a positive count of
+    indices per modulus.
     """
     if kind not in ("dirichlet", "twist"):
         raise ValueError(f"sweep kind must be dirichlet or twist, got {kind!r}")
-    if kind == "twist" and method not in (None, "dirichlet_square"):
-        raise ValueError(f"unknown twist method {method!r}")
+    if coeff not in ("divisor", "delta", "delta_form"):
+        raise ValueError(f"unknown coefficient kind {coeff!r}")
+    indices = _char_indices(chars)
     if pmax > _SWEEP_LIMIT:
         raise ValueError(f"{kind} sweeps are oracle-feasible only up to M = {_SWEEP_LIMIT}")
     primes = primes_in(max(5, pmin), pmax)
     records: list[SweepRecord] = []
     if kind == "twist" and primes and seq is None:
-        if coeff == "divisor":
-            seq = divisor_sequence(1)
-        elif coeff in ("delta", "delta_form"):
-            seq = delta_sequence(_afe_terms(pmax))
-        else:
-            raise ValueError(f"unknown coefficient kind {coeff!r}")
+        seq = divisor_sequence(1) if coeff == "divisor" else delta_sequence(_afe_terms(pmax))
     for M in primes:
-        indices = _char_indices(M, chars)
         if kind == "dirichlet":
-            exponent, rec_kind = _DIRICHLET_EXPONENT, "dirichlet"
-            if method in (None, "hurwitz_oracle"):
-                row = _l_values_all(M)
-            else:
-                row = {k: l_value_dirichlet(character(M, k), method) for k in indices}
+            exponent, rec_kind, row = _DIRICHLET_EXPONENT, "dirichlet", _l_values_all(M)
         else:
-            exponent, rec_kind = _TWIST_EXPONENT, seq.kind
-            if method == "dirichlet_square":
-                row = {k: l_value_twist(seq, character(M, k), method) for k in indices}
-            else:
-                row = _twist_values_all(seq, M)
-        for k in indices:
+            exponent, rec_kind, row = _TWIST_EXPONENT, seq.kind, _twist_values_all(seq, M)
+        for k in indices(M):
             val = complex(row[k])
             records.append(SweepRecord(M, k, rec_kind, val, exponent, abs(val) / M**exponent))
     return records

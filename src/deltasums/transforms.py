@@ -56,7 +56,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.special import j0, j1, jv, k0, y0
@@ -175,17 +175,17 @@ def _step_jet(x, order: int, scale: float, shift: float) -> np.ndarray:
 class SmoothWindow:
     """A compactly supported C-infinity window with derivatives up to order 4.
 
-    kind is "bump", "plateau" or "combination"; support is the closed
-    interval outside which the window vanishes; plateau, when set, is the
-    subinterval where the window is identically 1.
+    kind is "bump" or "plateau"; support is the closed interval outside
+    which the window vanishes; plateau, when set, is the subinterval where
+    the window is identically 1; scale multiplies every piece.
     """
 
-    def __init__(self, kind: str, support, pieces, plateau=None, coefs=None):
+    def __init__(self, kind: str, support, pieces, plateau=None, scale: float = 1.0):
         self.kind = kind
         self.support = (float(support[0]), float(support[1]))
         self.plateau = None if plateau is None else (float(plateau[0]), float(plateau[1]))
         self._pieces = tuple(pieces)
-        self._coefs = tuple(coefs) if coefs is not None else (1.0,) * len(self._pieces)
+        self._scale = scale
         self._bounds: dict[int, float] = {}
 
     def __call__(self, x, order: int = 0):
@@ -195,13 +195,13 @@ class SmoothWindow:
         scalar = arr.ndim == 0
         arr = np.atleast_1d(arr)
         out = np.zeros_like(arr)
-        for coef, piece in zip(self._coefs, self._pieces):
+        for piece in self._pieces:
             if piece.closed:
                 m = (arr >= piece.lo - _EDGE) & (arr <= piece.hi + _EDGE)
             else:
                 m = (arr > piece.lo + _EDGE) & (arr < piece.hi - _EDGE)
             if m.any():
-                out[m] += coef * math.factorial(order) * piece.jet(arr[m], order)[order]
+                out[m] += self._scale * math.factorial(order) * piece.jet(arr[m], order)[order]
         return float(out[0]) if scalar else out
 
     def derivative_bound(self, order: int) -> float:
@@ -223,25 +223,12 @@ class SmoothWindow:
             self.support,
             self._pieces,
             plateau=self.plateau if factor == 1.0 else None,
-            coefs=tuple(factor * c for c in self._coefs),
+            scale=factor * self._scale,
         )
 
     def normalized(self) -> "SmoothWindow":
         """Rescale so that the total mass (hence the dual at 0) equals 1."""
         return self.scaled(1.0 / self.mass())
-
-    @classmethod
-    def linear_combination(cls, terms: Sequence[tuple]) -> "SmoothWindow":
-        """Window equal to sum of coef * window over the given (coef, window) pairs."""
-        pieces, coefs = [], []
-        los, his = [], []
-        for coef, win in terms:
-            for c, p in zip(win._coefs, win._pieces):
-                pieces.append(p)
-                coefs.append(coef * c)
-            los.append(win.support[0])
-            his.append(win.support[1])
-        return cls("combination", (min(los), max(his)), pieces, coefs=coefs)
 
 
 @lru_cache(maxsize=None)

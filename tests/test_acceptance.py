@@ -305,7 +305,7 @@ def test_criterion_09_l_value_oracles():
         for chi in enumerate_characters(M, "primitive"):
             dev = abs(
                 l_value_twist(seq, chi, "smoothed")
-                - l_value_twist(seq, chi, "dirichlet_square")
+                - l_value_dirichlet(chi, "hurwitz_oracle") ** 2
             )
             if dev > worst_b:
                 worst_b = dev

@@ -13,7 +13,6 @@ from deltasums.characters import (
     character,
     e,
     enumerate_characters,
-    orthogonality_check,
 )
 from deltasums.modular import euler_phi
 
@@ -107,11 +106,6 @@ def test_primitivity_at_prime_modulus():
     assert not character(7, 0).is_primitive
     for k in range(1, 6):
         assert character(7, k).is_primitive
-
-
-def test_orthogonality():
-    for M in (5, 11, 31):
-        assert orthogonality_check(M)
 
 
 def test_orthogonality_by_hand():

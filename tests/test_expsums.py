@@ -17,7 +17,7 @@ from deltasums.expsums import (
     _csum,
     _divisor_pairs,
     alpha_factorization_check,
-    fourier_expansion_check,
+    fourier_expansion,
     frak_c,
     frak_c_closed_form,
     frak_k,
@@ -265,7 +265,7 @@ def test_fourier_expansion_identity():
         for k in (1, 2, M - 2):
             chi = character(M, k)
             for a in range(M):
-                assert fourier_expansion_check(chi, a)
+                assert abs(fourier_expansion(chi, a) - chi(a)) < 1e-10
 
 
 def test_alpha_factorization(seed=14):

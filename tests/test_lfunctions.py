@@ -28,14 +28,12 @@ from deltasums.lfunctions import (
     default_cache_path,
     delta_sequence,
     divisor_sequence,
-    hecke_relation_check,
     hurwitz_zeta,
     l_value_dirichlet,
     l_value_twist,
     load_tau_table,
     make_amplifier,
     monotone_envelope,
-    rankin_selberg_average,
     ramanujan_tau_table,
     save_tau_table,
     smoothed_sum,
@@ -152,7 +150,10 @@ def test_hecke_relation(div_seq, delta_seq, seed=16):
         for _ in range(120):
             r = rng.randrange(1, 2000)
             ell = int(rng.choice([2, 3, 5, 7, 11, 13]))
-            assert hecke_relation_check(seq, r, ell)
+            rhs = coeff_eval(seq, r) * coeff_eval(seq, ell)
+            if r % ell == 0:
+                rhs -= coeff_eval(seq, r // ell)
+            assert abs(coeff_eval(seq, r * ell) - rhs) < 1e-10
 
 
 def test_coeff_eval_out_of_range(div_seq):
@@ -219,12 +220,7 @@ def test_twist_divisor_square_mod5(div_seq):
     lhs = l_value_twist(div_seq, chi, "smoothed")
     rhs = l_value_dirichlet(chi) ** 2
     assert abs(lhs - rhs) < 1e-5
-    assert abs(l_value_twist(div_seq, chi, "dirichlet_square") - rhs) < 1e-15
-
-
-def test_twist_dirichlet_square_requires_divisor(delta_seq):
-    with pytest.raises(ValueError):
-        l_value_twist(delta_seq, character(5, 1), "dirichlet_square")
+    assert abs(l_value_twist(div_seq, chi) - rhs) < 1e-15
 
 
 def test_twist_conjugation(delta_seq):
@@ -271,6 +267,16 @@ def test_twist_afe_refuses_short_sequence():
     short = delta_sequence(64, cache=None)
     with pytest.raises(OutOfCacheRange, match="twist AFE mod 101"):
         l_value_twist(short, character(101, 1))
+
+
+def test_afe_weight_closed_form_matches_incomplete_gamma():
+    # every argument the AFE evaluates lies in [0, 50 * 1.25]
+    x = np.linspace(0.0, 62.5, 100_001)
+    ref = gammaincc(6, x)
+    assert np.all(np.abs(lfunctions._afe_weight(x) - ref) <= 1e-14 * ref)
+    for t in (0.5, 5.0, 20.0, 40.0, 49.9):
+        exact = mp.gammainc(6, t, regularized=True)
+        assert abs(lfunctions._afe_weight(np.float64(t)) / exact - 1) < 1e-15
 
 
 def test_twist_afe_splitting_gap_raises(delta_seq, monkeypatch):
@@ -335,14 +341,6 @@ def test_amplifier_lstar_report(div_seq):
     assert rep2.ells == (2, 3)
 
 
-def test_rankin_selberg_average(div_seq, delta_seq):
-    rep = rankin_selberg_average(delta_seq, 1000.0)
-    assert 0.05 < rep.ratio < 20.0
-    rep_div = rankin_selberg_average(div_seq, 1000.0)
-    assert rep_div.value > rep.value  # tau(n)^2 dominates lam_Delta(n)^2 on average
-    assert rankin_selberg_average(div_seq, 0.1).value == 0.0
-
-
 def test_burgess_sweep_dirichlet_shape():
     recs = burgess_sweep("dirichlet", 5, 97)
     assert recs == sorted(recs, key=lambda r: (r.M, r.char_index))
@@ -364,8 +362,11 @@ def test_burgess_sweep_limits():
     assert len(burgess_sweep("twist", 590, 600, chars="quadratic")) == 2
     with pytest.raises(ValueError):
         burgess_sweep("maass", 5, 50)
-    with pytest.raises(ValueError, match="bogus"):
-        burgess_sweep("twist", 5, 7, method="bogus")
+    with pytest.raises(ValueError, match="coefficient kind 'bogus'"):
+        burgess_sweep("twist", 24, 28, coeff="bogus")
+    for chars in ("abc", 0, "-3"):
+        with pytest.raises(ValueError, match="chars must be"):
+            burgess_sweep("dirichlet", 24, 28, chars=chars)
 
 
 def test_burgess_sweep_twist_kinds():
@@ -380,7 +381,7 @@ def test_twist_sweep_divisor_rows_are_dirichlet_squares(div_seq):
     recs = burgess_sweep("twist", 5, 31, seq=div_seq)
     assert len(recs) == sum(p - 2 for p in sympy.primerange(5, 32))
     for r in recs:
-        ref = l_value_twist(div_seq, character(r.M, r.char_index), "dirichlet_square")
+        ref = l_value_dirichlet(character(r.M, r.char_index), "hurwitz_oracle") ** 2
         assert abs(r.l_value - ref) <= 1e-15 * (1 + abs(ref))
 
 

@@ -1,12 +1,15 @@
-"""Property tests for the trivial delta symbol."""
+"""Property tests for the trivial delta symbol and Dirichlet characters."""
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from deltasums.characters import character, enumerate_characters
 from deltasums.expsums import trivial_delta
+from deltasums.modular import primes_in
 
 BOUND = 10**6
 PROPERTY = settings(max_examples=200, deadline=None, database=None)
@@ -47,3 +50,18 @@ def test_trivial_delta_refuses_any_non_integer(x, position):
     with pytest.raises((TypeError, ValueError)):
         trivial_delta(*args)
 
+
+
+@PROPERTY
+@given(st.sampled_from(primes_in(5, 200)), st.data())
+def test_characters_are_orthogonal_and_multiplicative(M, data):
+    table = np.vstack([chi.value_table() for chi in enumerate_characters(M)])
+    # rows: sum_n chi(n) is M - 1 for the principal character, else 0
+    rows = table.sum(axis=1)
+    assert abs(rows[0] - (M - 1)) < 1e-12 and np.abs(rows[1:]).max() < 1e-12
+    # columns: sum_chi chi(n) is M - 1 at n = 1, else 0
+    cols = table.sum(axis=0)
+    assert abs(cols[1] - (M - 1)) < 1e-12 and np.abs(np.delete(cols, 1)).max() < 1e-12
+    chi = character(M, data.draw(st.integers(0, M - 2)))
+    a, b = (data.draw(st.integers(-BOUND, BOUND)) for _ in range(2))
+    assert abs(chi(a * b) - chi(a) * chi(b)) < 1e-12

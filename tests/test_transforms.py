@@ -16,7 +16,6 @@ from scipy.special import jv, y0
 import deltasums
 from deltasums.transforms import (
     DomainError,
-    SmoothWindow,
     UnsupportedCoefficientKind,
     adaptive_quadrature,
     bump_window,
@@ -324,11 +323,3 @@ def test_decay_check_fourier_dual():
 def test_decay_check_rejects_steep_exponent():
     with pytest.raises(ValueError):
         decay_check(lambda x: fourier_dual(plateau_window(), x), 7.0, np.linspace(1.0, 4.0, 4))
-
-
-def test_linear_combination_window():
-    W = bump_window()
-    V = plateau_window()
-    combo = SmoothWindow.linear_combination([(2.0, W), (-1.0, V)])
-    for x in (0.7, 1.5, 2.5):
-        assert abs(combo(x) - (2.0 * W(x) - V(x))) < 1e-14
