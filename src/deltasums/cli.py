@@ -96,7 +96,7 @@ _OPTIONS = {
         "pmin": (int, None),
         "pmax": (int, None),
         "chars": (str, "all"),
-        "coeff": (str, "divisor"),
+        "coeff": (str, None),
         "out": (str, None),
     },
 }

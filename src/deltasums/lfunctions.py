@@ -687,16 +687,17 @@ def burgess_sweep(
     pmin: int,
     pmax: int,
     chars="all",
-    coeff: str = "divisor",
+    coeff: str | None = None,
     seq: CoefficientSequence | None = None,
 ) -> list[SweepRecord]:
     """Burgess-ratio records over primes in [pmin, pmax <= 10^4], sorted by
     (M, index).
 
-    kind "dirichlet" uses the Hurwitz oracle; kind "twist" the exact central
-    values of _twist_values_all over the given coefficient kind (coeff
-    "divisor", "delta" or "delta_form"): squared Hurwitz values for divisor
-    rows, the X-checked approximate functional equation for delta-form rows.
+    kind "dirichlet" uses the Hurwitz oracle and takes no coeff; kind "twist"
+    the exact central values of _twist_values_all over the given coefficient
+    kind (coeff "divisor", the default, "delta" or "delta_form"): squared
+    Hurwitz values for divisor rows, the X-checked approximate functional
+    equation for delta-form rows.
     A missing seq is built to the AFE length of pmax for the delta form;
     divisor rows read no coefficient. Either way one per-modulus row gives
     every character. chars: "all", "quadratic", or a positive count of
@@ -704,6 +705,9 @@ def burgess_sweep(
     """
     if kind not in ("dirichlet", "twist"):
         raise ValueError(f"sweep kind must be dirichlet or twist, got {kind!r}")
+    if kind == "dirichlet" and coeff is not None:
+        raise ValueError(f"a dirichlet sweep takes no coefficient kind, got {coeff!r}")
+    coeff = "divisor" if coeff is None else coeff
     if coeff not in ("divisor", "delta", "delta_form"):
         raise ValueError(f"unknown coefficient kind {coeff!r}")
     indices = _char_indices(chars)

@@ -29,26 +29,36 @@ voronoi_transform and voronoi_transform_batch) uses one fixed composite
 Gauss-Legendre rule, sized by _rule.  The default 12-node rule takes one
 panel per oscillation of the integrand, and at least 32 panels per unit of
 support width, which resolves the flat edges of the windows when the
-integrand hardly oscillates; panel_scale multiplies both.  Against the same
-rule at eight times the panels, the Voronoi transforms of the bump window
-agree to 2.5e-14 relative to 1 + |value| for y in [0.01, 200], and the
-Fourier dual of the plateau window to 2.6e-14 for x in [0, 100].  Against
-four times the panels, the plus-side transforms of the first 6000 dual terms
-of (a, c, N) = (1, 3, 40), (1, 4, 50) and (2, 5, 60) (y up to 26667) agree
-to 2.1e-14 each.  An explicit quad_order gets about three panels per
+integrand hardly oscillates; panel_scale multiplies both.  The Voronoi
+transforms lay these panels over x for the kernel matrix and over
+u = sqrt(x) for Hankel's expansion (see Kernels).  Against the same rule at
+eight times the panels, the Voronoi transforms of the bump window agree to
+2.5e-14 relative to 1 + |value| for y in [0.01, 200], and the Fourier dual of
+the plateau window to 2.6e-14 for x in [0, 100].  Against four times the
+panels, the plus-side transforms of the first 6000 dual terms of
+(a, c, N) = (1, 3, 40), (1, 4, 50) and (2, 5, 60) (y up to 26667) agree to
+4.3e-14 each.  An explicit quad_order gets about three panels per
 oscillation and no width floor: the refinement sequence whose order the
 convergence checks measure.
 voronoi_transform is the batch at one point; the batch shares one rule
 among all y of a block.
 
-Kernels.  The holomorphic kernel J_{k-1}(z) comes from the forward
-recurrence J_{n+1} = (2n/z) J_n - J_{n-1}, started at scipy's j0 and j1 and
-updated in place.  It is stable where z >= 2(k-1) (W. Gautschi, SIAM Review
-9, 1967) and there agrees with jv to about 2e-13 of the envelope
-sqrt(2/(pi z)), the accuracy of j0 and j1; smaller arguments go through jv.
-The batch evaluates each block's kernel matrix in row chunks of about
-_CHUNK = 2^15 elements and multiplies chunk by chunk, so its work space
-stays at one to two megabytes whatever the block size.
+Kernels.  The kernels front * J_{k-1}, -2 pi Y_0 and 4 K_0 come from
+scipy.special, imported with the first kernel, so that importing the package
+loads no scipy.  The batch takes the y in geometric blocks (a factor 4 each).
+A block whose smallest argument z = 4 pi sqrt(y lo) is at least 50 and at
+least (4 nu^2 - 1) / 8 goes through Hankel's expansion (DLMF 10.17.3-4),
+    J_nu, Y_nu = sqrt(2/(pi z)) Re, Im of e^{i(z - nu pi/2 - pi/4)} sum_m a_m (i/z)^m,
+cut before the first term below 1e-17 of the first (13 terms for nu = 0 at
+z = 50, 16 for nu = 11 at z = 60.4).  With x = u^2 the phase is linear in u:
+on a panel with centre c and half-width h, e^{iAu} = e^{iAc} e^{iAht}, so a
+row costs one exponential per panel and per node and a share of one GEMM,
+where the kernel matrix costs a Bessel value per panel and node.  On the
+same u-rule it agrees with the jv/y0 kernel matrix to 1.1e-14 of the
+integral of |k W| for weights 4, 12 and 24 and the divisor plus side.  The
+K_0 minus side and smaller arguments build the kernel matrix on the x-rule.
+Both paths work in row chunks of about _CHUNK = 2^15 elements, so the work
+space stays at about two megabytes whatever the block size.
 """
 
 from __future__ import annotations
@@ -56,10 +66,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import j0, j1, jv, k0, y0
 
 __all__ = [
     "DomainError",
@@ -83,10 +92,15 @@ _EDGE = 1e-9
 
 _MAX_ORDER = 4
 
-# kernel-matrix elements evaluated at once by voronoi_transform_batch: the
-# arguments, the kernel values and the recurrence's work arrays of one chunk
-# stay in cache, and peak memory does not grow with the block
+# elements of a kernel matrix, or of a Hankel block's per-row work arrays,
+# that voronoi_transform_batch evaluates at once: one chunk's work stays in
+# cache, and peak memory does not grow with the block
 _CHUNK = 1 << 15
+
+# the smallest kernel argument Hankel's expansion takes, and the size,
+# relative to the first, of the first term it drops (_hankel_coefficients)
+_HANKEL_Z = 50.0
+_HANKEL_TOL = 1e-17
 
 # panel counts adaptive_quadrature starts from and gives up at
 _BASE_PANELS = 8
@@ -324,38 +338,30 @@ def fourier_dual(
     return panel_quadrature(f, lo, hi, *_rule(abs(x) * (hi - lo), hi - lo, quad_order, panel_scale))
 
 
-def _bessel_j(order: int, z) -> np.ndarray:
-    """J_order(z) for order >= 1 and z > 0.
+class _Kernel(NamedTuple):
+    """k(z) = front * B(z) for a Bessel function B.
 
-    Forward recurrence J_{n+1} = (2n/z) J_n - J_{n-1} from j0 and j1 where
-    z >= 2 * order, which keeps it stable; jv below.
+    value evaluates k on an array. For B = J_nu or Y_nu, nu is set and
+    phase = nu pi/2 + pi/4, plus pi/2 for Y_nu, so that Hankel's expansion
+    reads k(z) = front sqrt(2/(pi z)) Re[e^{i(z - phase)} sum_m a_m(nu) (i/z)^m];
+    for B = K_0, nu is None.
     """
-    z = np.asarray(z, dtype=np.float64)
-    near = z < 2.0 * order
-    if near.any():
-        out = np.empty_like(z)
-        out[near] = jv(order, z[near])
-        out[~near] = _bessel_j(order, z[~near])
-        return out
-    prev, cur = j0(z), j1(z)
-    step = 2.0 / z
-    nxt = np.empty_like(z)
-    for n in range(1, order):
-        np.multiply(step, cur, out=nxt)
-        nxt *= n
-        nxt -= prev
-        # J_{n-1}'s buffer is free: it takes J_{n+2} on the next pass
-        prev, cur, nxt = cur, nxt, prev
-    return cur
+
+    value: Callable
+    front: float
+    nu: int | None = None
+    phase: float = 0.0
 
 
-def _voronoi_kernel(g, sign) -> Callable | None:
+def _voronoi_kernel(g, sign) -> _Kernel | None:
     """The Bessel kernel k with W+-(y) = integral of W(x) k(4 pi sqrt(xy)) dx.
 
     g may be a CoefficientSequence or the kind string itself; holomorphic
     kinds use the weight attribute (default 12). None stands for the
     identically zero minus side of holomorphic forms.
     """
+    from scipy.special import jv, k0, y0
+
     kind = getattr(g, "kind", g)
     weight = int(getattr(g, "weight", 12) or 12)
     if sign in (1, "+", "plus"):
@@ -369,15 +375,35 @@ def _voronoi_kernel(g, sign) -> Callable | None:
             raise UnsupportedCoefficientKind("holomorphic weight must be even >= 4")
         if not plus:
             return None
+        nu = weight - 1
         front = 2.0 * math.pi * (-1.0) ** (weight // 2)
-        return lambda arg: front * _bessel_j(weight - 1, arg)
+        return _Kernel(lambda z: front * jv(nu, z), front, nu, (nu / 2 + 0.25) * math.pi)
     if kind == "divisor":
         if plus:
-            return lambda arg: -2.0 * np.pi * y0(arg)
-        return lambda arg: 4.0 * k0(arg)
+            return _Kernel(lambda z: -2.0 * np.pi * y0(z), -2.0 * math.pi, 0, 0.75 * math.pi)
+        return _Kernel(lambda z: 4.0 * k0(z), 4.0)
     raise UnsupportedCoefficientKind(
         f"coefficient kind {kind!r} has no implemented transform (Maass forms are out of scope)"
     )
+
+
+def _hankel_coefficients(nu: int | None, z: float) -> np.ndarray | None:
+    """a_0, ..., a_{K-1} of Hankel's expansion of J_nu and Y_nu at arguments
+    >= z, a_k = a_{k-1} (4 nu^2 - (2k - 1)^2) / (8k) (DLMF 10.17.1), cut
+    before the first term with |a_K| / z^K < _HANKEL_TOL.
+
+    None where the expansion is not used: K_0 (nu None), z < _HANKEL_Z, or
+    (4 nu^2 - 1) / (8z) > 1, where the terms do not decrease from the first.
+    """
+    if nu is None or z < _HANKEL_Z or 4 * nu * nu - 1 > 8.0 * z:
+        return None
+    coeffs, term = [1.0], 1.0
+    while term >= _HANKEL_TOL:
+        k = len(coeffs)
+        ratio = (4 * nu * nu - (2 * k - 1) ** 2) / (8.0 * k)
+        coeffs.append(coeffs[-1] * ratio)
+        term *= abs(ratio) / z
+    return np.array(coeffs[:-1])
 
 
 def _kernel_cycles(W: SmoothWindow, y: float) -> float:
@@ -414,8 +440,9 @@ def voronoi_transform_batch(
     """The dual-side kernel transforms of W at an array of y > 0.
 
     Values are processed in geometric blocks; each block uses one composite
-    rule sized for its largest y, so the kernel becomes a single matrix
-    evaluation per block.
+    rule sized for its largest y. A block whose smallest kernel argument
+    admits Hankel's expansion (_hankel_coefficients) goes through
+    _hankel_block, any other through one kernel matrix (_matrix_block).
     """
     ys = np.asarray(ys, dtype=np.float64)
     if ys.size == 0:
@@ -435,13 +462,71 @@ def voronoi_transform_batch(
         stop = int(np.searchsorted(sorted_y, ytop, side="right"))
         block, idx = sorted_y[start:stop], order_idx[start:stop]
         rule = _rule(_kernel_cycles(W, block[-1]), width, quad_order, panel_scale)
-        pts, wts = _panel_nodes(*W.support, *rule)
-        weighted = W(pts) * wts
-        rows = max(1, _CHUNK // pts.size)
-        for lo in range(0, block.size, rows):
-            args = 4.0 * np.pi * np.sqrt(np.multiply.outer(block[lo : lo + rows], pts))
-            out[idx[lo : lo + rows]] = kernel(args) @ weighted
+        zmin = 4.0 * math.pi * math.sqrt(block[0] * W.support[0])
+        coeffs = _hankel_coefficients(kernel.nu, zmin)
+        if coeffs is None:
+            out[idx] = _matrix_block(kernel.value, W, block, rule)
+        else:
+            out[idx] = _hankel_block(kernel, coeffs, W, block, rule)
         start = stop
+    return out
+
+
+def _matrix_block(kernel: Callable, W: SmoothWindow, ys: np.ndarray, rule) -> np.ndarray:
+    """The transforms at ys by the kernel matrix on the rule laid over the
+    support of W, evaluated and multiplied in row chunks of about _CHUNK
+    elements."""
+    pts, wts = _panel_nodes(*W.support, *rule)
+    weighted = W(pts) * wts
+    out = np.empty_like(ys)
+    rows = max(1, _CHUNK // pts.size)
+    for lo in range(0, ys.size, rows):
+        args = 4.0 * np.pi * np.sqrt(np.multiply.outer(ys[lo : lo + rows], pts))
+        out[lo : lo + rows] = kernel(args) @ weighted
+    return out
+
+
+def _hankel_block(
+    kernel: _Kernel, coeffs: np.ndarray, W: SmoothWindow, ys: np.ndarray, rule
+) -> np.ndarray:
+    """The transforms at ys by Hankel's expansion, on the rule laid over
+    u = sqrt(x) in [sqrt(lo), sqrt(hi)].
+
+    With x = u^2 and A = 4 pi sqrt(y), a transform is
+        front sqrt(2/(pi A)) Re[e^{-i phase} sum_m a_m (i/A)^m I_m],
+        I_m = integral of 2 u^{1/2-m} W(u^2) e^{iAu} du.
+    At the node u = c_p + h t_i of panel p, e^{iAu} = e^{iAc_p} e^{iAht_i}: one
+    GEMM of cos(A c_p) and sin(A c_p) against the samples F[p, (i, m)] of the
+    I_m integrands sums the panels, and a weighted sum over (i, m) finishes
+    each row. Rows go in chunks of about _CHUNK elements.
+    """
+    panels, order = rule
+    nodes, weights = _gauss_rule(order)
+    edges = np.linspace(math.sqrt(W.support[0]), math.sqrt(W.support[1]), panels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1] - edges[0])
+    u = mid[:, None] + half * nodes  # (panels, order)
+    m = np.arange(coeffs.size)
+    samples = (2.0 * half) * weights * np.sqrt(u) * W((u * u).ravel()).reshape(u.shape)
+    F = (samples[:, :, None] * u[:, :, None] ** -m).reshape(panels, -1)
+    series = coeffs * np.array([1, 1j, -1, -1j])[m % 4]  # a_m i^m
+    out = np.empty_like(ys)
+    rows = max(1, _CHUNK // (panels + F.shape[1]))
+    for lo in range(0, ys.size, rows):
+        A = 4.0 * np.pi * np.sqrt(ys[lo : lo + rows])
+        cs = np.multiply.outer(A, mid)
+        trig = np.empty((2,) + cs.shape)
+        np.cos(cs, out=trig[0])
+        np.sin(cs, out=trig[1])
+        # g[0] + i g[1]: the panel sums of e^{iAc_p} F, per node i and term m
+        g = (trig.reshape(-1, panels) @ F).reshape(2, A.size, order, -1)
+        s = series * np.power.outer(1.0 / A, m)  # a_m (i/A)^m
+        sr, si = s.real[:, :, None], s.imag[:, :, None]
+        re, im = (g[0] @ sr - g[1] @ si)[..., 0], (g[1] @ sr + g[0] @ si)[..., 0]
+        # front sqrt(2/(pi A)) e^{i(A h t_i - phase)}
+        lead = kernel.front * np.sqrt(2.0 / (np.pi * A))
+        node = lead[:, None] * np.exp(1j * (np.multiply.outer(A, half * nodes) - kernel.phase))
+        out[lo : lo + rows] = (node.real * re - node.imag * im).sum(axis=1)
     return out
 
 

@@ -243,6 +243,13 @@ def test_sweep_limits():
     assert err == "error: unknown coefficient kind 'bogus'\n"
 
 
+def test_dirichlet_sweep_refuses_coeff():
+    # --coeff selects the twisted form; a Dirichlet sweep has none to select
+    code, out, err = run(["sweep", "--kind=dirichlet", "--coeff=delta", "--pmin=5", "--pmax=5"])
+    assert code == 2 and out == ""
+    assert err == "error: a dirichlet sweep takes no coefficient kind, got 'delta'\n"
+
+
 def test_sweep_twist_delta_forced_zero():
     code, out, err = run(
         ["sweep", "--kind=twist", "--coeff=delta", "--pmin=103", "--pmax=103", "--chars=quadratic"]

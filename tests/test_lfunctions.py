@@ -377,6 +377,14 @@ def test_burgess_sweep_twist_kinds():
     assert {r.char_index for r in recs2} <= {1, 2}
 
 
+def test_burgess_sweep_coeff_belongs_to_twists():
+    for coeff in ("divisor", "delta", "bogus"):
+        with pytest.raises(ValueError, match="dirichlet sweep takes no coefficient kind"):
+            burgess_sweep("dirichlet", 5, 11, coeff=coeff)
+    assert burgess_sweep("twist", 5, 11) == burgess_sweep("twist", 5, 11, coeff="divisor")
+    assert {r.kind for r in burgess_sweep("twist", 5, 11)} == {"divisor"}
+
+
 def test_twist_sweep_divisor_rows_are_dirichlet_squares(div_seq):
     recs = burgess_sweep("twist", 5, 31, seq=div_seq)
     assert len(recs) == sum(p - 2 for p in sympy.primerange(5, 32))

@@ -27,7 +27,7 @@ from deltasums.transforms import (
     voronoi_transform,
     voronoi_transform_batch,
 )
-from deltasums.transforms import _kernel_cycles, _panel_nodes, _rule, _voronoi_kernel
+from deltasums.transforms import _kernel_cycles, _panel_nodes, _rule
 
 
 def test_window_supports_and_smooth_vanishing():
@@ -85,8 +85,19 @@ def test_window_jets_match_sympy_derivatives():
     assert all(np.all(plateau_window()(grid, order) == 0.0) for order in range(1, 5))
 
 
+def _run_fresh(code: str) -> None:
+    """Run code in a fresh interpreter that imports deltasums from this checkout."""
+    src = str(Path(deltasums.__file__).resolve().parents[1])
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert done.returncode == 0, done.stderr
+
+
 def test_runtime_never_imports_sympy():
-    code = (
+    _run_fresh(
         "import sys\n"
         "import deltasums\n"
         "from deltasums.transforms import bump_window, plateau_window, voronoi_transform\n"
@@ -95,13 +106,16 @@ def test_runtime_never_imports_sympy():
         "voronoi_transform('divisor', 1, bump_window(), 2.0)\n"
         "assert 'sympy' not in sys.modules, 'sympy was imported'\n"
     )
-    src = str(Path(deltasums.__file__).resolve().parents[1])
-    path = filter(None, [src, os.environ.get("PYTHONPATH")])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
+
+
+def test_import_loads_no_scipy():
+    # scipy.special loads with the first Voronoi kernel, not with the package
+    _run_fresh(
+        "import sys\n"
+        "import deltasums\n"
+        "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+        "assert not loaded, loaded\n"
     )
-    assert done.returncode == 0, done.stderr
 
 
 def test_derivative_bounds_finite_and_growing():
@@ -160,37 +174,33 @@ def test_voronoi_transform_batch_matches_scalar():
         assert np.max(np.abs(batch - single)) < 1e-8
 
 
-@pytest.mark.parametrize("order", [3, 11, 23])
-def test_delta_kernel_recurrence_matches_scipy(order):
-    # below 2 * order the kernel falls back to jv; above it runs the recurrence
-    kernel = _voronoi_kernel(SimpleNamespace(kind="delta_form", weight=order + 1), 1)
-    front = 2.0 * math.pi * (-1.0) ** ((order + 1) // 2)
-    z = np.concatenate(
-        [np.linspace(0.05, 2.0 * order, 400, endpoint=False), np.geomspace(2.0 * order, 4000.0, 20000)]
-    )
-    z = z.reshape(3, -1)  # the batch passes matrices
-    got = kernel(z)
-    assert got.shape == z.shape
-    envelope = np.sqrt(2.0 / (math.pi * z))
-    assert np.all(np.abs(got / front - jv(order, z)) <= 1e-12 * envelope)
-
-
-def _full_matrix_batch(kernel, W, ys):
+def _full_matrix_batch(kernel, W, ys, switch=float("inf")):
     """The batch with each geometric block's kernel matrix built whole, and
-    the same rule applied to |kernel|: the scale of each value's rounding."""
+    the same rule applied to |kernel|: the scale of each value's rounding.
+
+    A block whose smallest kernel argument is at least `switch` takes the
+    rule laid over u = sqrt(x), integrand 2u W(u^2) k(4 pi sqrt(y) u); any
+    other block the rule over x itself.
+    """
     out, scale = np.empty_like(ys), np.empty_like(ys)
     order_idx = np.argsort(ys, kind="stable")
     sorted_y = ys[order_idx]
+    lo, hi = W.support
     start = 0
     while start < sorted_y.size:
         stop = int(np.searchsorted(sorted_y, 4.0 * sorted_y[start], side="right"))
         block = sorted_y[start:stop]
-        rule = _rule(_kernel_cycles(W, block[-1]), W.support[1] - W.support[0], None, 1.0)
-        pts, wts = _panel_nodes(*W.support, *rule)
-        args = 4.0 * np.pi * np.sqrt(np.multiply.outer(block, pts))
+        rule = _rule(_kernel_cycles(W, block[-1]), hi - lo, None, 1.0)
+        if 4.0 * np.pi * np.sqrt(block[0] * lo) >= switch:
+            u, wts = _panel_nodes(np.sqrt(lo), np.sqrt(hi), *rule)
+            xs, weighted = u * u, 2.0 * u * W(u * u) * wts
+        else:
+            xs, wts = _panel_nodes(lo, hi, *rule)
+            weighted = W(xs) * wts
+        args = 4.0 * np.pi * np.sqrt(np.multiply.outer(block, xs))
         values = kernel(args)
-        out[order_idx[start:stop]] = values @ (W(pts) * wts)
-        scale[order_idx[start:stop]] = np.abs(values) @ (W(pts) * wts)
+        out[order_idx[start:stop]] = values @ weighted
+        scale[order_idx[start:stop]] = np.abs(values) @ weighted
         start = stop
     return out, scale
 
@@ -218,6 +228,26 @@ def test_voronoi_batch_chunks_match_full_matrix_in_bounded_memory(kind, kernel):
     # are cancellations of O(1) terms and carry their rounding
     assert np.all(np.abs(got - ref) <= 1e-12 * scale)
     assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize(
+    "kind, weight", [("delta_form", 4), ("delta_form", 12), ("delta_form", 24), ("divisor", 0)]
+)
+def test_hankel_blocks_match_the_kernel_matrix_on_the_u_rule(kind, weight):
+    # geometric blocks of y in [0.05, 3000] start near 0.05 * 4^j, on both
+    # sides of the switch to Hankel's expansion at the smallest argument
+    # max(50, (4 nu^2 - 1) / 8): y = 15.8 for nu = 0 and 3, 23.1 for nu = 11
+    # and 442.8 for nu = 23
+    W = bump_window()
+    if kind == "divisor":
+        nu, kernel = 0, lambda z: -2.0 * np.pi * y0(z)
+    else:
+        nu, front = weight - 1, 2.0 * np.pi * (-1.0) ** (weight // 2)
+        kernel = lambda z: front * jv(nu, z)
+    ys = np.geomspace(0.05, 3000.0, 500)
+    ref, scale = _full_matrix_batch(kernel, W, ys, switch=max(50.0, (4 * nu * nu - 1) / 8))
+    got = voronoi_transform_batch(SimpleNamespace(kind=kind, weight=weight), 1, W, ys)
+    assert np.all(np.abs(got - ref) <= 1e-12 * scale)
 
 
 def test_voronoi_transform_matches_fine_fixed_rule():
