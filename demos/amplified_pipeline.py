@@ -6,8 +6,9 @@ additive dissection, and the Poisson dual of the r-sum. Each step reports the
 standard one-line check format `name,digest,lhs,residual,tol,verdict`.
 """
 
+import math
+
 from deltasums import (
-    amplifier_lstar,
     beta_sum_evaluation_check,
     character,
     divisor_sequence,
@@ -25,9 +26,8 @@ def amplifier_shape(L: float = 3.0, P: float = 7.0) -> None:
     print(f"amplifier with L = {L}, P = {P}:")
     print(f"  ells = {amp.ells} (primes in [L, 2L])")
     print(f"  ps   = {amp.ps} (primes in [P, 2P], amplifier primes filtered out)")
-    report = amplifier_lstar(seq, int(L))
-    print(f"  L* = {report.lstar:.6f} = sum of |lambda(ell)|^2,"
-          f" ratio to the L/log L scale = {report.ratio_to_scale:.3f}")
+    print(f"  L* = {amp.lstar:.6f} = sum of |lambda(ell)|^2,"
+          f" ratio to the L/log L scale = {amp.lstar * math.log(L) / L:.3f}")
 
 
 def side_conditions(M: int = 101) -> None:

@@ -16,7 +16,6 @@ with PrincipalCharacterNotAllowed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -25,7 +24,6 @@ import numpy as np
 from .modular import NotPrime, PrimeModulus, is_prime, prime_modulus
 
 __all__ = [
-    "e",
     "PrincipalCharacterNotAllowed",
     "DirichletCharacter",
     "character",
@@ -35,25 +33,6 @@ __all__ = [
 
 class PrincipalCharacterNotAllowed(ValueError):
     """The principal character was passed where a primitive one is required."""
-
-
-def e(x):
-    """The normalized exponential exp(2*pi*i*x); accepts scalars or arrays."""
-    return np.exp(2j * np.pi * np.asarray(x, dtype=np.float64))
-
-
-def _root_of_unity(num: int, den: int) -> complex:
-    """e(num/den) with the angle reduced exactly; axis values are exact."""
-    num %= den
-    if num == 0:
-        return 1.0 + 0.0j
-    if 2 * num == den:
-        return -1.0 + 0.0j
-    if 4 * num == den:
-        return 1.0j
-    if 4 * num == 3 * den:
-        return -1.0j
-    return complex(np.exp(2j * np.pi * (num / den)))
 
 
 @lru_cache(maxsize=512)
@@ -91,10 +70,7 @@ class DirichletCharacter:
         return self.modulus.M
 
     def __call__(self, n: int) -> complex:
-        j = self.modulus.dlog_of(n)
-        if j < 0:
-            return 0.0 + 0.0j
-        return _root_of_unity(self.index * j, self.M - 1)
+        return complex(self.value_table()[n % self.M])
 
     def values(self, n) -> np.ndarray:
         """Vectorized chi(n) for an integer array."""
@@ -113,17 +89,8 @@ class DirichletCharacter:
         return self.index == 0
 
     @property
-    def is_primitive(self) -> bool:
-        # prime modulus: every non-principal character is primitive
-        return self.index != 0
-
-    @property
     def is_quadratic(self) -> bool:
         return 2 * self.index == self.M - 1
-
-    @property
-    def order(self) -> int:
-        return (self.M - 1) // math.gcd(self.index, self.M - 1)
 
     def __repr__(self) -> str:
         return f"DirichletCharacter(M={self.M}, index={self.index})"

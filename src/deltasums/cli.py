@@ -9,8 +9,8 @@ identical (config, seed) pairs produce byte-identical report and CSV files.
 
 Exit codes: 0 success; 1 at least one failed check; 2 a usage or parameter
 error (ValueError); 3 a computation that ran and did not converge
-(ArithmeticError); 4 an environment or I/O error (OSError). Codes 2-4 print
-one `error:` line on stderr.
+(ArithmeticError); 4 an environment, I/O or memory error (OSError,
+MemoryError). Codes 2-4 print one `error:` line on stderr.
 """
 
 from __future__ import annotations
@@ -34,9 +34,7 @@ from .expsums import (
 )
 from .identities import appendix_suite, pipeline_suite, run_suite, transforms_suite
 from .lfunctions import burgess_sweep, write_sweep_csv
-
-# the largest modulus `sums` accepts, refused before any residue is enumerated
-MAX_MODULUS = 100_003
+from .modular import MAX_MODULUS
 
 _SUITES = {
     "appendix": lambda ns: appendix_suite(mmax=ns.mmax, samples=ns.samples, seed=ns.seed),
@@ -235,8 +233,8 @@ def main(argv=None) -> int:
             if getattr(ns, key) is None:
                 setattr(ns, key, default)
         return _HANDLERS[ns.command](ns)
-    except (ValueError, ArithmeticError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, ArithmeticError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2 if isinstance(exc, ValueError) else 3 if isinstance(exc, ArithmeticError) else 4
 
 

@@ -321,9 +321,7 @@ def frak_c_closed_form(
     return None
 
 
-def alpha_factorization_check(
-    chi: DirichletCharacter, p: int, r: int, ell: int, n: int, tol: float = 1e-10
-) -> bool:
+def alpha_factorization_check(chi: DirichletCharacter, p: int, r: int, ell: int, n: int) -> bool:
     """Factor a unit sum mod p*M through the Chinese remainder theorem.
 
     For both signs s = +-1, compares
@@ -336,7 +334,8 @@ def alpha_factorization_check(
       RHS = e(s * (rM)^{-1} n ell / p) *
             sum over units alpha mod M of chibar(r - alpha*ell) e(s * (alpha*p)^{-1} n / M),
 
-    where the congruence mod p pins alpha = r*ellbar (mod p).
+    where the congruence mod p pins alpha = r*ellbar (mod p); the two sides
+    must agree to 1e-10.
     """
     M = chi.M
     from .modular import is_prime  # local to avoid polluting module surface
@@ -366,7 +365,7 @@ def alpha_factorization_check(
         rhs = _exp_table(p)[(s * pref_num) % p] * _csum(
             chi_part * _exp_table(M)[(s * inner_phase) % M]
         )
-        if abs(lhs - rhs) >= tol:
+        if abs(lhs - rhs) >= 1e-10:
             return False
     return True
 

@@ -47,6 +47,7 @@ from .expsums import (
     weil_bound_profile,
 )
 from .lfunctions import (
+    DEFAULT_TAU_BOUND,
     CoefficientSequence,
     DegenerateAmplifier,
     OutOfCacheRange,
@@ -55,7 +56,7 @@ from .lfunctions import (
     make_amplifier,
     smoothed_sum,
 )
-from .modular import NotCoprime, divisors, mod_inverse, primes_in
+from .modular import MAX_MODULUS, NotCoprime, divisors, mod_inverse, primes_in
 from .transforms import (
     SmoothWindow,
     bump_window,
@@ -152,7 +153,6 @@ class PipelineConfig:
     seq: CoefficientSequence
     chi: DirichletCharacter
     W: SmoothWindow
-    V: SmoothWindow
 
     def amplifier(self):
         return make_amplifier(self.seq, self.L, self.P, exclude=self.M)
@@ -183,37 +183,35 @@ def make_pipeline_config(
     N: float = 20.0,
     L: float = 3,
     P: float = 5,
-    seq: CoefficientSequence | None = None,
-    W: SmoothWindow | None = None,
-    V: SmoothWindow | None = None,
-    bound: int | None = None,
 ) -> PipelineConfig:
-    """Build a validated PipelineConfig, sizing the coefficient cache to fit.
+    """Build a validated PipelineConfig on the bump window W, with the
+    coefficient table sized to cover r*ell up to ceil(N * sup supp W) * 2L.
 
-    The cache must cover r*ell up to ceil(N * sup supp W) * 2L; a provided
-    seq that falls short raises OutOfCacheRange. The amplifier is built once
-    here so degenerate prime sets fail at configuration time.
+    Refused before any work: a table past DEFAULT_TAU_BOUND entries, M above
+    MAX_MODULUS and 2P (the amplifier's prime sieve) past DEFAULT_TAU_BOUND.
+    The amplifier is built here so degenerate prime sets fail at once.
     """
-    if not N > 0:
-        raise ValueError(f"N must be positive, got {N:g}")
-    W = W if W is not None else bump_window()
-    V = V if V is not None else plateau_window()
+    if not (0 < N < math.inf and math.isfinite(L)):
+        raise ValueError(f"N must be positive and N, L finite, got N = {N:g}, L = {L:g}")
+    if kind not in ("divisor", "delta_form"):
+        raise ValueError(f"unknown coefficient kind {kind!r}")
+    if M > MAX_MODULUS:
+        raise ValueError(f"M must be at most {MAX_MODULUS}, got {M}")
+    if 2 * P > DEFAULT_TAU_BOUND:
+        raise ValueError(f"2P must be at most {DEFAULT_TAU_BOUND}, got P = {P:g}")
+    W = bump_window()
     rmax = math.ceil(N * W.support[1]) + 1
-    need = rmax * max(1, math.floor(2 * L))
-    if seq is None:
-        size = max(bound or 0, need + 16, 64)
-        if kind == "divisor":
-            seq = divisor_sequence(size)
-        elif kind == "delta_form":
-            seq = delta_sequence(size)
-        else:
-            raise ValueError(f"unknown coefficient kind {kind!r}")
-    elif seq.bound < need:
-        raise OutOfCacheRange(f"coefficients cover [1, {seq.bound}], pipeline needs {need}")
+    size = max(rmax * max(1, math.floor(2 * L)) + 16, 64)
+    if size > DEFAULT_TAU_BOUND:
+        raise ValueError(
+            f"N = {N:g} and L = {L:g} need {size} coefficients; "
+            f"at most {DEFAULT_TAU_BOUND} are built"
+        )
+    seq = divisor_sequence(size) if kind == "divisor" else delta_sequence(size)
     chi = character(M, char_index)
     if chi.is_principal:
         raise PrincipalCharacterNotAllowed("pipeline characters must be primitive")
-    cfg = PipelineConfig(float(N), M, L, P, seq, chi, W, V)
+    cfg = PipelineConfig(float(N), M, L, P, seq, chi, W)
     cfg.amplifier()
     return cfg
 
@@ -237,7 +235,7 @@ def _support_range(N: float, window: SmoothWindow) -> np.ndarray:
     return np.arange(max(1, math.floor(N * lo)), math.ceil(N * hi) + 1, dtype=np.int64)
 
 
-def hecke_amplifier_identity(cfg: PipelineConfig, tol: float = 1e-9) -> CheckReport:
+def hecke_amplifier_identity(cfg: PipelineConfig) -> CheckReport:
     """Check S(N) against its amplified Hecke expansion.
 
     LHS is the smoothed sum S(N) = sum_n lam(n) chi(n) W(n/N). The Hecke
@@ -247,7 +245,7 @@ def hecke_amplifier_identity(cfg: PipelineConfig, tol: float = 1e-9) -> CheckRep
              + (1/L*) sum_l lam(l) sum_{l | r} lam(r/l) chi(r) W(r/N)
 
     exactly; the second sum is the correction term kept explicit instead of
-    an error bound. Residual is |LHS - main - correction|.
+    an error bound. Residual is |LHS - main - correction|, held under 1e-9.
     """
     amp = cfg.amplifier()
     r = _support_range(cfg.N, cfg.W)
@@ -276,7 +274,7 @@ def hecke_amplifier_identity(cfg: PipelineConfig, tol: float = 1e-9) -> CheckRep
         cfg._digest_params(),
         abs(lhs),
         residual,
-        tol,
+        1e-9,
         main=main,
         correction=corr,
         ells=amp.ells,
@@ -284,7 +282,7 @@ def hecke_amplifier_identity(cfg: PipelineConfig, tol: float = 1e-9) -> CheckRep
     )
 
 
-def delta_detection_expansion(cfg: PipelineConfig, tol: float = 1e-8) -> CheckReport:
+def delta_detection_expansion(cfg: PipelineConfig) -> CheckReport:
     """Replace the lam(rl) detection by the divisor-sum delta and compare.
 
     The pre-expansion value is the amplified main term
@@ -294,6 +292,7 @@ def delta_detection_expansion(cfg: PipelineConfig, tol: float = 1e-8) -> CheckRe
     which is exact as long as p*M exceeds every |n - rl| the windows admit;
     the guard p*M > 8NL enforces that with margin. The brute divisor sum
     depends only on n - rl, so it is evaluated once per difference and q.
+    The two sides must agree to 1e-8.
     """
     amp = cfg.amplifier()
     guard = 8.0 * cfg.N * cfg.L
@@ -343,7 +342,7 @@ def delta_detection_expansion(cfg: PipelineConfig, tol: float = 1e-8) -> CheckRe
         cfg._digest_params(),
         abs(pre),
         residual,
-        tol,
+        1e-8,
         ps=amp.ps,
         ells=amp.ells,
         n_max=n_max,
@@ -353,28 +352,30 @@ def delta_detection_expansion(cfg: PipelineConfig, tol: float = 1e-8) -> CheckRe
     )
 
 
+_VORONOI_Y_TOL = 1e-12
+_VORONOI_N_CAP = 6000
+_VORONOI_TOL = 1e-6
+
+
 def voronoi_step_check(
     seq: CoefficientSequence,
     a: int,
     c: int,
     N: float,
-    W: SmoothWindow | None = None,
-    tol: float = 1e-6,
-    y_tol: float = 1e-12,
-    n_cap: int = 6000,
     quad_order: int | None = None,
     panel_scale: float = 1.0,
 ) -> CheckReport:
-    """Verify the summation formula sum lam(n) e(an/c) W(n/N) = I + dual sums.
+    """Verify sum lam(n) e(an/c) W(n/N) = I + dual sums for the bump window W.
 
     RHS is the main term (divisor kind only) plus
     (N/c) sum_{+,-} sum_n lam(n) e(-/+ abar n / c) What_{+,-}(n N / c^2).
-    Dual sums are truncated once the transform stays below y_tol for five
-    consecutive terms; the kernels decay slowly enough that a hard cap at
-    n_cap can bite first, which is recorded in details["truncated"]. The
-    check passes when |LHS - RHS| < tol * (1 + |LHS|).
+    Dual sums are truncated once the transform stays below _VORONOI_Y_TOL =
+    1e-12 for five consecutive terms; the kernels decay slowly enough that
+    the hard cap of _VORONOI_N_CAP = 6000 terms can bite first, which is
+    recorded in details["truncated"]. The check passes when
+    |LHS - RHS| < _VORONOI_TOL (1 + |LHS|), _VORONOI_TOL = 1e-6.
     """
-    W = W if W is not None else bump_window()
+    W = bump_window()
     if c < 1:
         raise ValueError("c must be a positive integer")
     if math.gcd(a, c) != 1:
@@ -389,7 +390,7 @@ def voronoi_step_check(
     )
     main = voronoi_main_term(seq, W, c, N, quad_order=quad_order, panel_scale=panel_scale)
     abar = mod_inverse(a % c, c) if c > 1 else 0
-    limit = min(n_cap, seq.bound)
+    limit = min(_VORONOI_N_CAP, seq.bound)
     dual = 0j
     truncated = {}
     terms_used = {}
@@ -411,7 +412,7 @@ def voronoi_step_check(
                 seq, sign, W, ys, quad_order=quad_order, panel_scale=panel_scale
             )
             phase = np.exp(2j * np.pi * (((-sign * abar) % c) * ns % c) / c)
-            small = np.abs(ts) < y_tol
+            small = np.abs(ts) < _VORONOI_Y_TOL
             cut = ns.size
             for i, flag in enumerate(small.tolist()):
                 run = run + 1 if flag else 0
@@ -423,7 +424,7 @@ def voronoi_step_check(
             used += cut
             start = stop
             block *= 2
-        if not done and limit < n_cap:
+        if not done and limit < _VORONOI_N_CAP:
             raise OutOfCacheRange(
                 f"dual sum reached the coefficient bound {seq.bound} before converging"
             )
@@ -433,10 +434,11 @@ def voronoi_step_check(
         terms_used[key] = used
     rhs = main + dual
     residual = abs(lhs - rhs)
-    tolerance = tol * (1.0 + abs(lhs))
+    tolerance = _VORONOI_TOL * (1.0 + abs(lhs))
     return _report(
         "voronoi_step_check",
-        (seq.kind, seq.weight, a, c, f"{N:g}", y_tol, n_cap, quad_order, f"{panel_scale:g}"),
+        (seq.kind, seq.weight, a, c, f"{N:g}", _VORONOI_Y_TOL, _VORONOI_N_CAP)
+        + (quad_order, f"{panel_scale:g}"),
         abs(lhs),
         residual,
         tolerance,
@@ -490,32 +492,29 @@ def beta_sum_evaluation_check(
     return bool(abs(lhs - rhs) <= tol * max(1.0, math.sqrt(M) * c_m))
 
 
+_POISSON_TRUNC = 20.0
+_POISSON_STABILITY_TOL = 1e-9
+_POISSON_TOL = 1e-6
+
+
 def poisson_r_sum_check(
-    chi: DirichletCharacter,
-    c: int,
-    p: int,
-    alpha: int,
-    ell: int,
-    N: float,
-    V: SmoothWindow | None = None,
-    tol: float = 1e-6,
-    trunc_factor: float = 20.0,
-    stability_tol: float = 1e-9,
+    chi: DirichletCharacter, c: int, p: int, alpha: int, ell: int, N: float
 ) -> CheckReport:
-    """Poisson summation for the r-sum modulo q = [c, M].
+    """Poisson summation for the r-sum modulo q = [c, M] on the plateau window V.
 
     LHS = sum_{r >= 1} chi(r) e(-alpha r ell / c) V(r/N); RHS = (N/q) times
     the sum over dual frequencies rhat of beta-sum(rhat) * Vdual(rhat N / q),
-    truncated at |rhat| <= 20 q / N. The truncation is re-checked by
-    doubling the window; a drift above stability_tol is flagged in details
-    but the verdict itself compares LHS against the doubled-window RHS.
+    truncated at |rhat| <= R = ceil(_POISSON_TRUNC q / N), _POISSON_TRUNC = 20.
+    The verdict compares LHS with the sum to 2R under _POISSON_TOL (1 + |LHS|),
+    _POISSON_TOL = 1e-6; a gap between the two truncations above
+    _POISSON_STABILITY_TOL = 1e-9 is flagged in details["stable"].
     """
     M = chi.M
     if (p * M) % c != 0:
         raise InvalidDivisor(f"c = {c} does not divide p*M = {p * M}")
     if math.gcd(alpha, c) != 1:
         raise NotCoprime(f"gcd({alpha}, {c}) != 1")
-    V = V if V is not None else plateau_window()
+    V = plateau_window()
     r = _support_range(N, V)
     lhs = complex(
         np.sum(
@@ -525,7 +524,7 @@ def poisson_r_sum_check(
         )
     )
     q = c * M // math.gcd(c, M)
-    R = max(1, math.ceil(trunc_factor * q / N))
+    R = max(1, math.ceil(_POISSON_TRUNC * q / N))
     inner = 0j
     outer = 0j
     for rhat in range(-2 * R, 2 * R + 1):
@@ -536,16 +535,16 @@ def poisson_r_sum_check(
     rhs = (N / q) * outer
     gap = abs((N / q) * inner - rhs)
     residual = abs(lhs - rhs)
-    tolerance = tol * (1.0 + abs(lhs))
+    tolerance = _POISSON_TOL * (1.0 + abs(lhs))
     return _report(
         "poisson_r_sum_check",
-        (M, chi.index, c, p, alpha, ell, f"{N:g}", f"{trunc_factor:g}"),
+        (M, chi.index, c, p, alpha, ell, f"{N:g}", f"{_POISSON_TRUNC:g}"),
         abs(lhs),
         residual,
         tolerance,
         truncation=R,
         stability_gap=gap,
-        stable=bool(gap <= stability_tol),
+        stable=bool(gap <= _POISSON_STABILITY_TOL),
     )
 
 
@@ -835,7 +834,7 @@ def pipeline_suite(
 
     def vor_check(seq_kind: str) -> CheckReport:
         seq = divisor_sequence(vor_bound) if seq_kind == "divisor" else delta_sequence(vor_bound)
-        return voronoi_step_check(seq, 1, 3, 40.0, cfg.W)
+        return voronoi_step_check(seq, 1, 3, 40.0)
 
     poisson_p = 3 if M != 3 else 5
     return [
@@ -847,7 +846,7 @@ def pipeline_suite(
         Check("pipeline:beta_sum_evaluation", lambda: _beta_sum_suite_check(cfg)),
         Check(
             "pipeline:poisson_r_sum",
-            lambda: poisson_r_sum_check(cfg.chi, M, poisson_p, 1, 2, 30.0, cfg.V),
+            lambda: poisson_r_sum_check(cfg.chi, M, poisson_p, 1, 2, 30.0),
         ),
     ]
 

@@ -75,7 +75,6 @@ __all__ = [
     "DegenerateAmplifier",
     "CoefficientSequence",
     "AmplifierSpec",
-    "LstarReport",
     "SweepRecord",
     "divisor_sequence",
     "delta_sequence",
@@ -83,13 +82,11 @@ __all__ = [
     "save_tau_table",
     "load_tau_table",
     "default_cache_path",
-    "coeff_eval",
     "smoothed_sum",
     "hurwitz_zeta",
     "l_value_dirichlet",
     "l_value_twist",
     "make_amplifier",
-    "amplifier_lstar",
     "burgess_sweep",
     "write_sweep_csv",
     "monotone_envelope",
@@ -122,7 +119,10 @@ class CoefficientSequence:
     weight: int | None = None
 
     def __call__(self, n: int) -> float:
-        return coeff_eval(self, n)
+        """lam(n) under Hecke normalization."""
+        if n < 1 or n > self.bound:
+            raise OutOfCacheRange(f"n = {n} outside cached range [1, {self.bound}]")
+        return float(self.lam[n])
 
     def values(self, n_array) -> np.ndarray:
         arr = np.asarray(n_array, dtype=np.int64)
@@ -131,13 +131,6 @@ class CoefficientSequence:
                 f"requested n outside [1, {self.bound}] for kind {self.kind}"
             )
         return self.lam[arr]
-
-
-def coeff_eval(seq: CoefficientSequence, n: int) -> float:
-    """lam(n) under Hecke normalization."""
-    if n < 1 or n > seq.bound:
-        raise OutOfCacheRange(f"n = {n} outside cached range [1, {seq.bound}]")
-    return float(seq.lam[n])
 
 
 @lru_cache(maxsize=8)
@@ -318,7 +311,8 @@ def smoothed_sum(
     return complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
 
 
-# Bernoulli numbers B_2 .. B_16 for the Euler-Maclaurin tail
+# Hurwitz terms summed directly, then B_2 .. B_16 for the Euler-Maclaurin tail
+_HURWITZ_PRESUM = 16
 _BERNOULLI = (
     1.0 / 6,
     -1.0 / 30,
@@ -331,11 +325,12 @@ _BERNOULLI = (
 )
 
 
-def hurwitz_zeta(s: float, a, presum: int = 16, terms: int = 8):
+def hurwitz_zeta(s: float, a):
     """zeta(s, a) = sum_{n>=0} (n+a)^{-s} by Euler-Maclaurin, vectorized in a.
 
-    With presum 16 and 8 Bernoulli correction terms the remainder is below
-    1e-12 for 0 < a <= 1 and moderate s (the only regime used here).
+    With _HURWITZ_PRESUM direct terms and the eight Bernoulli corrections of
+    _BERNOULLI the remainder is below 1e-12 for 0 < a <= 1 and moderate s
+    (the only regime used here).
     """
     if s == 1.0:
         raise ValueError("hurwitz_zeta has a pole at s = 1")
@@ -344,12 +339,12 @@ def hurwitz_zeta(s: float, a, presum: int = 16, terms: int = 8):
         raise ValueError("hurwitz_zeta requires a > 0")
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    acc = ((arr[:, None] + np.arange(presum)[None, :]) ** (-s)).sum(axis=1)
-    w = arr + presum
+    acc = ((arr[:, None] + np.arange(_HURWITZ_PRESUM)[None, :]) ** (-s)).sum(axis=1)
+    w = arr + _HURWITZ_PRESUM
     acc += w ** (1.0 - s) / (s - 1.0) + 0.5 * w ** (-s)
     rising = s  # s(s+1)...(s+2j-2), starting at j = 1
-    for j in range(1, terms + 1):
-        coef = _BERNOULLI[j - 1] / math.factorial(2 * j)
+    for j, bern in enumerate(_BERNOULLI, start=1):
+        coef = bern / math.factorial(2 * j)
         acc += coef * rising * w ** (-s - 2 * j + 1)
         rising *= (s + 2 * j - 1) * (s + 2 * j)
     return float(acc[0]) if scalar else acc
@@ -558,7 +553,6 @@ def l_value_twist(
     seq: CoefficientSequence,
     chi: DirichletCharacter,
     method: str = "exact",
-    tol: float = 1e-5,
 ) -> complex:
     """L(1/2, g x chi) for primitive chi mod a prime M.
 
@@ -567,7 +561,7 @@ def l_value_twist(
     points, for the delta form (which reads coefficients to about 10 M).
     "smoothed": sum lam(n) chi(n) n^{-1/2}, smoothly truncated, the
     truncation doubling from effective length 50 M log M until the step gap
-    falls under tol; when the cache cannot carry the ladder that far the
+    falls under 1e-5; when the cache cannot carry the ladder that far the
     evaluation refuses rather than returning a moving value.
     """
     if chi.is_principal:
@@ -582,7 +576,7 @@ def l_value_twist(
         raise OutOfCacheRange(
             f"twist series needs coefficients up to {4.0 * X0:.0f} > bound {seq.bound}"
         )
-    return _smoothed_central_series(seq, chi, X0, tol=tol)
+    return _smoothed_central_series(seq, chi, X0, tol=1e-5)
 
 
 @dataclass(frozen=True)
@@ -595,14 +589,6 @@ class AmplifierSpec:
     ps: tuple[int, ...]
     lstar: float
     pstar: int
-
-
-@dataclass(frozen=True)
-class LstarReport:
-    L: int
-    ells: tuple[int, ...]
-    lstar: float
-    ratio_to_scale: float  # lstar / (L / log L)
 
 
 def make_amplifier(
@@ -626,18 +612,6 @@ def make_amplifier(
     if lstar <= 0:
         raise DegenerateAmplifier("L* vanished; amplifier weights are all zero")
     return AmplifierSpec(L, P, ells, ps, lstar, len(ps))
-
-
-def amplifier_lstar(seq: CoefficientSequence, L: int) -> LstarReport:
-    """L* = sum of lam(ell)^2 over primes ell in [L, 2L], plus the scale ratio."""
-    ells = tuple(primes_in(L, 2 * L))
-    if not ells:
-        raise DegenerateAmplifier(f"no primes in [{L}, {2*L}]")
-    if 2 * L > seq.bound:
-        raise OutOfCacheRange(f"need coefficients up to {2*L}, have {seq.bound}")
-    lstar = math.fsum(float(seq.lam[ell]) ** 2 for ell in ells)
-    scale = L / math.log(L) if L > 1 else 1.0
-    return LstarReport(L, ells, lstar, lstar / scale)
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,14 @@
 """Exact residue arithmetic over desk-scale moduli.
 
-Inverses, primitive roots, gcd/lcm splits, unit-group enumeration and the
-additive-fraction reciprocity identity, all in exact integer (or rational)
-arithmetic.  Python integers are unbounded, so residue products never
-overflow; moduli up to 2**62 are accepted throughout.
+Primality, primes and divisors, inverses, primitive roots, unit-group
+enumeration and discrete logs, all in exact integer arithmetic.  Python
+integers are unbounded, so residue products never overflow; moduli up to
+2**62 are accepted throughout.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -27,11 +25,15 @@ __all__ = [
     "inverse_table",
     "mod_inverse",
     "primitive_root",
-    "reciprocity_check",
-    "GcdSplit",
     "PrimeModulus",
     "prime_modulus",
 ]
+
+
+# the largest modulus the command line and make_pipeline_config accept,
+# refused before a residue is enumerated: PrimeModulus fills its dlog table in
+# a Python loop of M - 1 steps
+MAX_MODULUS = 100_003
 
 
 class NotCoprime(ValueError):
@@ -180,48 +182,6 @@ def primitive_root(M: int) -> int:
     raise AssertionError("unreachable: every prime has a primitive root")
 
 
-def _inv_allowing_trivial(a: int, m: int) -> int:
-    # mod 1 everything is congruent to 0; used only by reciprocity_check
-    if m == 1:
-        return 0
-    return pow(a, -1, m)
-
-
-def reciprocity_check(a: int, c: int) -> bool:
-    """Verify abar/c + cbar/a - 1/(ac) is an integer, in exact rationals.
-
-    abar is the inverse of a mod c and cbar the inverse of c mod a.
-    Requires a, c >= 1 coprime.
-    """
-    if a < 1 or c < 1:
-        raise ValueError("reciprocity_check requires a, c >= 1")
-    if math.gcd(a, c) != 1:
-        raise NotCoprime(f"gcd({a}, {c}) != 1")
-    abar = _inv_allowing_trivial(a, c)
-    cbar = _inv_allowing_trivial(c, a)
-    total = Fraction(abar, c) + Fraction(cbar, a) - Fraction(1, a * c)
-    return total.denominator == 1
-
-
-@dataclass(frozen=True)
-class GcdSplit:
-    """gcd/lcm bookkeeping for a pair: a_b = a/(a,b), b_a = b/(a,b)."""
-
-    a: int
-    b: int
-    gcd: int
-    lcm: int
-    a_b: int
-    b_a: int
-
-    @classmethod
-    def of(cls, a: int, b: int) -> "GcdSplit":
-        if a < 1 or b < 1:
-            raise ValueError("GcdSplit requires positive integers")
-        g = math.gcd(a, b)
-        return cls(a=a, b=b, gcd=g, lcm=a * b // g, a_b=a // g, b_a=b // g)
-
-
 class PrimeModulus:
     """A prime modulus M > 3 with its smallest primitive root and dlog table.
 
@@ -251,10 +211,6 @@ class PrimeModulus:
     @property
     def dlog(self) -> np.ndarray:
         return self._dlog
-
-    def dlog_of(self, n: int) -> int:
-        """Discrete log of n mod M, or -1 when M divides n."""
-        return int(self._dlog[n % self.M])
 
     def __repr__(self) -> str:
         return f"PrimeModulus(M={self.M}, g={self.g})"

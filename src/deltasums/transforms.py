@@ -29,7 +29,7 @@ voronoi_transform and voronoi_transform_batch) uses one fixed composite
 Gauss-Legendre rule, sized by _rule.  The default 12-node rule takes one
 panel per oscillation of the integrand, and at least 32 panels per unit of
 support width, which resolves the flat edges of the windows when the
-integrand hardly oscillates; panel_scale multiplies both.  The Voronoi
+integrand hardly oscillates; a Voronoi panel_scale multiplies both.  The Voronoi
 transforms lay these panels over x for the kernel matrix and over
 u = sqrt(x) for Hankel's expansion (see Kernels).  Against the same rule at
 eight times the panels, the Voronoi transforms of the bump window agree to
@@ -189,15 +189,12 @@ def _step_jet(x, order: int, scale: float, shift: float) -> np.ndarray:
 class SmoothWindow:
     """A compactly supported C-infinity window with derivatives up to order 4.
 
-    kind is "bump" or "plateau"; support is the closed interval outside
-    which the window vanishes; plateau, when set, is the subinterval where
-    the window is identically 1; scale multiplies every piece.
+    support is the closed interval outside which the window vanishes; scale
+    multiplies every piece.
     """
 
-    def __init__(self, kind: str, support, pieces, plateau=None, scale: float = 1.0):
-        self.kind = kind
+    def __init__(self, support, pieces, scale: float = 1.0):
         self.support = (float(support[0]), float(support[1]))
-        self.plateau = None if plateau is None else (float(plateau[0]), float(plateau[1]))
         self._pieces = tuple(pieces)
         self._scale = scale
         self._bounds: dict[int, float] = {}
@@ -232,13 +229,7 @@ class SmoothWindow:
         return adaptive_quadrature(lambda u: self(u), lo, hi, tol=1e-13).real
 
     def scaled(self, factor: float) -> "SmoothWindow":
-        return SmoothWindow(
-            self.kind,
-            self.support,
-            self._pieces,
-            plateau=self.plateau if factor == 1.0 else None,
-            scale=factor * self._scale,
-        )
+        return SmoothWindow(self.support, self._pieces, scale=factor * self._scale)
 
     def normalized(self) -> "SmoothWindow":
         """Rescale so that the total mass (hence the dual at 0) equals 1."""
@@ -248,7 +239,7 @@ class SmoothWindow:
 @lru_cache(maxsize=None)
 def bump_window() -> SmoothWindow:
     """The canonical W: supported on [1,2], peak 1 at 3/2."""
-    return SmoothWindow("bump", (1.0, 2.0), [_Piece(1.0, 2.0, _bump_jet, closed=False)])
+    return SmoothWindow((1.0, 2.0), [_Piece(1.0, 2.0, _bump_jet, closed=False)])
 
 
 @lru_cache(maxsize=None)
@@ -259,7 +250,7 @@ def plateau_window() -> SmoothWindow:
         _Piece(1.0, 2.0, partial(_jet_var, scale=0.0, shift=1.0), closed=True),  # constant 1
         _Piece(2.0, 3.0, partial(_step_jet, scale=-1.0, shift=3.0), closed=False),  # step(3 - x)
     ]
-    return SmoothWindow("plateau", (0.5, 3.0), pieces, plateau=(1.0, 2.0))
+    return SmoothWindow((0.5, 3.0), pieces)
 
 
 @lru_cache(maxsize=None)
@@ -326,16 +317,11 @@ def _rule(cycles: float, width: float, quad_order, panel_scale: float) -> tuple[
     return max(8, panels, math.ceil(32 * width * panel_scale)), 12
 
 
-def fourier_dual(
-    V: SmoothWindow,
-    x: float,
-    quad_order: int | None = None,
-    panel_scale: float = 1.0,
-) -> complex:
-    """The dual integral of V(u) e(-xu) du over the support of V."""
+def fourier_dual(V: SmoothWindow, x: float) -> complex:
+    """The dual integral of V(u) e(-xu) du over the support of V, on the default rule."""
     lo, hi = V.support
     f = lambda u: V(u) * np.exp(-2j * np.pi * x * u)
-    return panel_quadrature(f, lo, hi, *_rule(abs(x) * (hi - lo), hi - lo, quad_order, panel_scale))
+    return panel_quadrature(f, lo, hi, *_rule(abs(x) * (hi - lo), hi - lo, None, 1.0))
 
 
 class _Kernel(NamedTuple):

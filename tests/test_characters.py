@@ -11,26 +11,25 @@ from deltasums.characters import (
     DirichletCharacter,
     PrincipalCharacterNotAllowed,
     character,
-    e,
     enumerate_characters,
 )
-from deltasums.modular import euler_phi
-
-
-def test_e_is_normalized_exponential():
-    assert e(0) == 1
-    assert abs(e(0.25) - 1j) < 1e-15
-    assert abs(e(1.0) - 1) < 1e-15
+from deltasums.modular import euler_phi, primitive_root
 
 
 def test_value_table_matches_pointwise():
+    # chi_k(g^j) = e(kj/(M-1)), with the values on the axes exact
     for M in (5, 7, 13):
+        g = primitive_root(M)
         for k in range(M - 1):
             chi = character(M, k)
             tab = chi.value_table()
-            assert tab[0] == 0
-            for n in range(M):
-                assert chi(n) == tab[n]
+            assert tab[0] == 0 and chi(0) == 0 and chi(-M) == 0
+            for j in range(M - 1):
+                n = pow(g, j, M)
+                assert chi(n) == tab[n] == chi(n - 3 * M)
+                assert abs(chi(n) - cmath.exp(2j * math.pi * (k * j % (M - 1)) / (M - 1))) < 1e-15
+                if 4 * k * j % (M - 1) == 0:
+                    assert chi(n) == 1j ** (4 * k * j // (M - 1))
 
 
 def test_complete_multiplicativity(seed=2):
@@ -91,7 +90,6 @@ def test_order_and_quadratic_flag():
     M = 13
     for k in range(M - 1):
         chi = character(M, k)
-        assert chi.order == (M - 1) // math.gcd(k, M - 1)
         assert chi.is_quadratic == (k == (M - 1) // 2)
         assert chi.is_principal == (k == 0)
     quad = character(M, (M - 1) // 2)
@@ -100,12 +98,6 @@ def test_order_and_quadratic_flag():
     for n in range(1, M):
         expected = 1.0 if n in squares else -1.0
         assert abs(quad(n) - expected) < 1e-14
-
-
-def test_primitivity_at_prime_modulus():
-    assert not character(7, 0).is_primitive
-    for k in range(1, 6):
-        assert character(7, k).is_primitive
 
 
 def test_orthogonality_by_hand():

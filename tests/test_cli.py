@@ -60,6 +60,8 @@ def test_verify_unknown_suite():
         (["--suite=pipeline", "--N=0"], "N"),
         (["--suite=appendix", "--samples=0"], "samples"),
         (["--suite=appendix", "--mmax=4"], "mmax"),
+        (["--suite=pipeline", "--M=100019"], "M"),
+        (["--suite=pipeline", "--P=500001"], "2P"),
     ],
 )
 def test_verify_refuses_bad_parameters_before_any_check(argv, name):
@@ -102,6 +104,23 @@ def test_computation_that_does_not_converge_exits_3(monkeypatch):
     code, _, err = run(["sweep", "--kind=dirichlet", "--pmin=5", "--pmax=7"])
     assert code == 3
     assert err == "error: no convergence\n"
+
+
+@pytest.mark.parametrize(
+    "exc, line",
+    [
+        (MemoryError(), "error: MemoryError\n"),
+        (MemoryError("Unable to allocate 96 GiB"), "error: Unable to allocate 96 GiB\n"),
+    ],
+)
+def test_memory_error_exits_4(monkeypatch, exc, line):
+    def exhaust(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "burgess_sweep", exhaust)
+    code, _, err = run(["sweep", "--kind=dirichlet", "--pmin=5", "--pmax=7"])
+    assert code == 4
+    assert err == line
 
 
 def test_verify_delta_form_rebuilds_a_corrupt_tau_cache(tmp_path, monkeypatch):

@@ -28,8 +28,8 @@ from deltasums.identities import (
     transforms_suite,
     voronoi_step_check,
 )
-from deltasums.lfunctions import OutOfCacheRange, divisor_sequence
-from deltasums.modular import NotCoprime
+from deltasums.lfunctions import DEFAULT_TAU_BOUND, OutOfCacheRange, divisor_sequence
+from deltasums.modular import MAX_MODULUS, NotCoprime
 
 LINE_RE = re.compile(
     r"^[a-z0-9_:]+,[0-9a-f]{12},\d\.\d{9}e[+-]\d{2,3},\d\.\d{9}e[+-]\d{2,3},"
@@ -154,6 +154,27 @@ def test_pipeline_config_rejects_principal():
         make_pipeline_config(M=11, char_index=0)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        # L = 3 needs 6 (ceil(2N) + 1) + 16 coefficients: 10^6 at N = 83331.5
+        ({"kind": "divisor", "N": 83332.0}, "coefficients"),
+        ({"kind": "delta_form", "N": 83332.0}, "coefficients"),
+        ({"M": 100019}, "M must be at most"),  # the next prime past MAX_MODULUS
+        ({"P": 500_000.5}, "2P must be at most"),
+    ],
+)
+def test_pipeline_config_refuses_scales_past_its_bounds(args, message):
+    with pytest.raises(ValueError, match=message):
+        make_pipeline_config(**args)
+
+
+def test_pipeline_config_accepts_scales_at_its_bounds():
+    assert make_pipeline_config(N=83331.5).seq.bound == DEFAULT_TAU_BOUND
+    assert make_pipeline_config(M=MAX_MODULUS).M == MAX_MODULUS
+    assert make_pipeline_config(P=500_000).amplifier().ps[-1] < 2 * 500_000
+
+
 def test_side_conditions_reported():
     cfg = make_pipeline_config(kind="divisor", M=101, N=20.0, L=2, P=5)
     flags = cfg.side_conditions()
@@ -234,12 +255,50 @@ def test_run_suite_parallel_matches_serial():
     assert [r.line() for r in serial] == [r.line() for r in parallel]
 
 
+# (name, digest) of every report of the three suites below, recorded before
+# the check options became constants: the digests hash each check's
+# configuration, so a constant that changes value or type changes one
+APPENDIX_DIGESTS = [
+    ("appendix:alpha_factorization", "23437af53e36"),
+    ("appendix:c_sum_closed_forms", "216bb036ae8f"),
+    ("appendix:cancellation_frak_c", "0e6d870bfca1"),
+    ("appendix:cancellation_frak_k", "8e3ccb85f27e"),
+    ("appendix:cancellation_generalized_kloosterman", "7e62649a8a72"),
+    ("appendix:cancellation_kloosterman", "72035c1b4a4b"),
+    ("appendix:conjugation_symmetry", "a10a18488bbd"),
+    ("appendix:fourier_expansion", "f04fc21b0715"),
+    ("appendix:gauss_magnitude", "94e13cbc3d5e"),
+    ("appendix:k_sum_exact_case", "58d2ab29a366"),
+    ("appendix:kloosterman_scaling", "663b0b996f94"),
+    ("appendix:kloosterman_weil", "14096fa058f8"),
+    ("appendix:ramanujan_brute", "4d3f7edf7e5f"),
+]
+PIPELINE_DIGESTS = [
+    ("pipeline:beta_sum_evaluation", "14fd014ae37c"),
+    ("pipeline:delta_detection", "eb82be536160"),
+    ("pipeline:hecke_amplifier", "174a978712e6"),
+    ("pipeline:poisson_r_sum", "094023623425"),
+    ("pipeline:side_conditions", "97f3216dc121"),
+    ("pipeline:voronoi_delta", "3c48041e9f97"),
+    ("pipeline:voronoi_divisor", "13f0986ceb76"),
+]
+TRANSFORMS_DIGESTS = [
+    ("transforms:bessel_ode", "b3c0c3d157ac"),
+    ("transforms:derivative_bounds", "d54d89f9ccbd"),
+    ("transforms:fourier_decay_A4", "f068c22326d0"),
+    ("transforms:fourier_unit_mass", "646cf854f3f0"),
+    ("transforms:quadrature_convergence", "c3926b1da5fc"),
+    ("transforms:voronoi_identity_c1", "764783fc049b"),
+    ("transforms:window_mass", "72b6c6d2c25f"),
+]
+
+
 def test_appendix_suite_passes():
     reports = run_suite(appendix_suite(mmax=31, samples=60, seed=2))
     assert reports and all(r.passed for r in reports), [
         r.line() for r in reports if not r.passed
     ]
-    assert [r.name for r in reports] == sorted(r.name for r in reports)
+    assert [(r.name, r.digest) for r in reports] == APPENDIX_DIGESTS
 
 
 def test_pipeline_suite_passes():
@@ -247,9 +306,7 @@ def test_pipeline_suite_passes():
     assert reports and all(r.passed for r in reports), [
         r.line() for r in reports if not r.passed
     ]
-    names = {r.name for r in reports}
-    assert "pipeline:hecke_amplifier" in names
-    assert "pipeline:delta_detection" in names
+    assert [(r.name, r.digest) for r in reports] == PIPELINE_DIGESTS
 
 
 def test_transforms_suite_passes():
@@ -257,6 +314,7 @@ def test_transforms_suite_passes():
     assert reports and all(r.passed for r in reports), [
         r.line() for r in reports if not r.passed
     ]
+    assert [(r.name, r.digest) for r in reports] == TRANSFORMS_DIGESTS
 
 
 def test_quadrature_convergence_rates_every_refinement():

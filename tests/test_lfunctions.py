@@ -22,9 +22,7 @@ from deltasums.lfunctions import (
     DEFAULT_TAU_BOUND,
     DegenerateAmplifier,
     OutOfCacheRange,
-    amplifier_lstar,
     burgess_sweep,
-    coeff_eval,
     default_cache_path,
     delta_sequence,
     divisor_sequence,
@@ -110,23 +108,23 @@ def test_divisor_coefficients_vs_sympy(div_seq, seed=10):
     rng = random.Random(seed)
     for _ in range(200):
         n = rng.randrange(1, 300_000)
-        assert coeff_eval(div_seq, n) == int(sympy.divisor_count(n))
+        assert div_seq(n) == int(sympy.divisor_count(n))
 
 
 def test_lambda_one_is_one(div_seq, delta_seq):
-    assert coeff_eval(div_seq, 1) == 1.0
-    assert coeff_eval(delta_seq, 1) == 1.0
+    assert div_seq(1) == 1.0
+    assert delta_seq(1) == 1.0
 
 
 def test_delta_normalization(delta_seq):
     # lam(n) = tau(n) / n^{11/2}
-    assert abs(coeff_eval(delta_seq, 2) - (-24.0) / 2**5.5) < 1e-15
+    assert abs(delta_seq(2) - (-24.0) / 2**5.5) < 1e-15
     assert delta_seq.weight == 12
 
 
 def test_deligne_bound_at_primes(delta_seq):
     for p in sympy.primerange(2, 10_000):
-        assert abs(coeff_eval(delta_seq, p)) <= 2.0
+        assert abs(delta_seq(p)) <= 2.0
 
 
 def test_multiplicativity_500_coprime_pairs(div_seq, delta_seq, seed=15):
@@ -138,8 +136,8 @@ def test_multiplicativity_500_coprime_pairs(div_seq, delta_seq, seed=15):
             n = rng.randrange(2, 500)
             if math.gcd(m, n) != 1:
                 continue
-            lhs = coeff_eval(seq, m * n)
-            rhs = coeff_eval(seq, m) * coeff_eval(seq, n)
+            lhs = seq(m * n)
+            rhs = seq(m) * seq(n)
             assert abs(lhs - rhs) < 1e-10
             done += 1
 
@@ -150,17 +148,17 @@ def test_hecke_relation(div_seq, delta_seq, seed=16):
         for _ in range(120):
             r = rng.randrange(1, 2000)
             ell = int(rng.choice([2, 3, 5, 7, 11, 13]))
-            rhs = coeff_eval(seq, r) * coeff_eval(seq, ell)
+            rhs = seq(r) * seq(ell)
             if r % ell == 0:
-                rhs -= coeff_eval(seq, r // ell)
-            assert abs(coeff_eval(seq, r * ell) - rhs) < 1e-10
+                rhs -= seq(r // ell)
+            assert abs(seq(r * ell) - rhs) < 1e-10
 
 
 def test_coeff_eval_out_of_range(div_seq):
     with pytest.raises(OutOfCacheRange):
-        coeff_eval(div_seq, 300_001)
+        div_seq(300_001)
     with pytest.raises(OutOfCacheRange):
-        coeff_eval(div_seq, 0)
+        div_seq(0)
 
 
 def test_hurwitz_zeta_against_mpmath():
@@ -299,7 +297,7 @@ def test_smoothed_sum_direct_loop(div_seq):
     W = bump_window()
     N = 10.0
     direct = sum(
-        coeff_eval(div_seq, n) * complex(chi.values(np.array([n]))[0]) * W(n / N)
+        div_seq(n) * complex(chi.values(np.array([n]))[0]) * W(n / N)
         for n in range(10, 21)
     )
     assert abs(smoothed_sum(div_seq, chi, N, W) - direct) < 1e-12
@@ -315,6 +313,10 @@ def test_make_amplifier_fields(div_seq):
     assert amp.pstar == 3
     # divisor lam(ell) = 2 so lstar = 4 |ells|
     assert abs(amp.lstar - 4.0 * len(amp.ells)) < 1e-12
+    wide = make_amplifier(div_seq, 100, 300)
+    assert wide.lstar == 4.0 * len(wide.ells)
+    assert 0.1 < wide.lstar * math.log(100) / 100 < 10.0
+    assert make_amplifier(div_seq, 2, 7).ells == (2, 3)
 
 
 def test_make_amplifier_disjointness_overlap(div_seq):
@@ -331,14 +333,6 @@ def test_make_amplifier_exclude_and_degenerate(div_seq):
     assert 5 not in amp.ells and 5 not in amp.ps
     with pytest.raises(DegenerateAmplifier):
         make_amplifier(div_seq, 3.2, 7, exclude=5)
-
-
-def test_amplifier_lstar_report(div_seq):
-    rep = amplifier_lstar(div_seq, 100)
-    assert rep.lstar == 4.0 * len(rep.ells)
-    assert 0.1 < rep.ratio_to_scale < 10.0
-    rep2 = amplifier_lstar(div_seq, 2)
-    assert rep2.ells == (2, 3)
 
 
 def test_burgess_sweep_dirichlet_shape():

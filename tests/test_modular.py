@@ -8,7 +8,6 @@ import pytest
 import sympy
 
 from deltasums.modular import (
-    GcdSplit,
     NotCoprime,
     NotPrime,
     divisors,
@@ -20,7 +19,6 @@ from deltasums.modular import (
     primes_in,
     primes_up_to,
     primitive_root,
-    reciprocity_check,
     unit_residues,
 )
 
@@ -92,40 +90,11 @@ def test_primitive_root_requires_prime():
         primitive_root(8)
 
 
-def test_reciprocity_random_coprime_pairs(seed=11):
-    rng = random.Random(seed)
-    checked = 0
-    while checked < 400:
-        a = rng.randrange(1, 3000)
-        c = rng.randrange(1, 3000)
-        if math.gcd(a, c) != 1:
-            continue
-        assert reciprocity_check(a, c)
-        checked += 1
-
-
-def test_reciprocity_rejects_common_factor():
-    with pytest.raises(NotCoprime):
-        reciprocity_check(6, 9)
-
-
-def test_gcd_split_fields(seed=5):
-    rng = random.Random(seed)
-    for _ in range(200):
-        a = rng.randrange(1, 10_000)
-        b = rng.randrange(1, 10_000)
-        s = GcdSplit.of(a, b)
-        assert s.gcd == math.gcd(a, b)
-        assert s.lcm == a * b // s.gcd
-        assert s.a_b * s.gcd == a and s.b_a * s.gcd == b
-        assert math.gcd(s.a_b, s.b_a) == 1
-
-
 def test_prime_modulus_discrete_log():
     mod = prime_modulus(101)
     g = mod.g
     for j in (0, 1, 5, 50, 99):
-        assert mod.dlog_of(pow(g, j, 101)) == j
+        assert mod.dlog[pow(g, j, 101)] == j
     # dlog table covers exactly the units
     assert mod.dlog[0] == -1
     assert sorted(mod.dlog[1:]) == list(range(101 - 1))

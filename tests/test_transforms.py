@@ -290,10 +290,21 @@ def test_rule_floor_counts_per_unit_width():
     assert _rule(0.0, 2.5, None, 1.0) == (80, 12)
 
 
+def test_fourier_dual_matches_eight_times_the_panels():
+    # the accuracy the module docstring states for x in [0, 100]
+    V = plateau_window()
+    lo, hi = V.support
+    worst = 0.0
+    for x in np.linspace(0.0, 100.0, 241):
+        panels, order = _rule(x * (hi - lo), hi - lo, None, 1.0)
+        f = lambda u: V(u) * np.exp(-2j * np.pi * x * u)
+        ref = panel_quadrature(f, lo, hi, 8 * panels, order)
+        worst = max(worst, abs(fourier_dual(V, x) - ref) / (1.0 + abs(ref)))
+    assert worst <= 1e-13
+
+
 @pytest.mark.parametrize("panel_scale", [-3.0, 0.0, float("nan"), float("inf")])
 def test_rule_refuses_bad_panel_scale(panel_scale):
-    with pytest.raises(ValueError, match="panel_scale"):
-        fourier_dual(plateau_window(), 50.0, panel_scale=panel_scale)
     with pytest.raises(ValueError, match="panel_scale"):
         voronoi_transform("divisor", 1, bump_window(), 500.0, panel_scale=panel_scale)
     with pytest.raises(ValueError, match="panel_scale"):
@@ -302,8 +313,6 @@ def test_rule_refuses_bad_panel_scale(panel_scale):
 
 @pytest.mark.parametrize("quad_order", [0, -2])
 def test_rule_refuses_bad_quad_order(quad_order):
-    with pytest.raises(ValueError, match="quad_order"):
-        fourier_dual(plateau_window(), 50.0, quad_order=quad_order)
     with pytest.raises(ValueError, match="quad_order"):
         voronoi_transform("divisor", 1, bump_window(), 500.0, quad_order=quad_order)
 
