@@ -59,6 +59,9 @@ from .lfunctions import (
 from .modular import MAX_MODULUS, NotCoprime, divisors, mod_inverse, primes_in
 from .transforms import (
     SmoothWindow,
+    _bessel_j,
+    _bessel_k0,
+    _bessel_y0,
     bump_window,
     decay_check,
     fourier_dual,
@@ -459,6 +462,9 @@ def _beta_sum_brute(chi: DirichletCharacter, c: int, alpha: int, ell: int, rhat:
     return complex(np.sum(chi.values(beta) * phases))
 
 
+_BETA_SUM_TOL = 1e-9
+
+
 def beta_sum_evaluation_check(
     chi: DirichletCharacter,
     c: int,
@@ -466,13 +472,13 @@ def beta_sum_evaluation_check(
     alpha: int,
     ell: int,
     r: int,
-    tol: float = 1e-9,
 ) -> bool:
     """Check the closed Gauss-sum evaluation of the beta-sum.
 
     The brute sum over beta mod [c, M] must equal
     chibar((r - alpha*ell*M_c) * inv(c_M)) * g_chi * c_M when c_M divides
-    r - alpha*ell*M_c and 0 otherwise, where c_M = c/(c, M), M_c = M/(c, M).
+    r - alpha*ell*M_c and 0 otherwise, where c_M = c/(c, M), M_c = M/(c, M),
+    within _BETA_SUM_TOL * max(1, sqrt(M) c_M).
     """
     M = chi.M
     if (p * M) % c != 0:
@@ -489,7 +495,7 @@ def beta_sum_evaluation_check(
     else:
         # (t / c_M) mod M realizes chibar(t * inv(c_M)) without a second division
         rhs = chi.conjugate()((t // c_m) % M) * gauss_sum(chi) * c_m
-    return bool(abs(lhs - rhs) <= tol * max(1.0, math.sqrt(M) * c_m))
+    return bool(abs(lhs - rhs) <= _BETA_SUM_TOL * max(1.0, math.sqrt(M) * c_m))
 
 
 _POISSON_TRUNC = 20.0
@@ -894,22 +900,41 @@ def _fourier_decay_check() -> CheckReport:
     )
 
 
-def _bessel_ode_check(tol: float) -> CheckReport:
-    import scipy.special as sp
+# eighth-order central differences for the first and second derivative at
+# step _ODE_STEP: on the bessel_ode grid, exact Y_0 and K_0 values give ODE
+# residuals up to 3.8e-11 (at x = 0.5), a 260th of the check's 1e-8 gate
+_ODE_STEP = 1.0 / 64.0
+_D1 = np.array([1 / 280, -4 / 105, 1 / 5, -4 / 5, 0.0, 4 / 5, -1 / 5, 4 / 105, -1 / 280])
+_D2 = np.array([-1 / 560, 8 / 315, -1 / 5, 8 / 5, -205 / 72, 8 / 5, -1 / 5, 8 / 315, -1 / 560])
 
+
+def _stencil_ode_residual(kernel: Callable, sign: float, x: np.ndarray) -> np.ndarray:
+    """x^2 f'' + x f' + sign x^2 f with the derivatives of f = kernel from
+    the _D1/_D2 stencils."""
+    f = kernel(x[:, None] + _ODE_STEP * np.arange(-4, 5))
+    return x**2 * (f @ _D2) / _ODE_STEP**2 + x * (f @ _D1) / _ODE_STEP + sign * x**2 * f[:, 4]
+
+
+def _bessel_ode_check(tol: float) -> CheckReport:
+    """Bessel's equation x^2 f'' + x f' + (+-x^2 - nu^2) f = 0 for the
+    package's own kernels on x in [0.5, 60], across the switch to Hankel's
+    expansion at 50, relative to 1 + x^2.
+
+    J_11 takes its derivatives from J_9..J_13 by the exact recurrences
+    2J' = J_{nu-1} - J_{nu+1} and 4J'' = J_{nu-2} - 2J_nu + J_{nu+2}; Y_0
+    and K_0 from the _D1/_D2 stencils.
+    """
     x = np.linspace(0.5, 60.0, 491)
-    worst = 0.0
     nu = 11
-    j = sp.jv(nu, x)
-    jp = 0.5 * (sp.jv(nu - 1, x) - sp.jv(nu + 1, x))
-    jpp = 0.25 * (sp.jv(nu - 2, x) - 2 * j + sp.jv(nu + 2, x))
-    worst = max(worst, float(np.max(np.abs(x**2 * jpp + x * jp + (x**2 - nu**2) * j) / (1 + x**2))))
-    y = sp.y0(x)
-    ypp = 0.5 * (sp.yn(2, x) - y)
-    worst = max(worst, float(np.max(np.abs(x**2 * ypp - x * sp.y1(x) + x**2 * y) / (1 + x**2))))
-    kv = sp.k0(x)
-    kpp = 0.5 * (sp.kn(2, x) + kv)
-    worst = max(worst, float(np.max(np.abs(x**2 * kpp - x * sp.k1(x) - x**2 * kv) / (1 + x**2))))
+    j = {n: _bessel_j(n, x) for n in range(nu - 2, nu + 3)}
+    jp = 0.5 * (j[nu - 1] - j[nu + 1])
+    jpp = 0.25 * (j[nu - 2] - 2 * j[nu] + j[nu + 2])
+    residuals = [
+        x**2 * jpp + x * jp + (x**2 - nu**2) * j[nu],
+        _stencil_ode_residual(_bessel_y0, 1.0, x),
+        _stencil_ode_residual(_bessel_k0, -1.0, x),
+    ]
+    worst = max(float(np.max(np.abs(r) / (1 + x**2))) for r in residuals)
     return _report("transforms:bessel_ode", ("J11", "Y0", "K0"), 1.0, worst, tol)
 
 

@@ -498,12 +498,15 @@ def _class_vector(seq: CoefficientSequence | None, M: int, X: float) -> np.ndarr
     return acc
 
 
+# doublings of the cutoff length _smoothed_central_series tries before it gives up
+_MAX_DOUBLINGS = 16
+
+
 def _smoothed_central_series(
     seq: CoefficientSequence | None,
     chi: DirichletCharacter,
     X0: float,
     tol: float = 1e-8,
-    max_doublings: int = 16,
 ) -> complex:
     """sum lam(n) chi(n) n^{-1/2} cutoff(n/X), doubling X until stable.
 
@@ -518,7 +521,7 @@ def _smoothed_central_series(
     X = X0
     prev = at(X)
     small = 0
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         if seq is not None and math.floor(4.0 * X) > seq.bound:
             raise OutOfCacheRange(
                 f"smoothed series mod {chi.M} still moving at the cache edge; "
@@ -532,7 +535,7 @@ def _smoothed_central_series(
         prev, X = cur, 2.0 * X
     raise ArithmeticError(
         f"smoothed central series did not stabilize below {tol} within "
-        f"{max_doublings} doublings of X0 = {X0:.3g}"
+        f"{_MAX_DOUBLINGS} doublings of X0 = {X0:.3g}"
     )
 
 

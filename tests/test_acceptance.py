@@ -272,9 +272,7 @@ def test_criterion_08_beta_sum_and_poisson():
                     for alpha in (a for a in range(1, c + 1) if math.gcd(a, c) == 1):
                         for ell in range(M):
                             for r in range(p * M):
-                                assert beta_sum_evaluation_check(
-                                    chi, c, p, alpha, ell, r, tol=1e-9
-                                )
+                                assert beta_sum_evaluation_check(chi, c, p, alpha, ell, r)
                                 checked += 1
     poisson = poisson_r_sum_check(character(11, 1), 11, 3, 1, 2, 30.0)
     elapsed = time.perf_counter() - t0

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import re
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -315,6 +316,17 @@ def test_transforms_suite_passes():
         r.line() for r in reports if not r.passed
     ]
     assert [(r.name, r.digest) for r in reports] == TRANSFORMS_DIGESTS
+
+
+def test_bessel_ode_stencil_error_is_below_a_hundredth_of_the_gate():
+    # the check's stencils on exact Y_0 and K_0 (mpmath): what remains is the
+    # stencils' own error, largest at the smallest x
+    x = np.linspace(0.5, 60.0, 491)[::49]
+    with mp.workdps(20):
+        for f, sign in ((mp.bessely, 1.0), (mp.besselk, -1.0)):
+            exact = np.vectorize(lambda t: float(f(0, mp.mpf(t))))
+            residual = identities._stencil_ode_residual(exact, sign, x)
+            assert np.max(np.abs(residual) / (1 + x**2)) <= 1e-10
 
 
 def test_quadrature_convergence_rates_every_refinement():

@@ -8,12 +8,14 @@ import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
+import mpmath as mp
 import numpy as np
 import pytest
 import sympy
 from scipy.special import jv, y0
 
 import deltasums
+from deltasums import cli, transforms
 from deltasums.transforms import (
     DomainError,
     UnsupportedCoefficientKind,
@@ -27,7 +29,14 @@ from deltasums.transforms import (
     voronoi_transform,
     voronoi_transform_batch,
 )
-from deltasums.transforms import _kernel_cycles, _panel_nodes, _rule
+from deltasums.transforms import (
+    _bessel_j,
+    _bessel_k0,
+    _bessel_y0,
+    _kernel_cycles,
+    _panel_nodes,
+    _rule,
+)
 
 
 def test_window_supports_and_smooth_vanishing():
@@ -85,8 +94,9 @@ def test_window_jets_match_sympy_derivatives():
     assert all(np.all(plateau_window()(grid, order) == 0.0) for order in range(1, 5))
 
 
-def _run_fresh(code: str) -> None:
-    """Run code in a fresh interpreter that imports deltasums from this checkout."""
+def _run_fresh(code: str) -> str:
+    """Run code in a fresh interpreter that imports deltasums from this
+    checkout; return its standard output."""
     src = str(Path(deltasums.__file__).resolve().parents[1])
     path = filter(None, [src, os.environ.get("PYTHONPATH")])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
@@ -94,6 +104,7 @@ def _run_fresh(code: str) -> None:
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
     )
     assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def test_runtime_never_imports_sympy():
@@ -108,14 +119,33 @@ def test_runtime_never_imports_sympy():
     )
 
 
-def test_import_loads_no_scipy():
-    # scipy.special loads with the first Voronoi kernel, not with the package
-    _run_fresh(
-        "import sys\n"
-        "import deltasums\n"
-        "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
-        "assert not loaded, loaded\n"
-    )
+_VERIFY = ["verify", "--suite=appendix,pipeline,transforms"]
+
+
+def test_import_loads_no_scipy(tmp_path, capsys):
+    # with every scipy import refused, verify and both kinds of sweep run and
+    # verify prints the lines of an unrestricted run
+    sweeps = [
+        ["sweep", "--kind=dirichlet", "--pmin=5", "--pmax=31", f"--out={tmp_path / 'd.csv'}"],
+        ["sweep", "--kind=twist", "--coeff=delta", "--pmin=5", "--pmax=31"]
+        + [f"--out={tmp_path / 't.csv'}"],
+    ]
+    lines = _run_fresh(
+        "import importlib.abc, sys\n"
+        "class Refuse(importlib.abc.MetaPathFinder):\n"
+        "    def find_spec(self, name, path, target=None):\n"
+        "        if name.partition('.')[0] == 'scipy':\n"
+        "            raise ImportError(f'{name} refused')\n"
+        "sys.meta_path.insert(0, Refuse())\n"
+        "from deltasums import cli\n"
+        f"for argv in {[_VERIFY] + sweeps!r}:\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "assert not [m for m in sys.modules if m.partition('.')[0] == 'scipy']\n"
+    ).splitlines()
+    assert cli.main(_VERIFY) == 0
+    assert lines == capsys.readouterr().out.splitlines()
+    assert len(lines) == 27
+    assert all((tmp_path / name).stat().st_size > 0 for name in ("d.csv", "t.csv"))
 
 
 def test_derivative_bounds_finite_and_growing():
@@ -235,19 +265,63 @@ def test_voronoi_batch_chunks_match_full_matrix_in_bounded_memory(kind, kernel):
 )
 def test_hankel_blocks_match_the_kernel_matrix_on_the_u_rule(kind, weight):
     # geometric blocks of y in [0.05, 3000] start near 0.05 * 4^j, on both
-    # sides of the switch to Hankel's expansion at the smallest argument
-    # max(50, (4 nu^2 - 1) / 8): y = 15.8 for nu = 0 and 3, 23.1 for nu = 11
-    # and 442.8 for nu = 23
+    # sides of the switch to Hankel's expansion at the smallest argument 50
+    # (y = 15.8)
     W = bump_window()
     if kind == "divisor":
-        nu, kernel = 0, lambda z: -2.0 * np.pi * y0(z)
+        kernel = lambda z: -2.0 * np.pi * y0(z)
     else:
         nu, front = weight - 1, 2.0 * np.pi * (-1.0) ** (weight // 2)
         kernel = lambda z: front * jv(nu, z)
     ys = np.geomspace(0.05, 3000.0, 500)
-    ref, scale = _full_matrix_batch(kernel, W, ys, switch=max(50.0, (4 * nu * nu - 1) / 8))
+    ref, scale = _full_matrix_batch(kernel, W, ys, switch=50.0)
     got = voronoi_transform_batch(SimpleNamespace(kind=kind, weight=weight), 1, W, ys)
     assert np.all(np.abs(got - ref) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("weight", [4, 12, 24])
+def test_blocks_from_argument_50_skip_the_kernel_matrix(weight, monkeypatch):
+    W = bump_window()
+    seen = []
+    matrix_block = transforms._matrix_block
+
+    def record(kernel, W, ys, rule):
+        seen.append(4.0 * math.pi * math.sqrt(ys[0] * W.support[0]))
+        return matrix_block(kernel, W, ys, rule)
+
+    monkeypatch.setattr(transforms, "_matrix_block", record)
+    g = SimpleNamespace(kind="delta_form", weight=weight)
+    voronoi_transform_batch(g, 1, W, np.geomspace(0.05, 3000.0, 500))
+    assert seen and max(seen) < 50.0
+
+
+# arguments on both sides of Hankel's expansion at 50 and of K_0's zero at 745
+_PIN_Z = np.concatenate([np.geomspace(0.05, 900.0, 40), [49.9, 50.0, 50.1, 744.9, 745.0, 745.1]])
+
+
+def _mp_values(f) -> np.ndarray:
+    with mp.workdps(40):
+        return np.array([float(f(mp.mpf(z))) for z in _PIN_Z])
+
+
+@pytest.mark.parametrize("nu", [0, 3, 11, 23])
+def test_bessel_j_pinned_to_mpmath(nu):
+    ref = _mp_values(lambda z: mp.besselj(nu, z))
+    envelope = np.minimum(1.0, np.sqrt(2.0 / (np.pi * _PIN_Z)))
+    assert np.all(np.abs(_bessel_j(nu, _PIN_Z) - ref) <= 1e-14 * envelope)
+
+
+def test_bessel_y0_and_k0_pinned_to_mpmath():
+    y_ref = _mp_values(lambda z: mp.bessely(0, z))
+    envelope = np.minimum(1.0, np.sqrt(2.0 / (np.pi * _PIN_Z)))
+    envelope *= np.maximum(1.0, np.abs(np.log(_PIN_Z)))
+    assert np.all(np.abs(_bessel_y0(_PIN_Z) - y_ref) <= 1e-14 * envelope)
+    k_ref = _mp_values(lambda z: mp.besselk(0, z))
+    k_err = np.abs(_bessel_k0(_PIN_Z) - k_ref)
+    assert np.all(k_err <= 1e-15 * np.maximum(1.0, k_ref))
+    # Hankel's expansion keeps the tiny values relatively exact as well
+    far = (_PIN_Z >= 50.0) & (_PIN_Z < 745.0)
+    assert np.all(k_err[far] <= 1e-14 * k_ref[far])
 
 
 def test_voronoi_transform_matches_fine_fixed_rule():
