@@ -47,7 +47,7 @@ def beta_sum_spotcheck() -> None:
 
 def full_suite(M: int = 11) -> None:
     print(f"\npipeline suite at M = {M} (exact steps + quadrature steps):")
-    for rep in run_suite(pipeline_suite(M=M, N=20.0, L=3, P=5.0), jobs=2):
+    for rep in run_suite(pipeline_suite(M=M, N=20.0, L=3, P=5.0)):
         print(f"  {rep.line()}")
     chi = character(11, 1)
     rep = poisson_r_sum_check(chi, 11, 3, 1, 2, 30.0)

@@ -72,7 +72,6 @@ _OPTIONS = {
         "mmax": (int, 47),
         "samples": (int, 150),
         "seed": (int, 1),
-        "jobs": (int, 1),
         "M": (int, 11),
         "char": (int, 1),
         "coeff": (str, "divisor"),
@@ -159,7 +158,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     checks = []
     for suite in ns.suite.split(","):
         checks += _choose(_SUITES, "suite", suite)(ns)
-    reports = run_suite(checks, jobs=ns.jobs)
+    reports = run_suite(checks)
     lines = [rep.line() for rep in reports]
     for rep, line in zip(reports, lines):
         print(line)

@@ -8,9 +8,9 @@ to roundoff-scale residuals; quadrature-backed steps carry explicit
 tolerances of the form tol * (1 + |LHS|).
 
 The suite builders (appendix_suite, pipeline_suite, transforms_suite)
-assemble named Check thunks; run_suite executes them, optionally in
-threads, and always returns reports sorted by name so the rendered report
-is deterministic regardless of scheduling.
+assemble named Check thunks; run_suite executes them in order on the
+calling thread and returns reports sorted by name, so the rendered report
+does not depend on the order the suites were named in.
 
 transforms:quadrature_convergence rates the explicit-order refinement
 sequence (quad_order=2 at panel_scale 1, 2, 4, 8) on the integrals
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -285,6 +284,19 @@ def hecke_amplifier_identity(cfg: PipelineConfig) -> CheckReport:
     )
 
 
+def _detection_span(cfg: PipelineConfig, ells: Sequence[int]) -> tuple:
+    """The r with W(r/N) != 0, those weights, n_max = max(r) max(ells) and the
+    range [d_lo, d_hi] of the differences d = n - r*ell, 1 <= n <= n_max,
+    whose trivial_delta values delta detection tabulates."""
+    r = _support_range(cfg.N, cfg.W)
+    w = cfg.W(r / cfg.N)
+    r, w = r[w != 0.0], w[w != 0.0]
+    if r.size == 0:
+        raise ValueError("window support contains no integers at this scale")
+    n_max = int(r[-1]) * max(ells)
+    return r, w, n_max, 1 - n_max, n_max - int(r[0]) * min(ells)
+
+
 def delta_detection_expansion(cfg: PipelineConfig) -> CheckReport:
     """Replace the lam(rl) detection by the divisor-sum delta and compare.
 
@@ -304,23 +316,15 @@ def delta_detection_expansion(cfg: PipelineConfig) -> CheckReport:
             raise ExactnessViolated(
                 f"p*M = {p * cfg.M} <= 8*N*L = {guard:g}; detection is not exact"
             )
-    r_all = _support_range(cfg.N, cfg.W)
-    w_all = cfg.W(r_all / cfg.N)
-    keep = w_all != 0.0
-    r = r_all[keep]
-    chiw = cfg.chi.values(r) * w_all[keep]
+    r, w, n_max, d_lo, d_hi = _detection_span(cfg, amp.ells)
+    chiw = cfg.chi.values(r) * w
     lam = cfg.seq.lam
-    if r.size == 0:
-        raise ValueError("window support contains no integers at this scale")
-    n_max = int(r[-1]) * max(amp.ells)
     if n_max > cfg.seq.bound:
         raise OutOfCacheRange(f"need coefficients to {n_max}, cache ends at {cfg.seq.bound}")
 
     # one table D_q[d - d_lo] = trivial_delta(d, 0, q) per q over every
     # d = n - r*ell the sum reaches; the detected side at m = r*ell is the
     # correlation sum_{n <= n_max} lam(n) D_q[n - m], reduced by fsum
-    d_lo = 1 - n_max
-    d_hi = n_max - int(r[0]) * min(amp.ells)
     tables = {
         p: np.array([trivial_delta(d, 0, p * cfg.M).real for d in range(d_lo, d_hi + 1)])
         for p in amp.ps
@@ -563,35 +567,23 @@ class Check:
 
 
 def run_suite(checks: Sequence[Check], jobs: int = 1) -> list:
-    """Execute checks and return their reports sorted by check name.
+    """Run checks in order on the calling thread and return their reports
+    sorted by check name.
 
-    Each check is a pure function of its configuration, so the thunks may
-    run in threads; sorting makes the aggregate report deterministic. A
-    check that raises is converted into a failed report carrying the error.
+    A check that raises is converted into a failed report carrying the
+    error. jobs accepts only 1.
     """
-
-    def run_one(check: Check) -> CheckReport:
+    if jobs != 1:
+        raise ValueError(f"run_suite runs its checks on one thread; jobs must be 1, got {jobs}")
+    reports = []
+    for check in checks:
         try:
-            rep = check.thunk()
+            reports.append(replace(check.thunk(), name=check.name))
         except Exception as exc:
-            return CheckReport(
-                name=check.name,
-                digest=_digest(check.name, "raised"),
-                lhs_abs=float("nan"),
-                residual=float("inf"),
-                tolerance=0.0,
-                passed=False,
-                details={"error": repr(exc)},
+            digest = _digest(check.name, "raised")
+            reports.append(
+                CheckReport(check.name, digest, math.nan, math.inf, 0.0, False, {"error": repr(exc)})
             )
-        if rep.name != check.name:
-            rep = replace(rep, name=check.name)
-        return rep
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(run_one, checks))
-    else:
-        reports = [run_one(chk) for chk in checks]
     return sorted(reports, key=lambda rep: rep.name)
 
 
@@ -820,6 +812,11 @@ def _beta_sum_suite_check(cfg: PipelineConfig) -> CheckReport:
     )
 
 
+# trivial_delta values pipeline_suite lets delta detection tabulate: 2,943 at
+# the default N = 20, 40,410 (about 14 s) at N = 80, 4.6 million at N = 1000
+_MAX_DETECTION_DELTAS = 50_000
+
+
 def pipeline_suite(
     M: int = 11,
     char_index: int = 1,
@@ -832,10 +829,19 @@ def pipeline_suite(
 
     Delta detection runs at a raised prime scale chosen by
     choose_detection_scale so its exactness precondition holds; the other
-    stages run at the given (N, L, P).
+    stages run at the given (N, L, P). Detection tables of more than
+    _MAX_DETECTION_DELTAS values are refused before any check runs.
     """
     cfg = make_pipeline_config(kind=kind, M=M, char_index=char_index, N=N, L=L, P=P)
     det_cfg = replace(cfg, P=float(choose_detection_scale(M, N, L, pmin=P)))
+    det_amp = det_cfg.amplifier()
+    *_, d_lo, d_hi = _detection_span(det_cfg, det_amp.ells)
+    deltas = len(det_amp.ps) * (d_hi - d_lo + 1)
+    if deltas > _MAX_DETECTION_DELTAS:
+        raise ValueError(
+            f"N must be smaller: delta detection at N = {N:g}, L = {L:g} needs {deltas} "
+            f"trivial_delta values, at most {_MAX_DETECTION_DELTAS} are tabulated"
+        )
     vor_bound = 6000
 
     def vor_check(seq_kind: str) -> CheckReport:

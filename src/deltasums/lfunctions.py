@@ -26,7 +26,7 @@ Central values:
       L(1/2, chi) = M^{-1/2} * sum_a chi(a) zeta(1/2, a/M)
   with zeta(s, a) evaluated by Euler-Maclaurin, or a smoothly truncated
   series of effective length >= 50 sqrt(M) log M whose truncation scale is
-  doubled until two evaluations agree.
+  doubled until three evaluations agree.
 * l_value_twist(seq, chi): exact by default.  For the divisor function
   L(s, E x chi) = L(s, chi)^2, the square of the Hurwitz value; for the
   weight-12 form the approximate functional equation at conductor M^2
@@ -41,10 +41,10 @@ sums of an AFE half or of a truncated series, cos and sin(2 pi a/M) for the
 Gauss sums.  With chi_k(g^j) = e(kj/(M-1)) for the primitive root g,
 reordering v by powers of g turns the sums for all M-1 characters into one
 discrete Fourier transform of length M-1, taken as a single real FFT
-(_character_transform).  So the Hurwitz identity and the twist AFE are
-evaluated once per modulus for every character (_l_values_all,
-_twist_values_all), and each step of a smoothed series costs one FFT of
-its class vector.
+(_character_transform).  So the Hurwitz identity, the twist AFE and each
+doubling of a smoothed series are evaluated once per modulus for every
+character: every value is an entry of one per-modulus row (_l_values_all,
+_twist_values_all, _smoothed_values_all).
 
 Burgess sweeps record |L|/M^exponent with exponent 3/16 (Dirichlet) or 3/8
 (twist), sorted by modulus, with a CSV writer matching the fixed schema.
@@ -58,9 +58,7 @@ import logging
 import math
 import os
 import tempfile
-import threading
-from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 
@@ -111,11 +109,12 @@ class DegenerateAmplifier(ValueError):
 
 @dataclass(frozen=True)
 class CoefficientSequence:
-    """Hecke-normalized coefficients lam(1..bound); lam is a read-only array."""
+    """Hecke-normalized coefficients lam(1..bound); lam is a read-only array
+    fixed by kind and bound, so sequences compare and hash without it."""
 
     kind: str  # "divisor" | "delta_form"
     bound: int
-    lam: np.ndarray  # lam[n] for 0 <= n <= bound, lam[0] = 0
+    lam: np.ndarray = field(compare=False)  # lam[n] for 0 <= n <= bound, lam[0] = 0
     weight: int | None = None
 
     def __call__(self, n: int) -> float:
@@ -455,33 +454,16 @@ def _smooth_cutoff(t: np.ndarray) -> np.ndarray:
     return out
 
 
-_CLASS_VECTOR_CACHE: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
-_CLASS_VECTOR_CACHE_MAX = 512
 _CLASS_VECTOR_CHUNK = 2_000_000
-# the cache is shared by every thread of the process (run_suite runs checks on
-# a thread pool); vectors are built outside the lock, so two threads may build
-# the same one, identically
-_CLASS_VECTOR_LOCK = threading.Lock()
 
 
 def _class_vector(seq: CoefficientSequence | None, M: int, X: float) -> np.ndarray:
     """Residue-class sums T[a] = sum over n = a mod M of lam(n) n^{-1/2} f(n/X).
 
     The character enters only through _character_transform, so one vector
-    serves every character of the modulus; vectors are memoized per
-    (kind, bound, M, X). Fixed chunking keeps peak memory flat and reruns
-    byte-identical.
+    serves every character of the modulus. Fixed chunking keeps peak memory
+    flat and reruns byte-identical.
     """
-    key = (
-        seq.kind if seq is not None else "unit",
-        seq.bound if seq is not None else 0,
-        M,
-        round(16.0 * X),
-    )
-    with _CLASS_VECTOR_LOCK:
-        hit = _CLASS_VECTOR_CACHE.get(key)
-    if hit is not None:
-        return hit
     hi = math.floor(2.0 * X)
     acc = np.zeros(M)
     for lo in range(1, hi + 1, _CLASS_VECTOR_CHUNK):
@@ -490,65 +472,83 @@ def _class_vector(seq: CoefficientSequence | None, M: int, X: float) -> np.ndarr
         if seq is not None:
             w = w * seq.values(n)
         acc += np.bincount(n % M, weights=w, minlength=M)
-    acc.setflags(write=False)
-    with _CLASS_VECTOR_LOCK:
-        _CLASS_VECTOR_CACHE[key] = acc
-        while len(_CLASS_VECTOR_CACHE) > _CLASS_VECTOR_CACHE_MAX:
-            _CLASS_VECTOR_CACHE.popitem(last=False)
     return acc
 
 
-# doublings of the cutoff length _smoothed_central_series tries before it gives up
+# doublings of the cutoff length _smoothed_values_all tries before it gives up
 _MAX_DOUBLINGS = 16
 
 
-def _smoothed_central_series(
-    seq: CoefficientSequence | None,
-    chi: DirichletCharacter,
-    X0: float,
-    tol: float = 1e-8,
-) -> complex:
-    """sum lam(n) chi(n) n^{-1/2} cutoff(n/X), doubling X until stable.
+@lru_cache(maxsize=64)
+def _smoothed_values_all(seq: CoefficientSequence | None, M: int) -> tuple:
+    """sum lam(n) chi_k(n) n^{-1/2} cutoff(n/X) for every index k mod the prime
+    M (lam = 1 when seq is None), doubling X from X0 until each is stable.
 
-    seq None means lam = 1. Stability demands two consecutive doubling gaps
-    under tol: a single near-coincidence of partials can occur while the
-    value is still drifting, but flatness across a 4x span of lengths cannot.
-    Needing coefficients past the declared bound raises OutOfCacheRange.
+    X0 = 50 sqrt(M) log M and tol = 1e-8 without seq, 50 M log M and 1e-5
+    with it. Each doubling is one class vector and one _character_transform.
+    A character keeps its value from its first step with two consecutive
+    gaps under tol: one near-coincidence of partials can occur while the
+    value still drifts, flatness across a 4x span of lengths cannot. Open
+    characters read NaN; the second item is the (exception type, message)
+    they raise: OutOfCacheRange at the cache edge, ArithmeticError after
+    _MAX_DOUBLINGS doublings.
     """
-    def at(X: float) -> complex:
-        return complex(_character_transform(_class_vector(seq, chi.M, X), chi.M)[chi.index])
-
+    if seq is None:
+        X0, tol = 50.0 * math.sqrt(M) * math.log(M), 1e-8
+    else:
+        X0, tol = 50.0 * M * math.log(M), 1e-5
+        if 2.0 * 2.0 * X0 > seq.bound:
+            raise OutOfCacheRange(
+                f"twist series needs coefficients up to {4.0 * X0:.0f} > bound {seq.bound}"
+            )
     X = X0
-    prev = at(X)
-    small = 0
+    prev = _character_transform(_class_vector(seq, M, X), M)
+    vals = np.full(M - 1, np.nan, dtype=complex)
+    vals[0] = 0.0  # the principal series diverges and is never read
+    small = np.zeros(M - 1, dtype=np.int64)
     for _ in range(_MAX_DOUBLINGS):
         if seq is not None and math.floor(4.0 * X) > seq.bound:
-            raise OutOfCacheRange(
-                f"smoothed series mod {chi.M} still moving at the cache edge; "
+            failure = (
+                OutOfCacheRange,
+                f"smoothed series mod {M} still moving at the cache edge; "
                 f"a gap below {tol:g} needs coefficients past "
-                f"{math.floor(4.0 * X)} > bound {seq.bound}"
+                f"{math.floor(4.0 * X)} > bound {seq.bound}",
             )
-        cur = at(2.0 * X)
-        small = small + 1 if abs(cur - prev) < tol else 0
-        if small == 2:
-            return cur
+            break
+        cur = _character_transform(_class_vector(seq, M, 2.0 * X), M)
+        small = np.where(np.abs(cur - prev) < tol, small + 1, 0)
+        done = np.isnan(vals) & (small == 2)
+        vals[done] = cur[done]
+        if not np.isnan(vals).any():
+            failure = None
+            break
         prev, X = cur, 2.0 * X
-    raise ArithmeticError(
-        f"smoothed central series did not stabilize below {tol} within "
-        f"{_MAX_DOUBLINGS} doublings of X0 = {X0:.3g}"
-    )
+    else:
+        failure = (
+            ArithmeticError,
+            f"smoothed central series did not stabilize below {tol} within "
+            f"{_MAX_DOUBLINGS} doublings of X0 = {X0:.3g}",
+        )
+    vals.setflags(write=False)
+    return vals, failure
+
+
+def _smoothed_value(seq: CoefficientSequence | None, chi: DirichletCharacter) -> complex:
+    """The entry of _smoothed_values_all for chi, or its row's failure."""
+    vals, failure = _smoothed_values_all(seq, chi.M)
+    if np.isnan(vals[chi.index]):
+        raise failure[0](failure[1])
+    return complex(vals[chi.index])
 
 
 def l_value_dirichlet(chi: DirichletCharacter, method: str = "hurwitz_oracle") -> complex:
     """L(1/2, chi) for primitive chi, by the Hurwitz identity or smooth truncation."""
     if chi.is_principal:
         raise PrincipalCharacterNotAllowed("central values require a primitive character")
-    M = chi.M
     if method == "hurwitz_oracle":
-        return complex(_l_values_all(M)[chi.index])
+        return complex(_l_values_all(chi.M)[chi.index])
     if method == "smoothed":
-        X0 = 50.0 * math.sqrt(M) * math.log(M)
-        return _smoothed_central_series(None, chi, X0)
+        return _smoothed_value(None, chi)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -569,17 +569,11 @@ def l_value_twist(
     """
     if chi.is_principal:
         raise PrincipalCharacterNotAllowed("central values require a primitive character")
-    M = chi.M
     if method == "exact":
-        return complex(_twist_values_all(seq, M)[chi.index])
-    if method != "smoothed":
-        raise ValueError(f"unknown method {method!r}")
-    X0 = 50.0 * M * math.log(M)
-    if 2.0 * 2.0 * X0 > seq.bound:
-        raise OutOfCacheRange(
-            f"twist series needs coefficients up to {4.0 * X0:.0f} > bound {seq.bound}"
-        )
-    return _smoothed_central_series(seq, chi, X0, tol=1e-5)
+        return complex(_twist_values_all(seq, chi.M)[chi.index])
+    if method == "smoothed":
+        return _smoothed_value(seq, chi)
+    raise ValueError(f"unknown method {method!r}")
 
 
 @dataclass(frozen=True)

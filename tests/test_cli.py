@@ -62,6 +62,8 @@ def test_verify_unknown_suite():
         (["--suite=appendix", "--mmax=4"], "mmax"),
         (["--suite=pipeline", "--M=100019"], "M"),
         (["--suite=pipeline", "--P=500001"], "2P"),
+        (["--suite=pipeline", "--N=1000"], "N"),
+        (["--suite=appendix,pipeline", "--N=20", "--L=40"], "N"),
     ],
 )
 def test_verify_refuses_bad_parameters_before_any_check(argv, name):
@@ -69,6 +71,12 @@ def test_verify_refuses_bad_parameters_before_any_check(argv, name):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {name} must be") and err.count("\n") == 1
+
+
+def test_verify_refuses_a_window_without_integers_before_any_check():
+    code, out, err = run(["verify", "--suite=pipeline", "--N=0.5"])
+    assert (code, out) == (2, "")
+    assert err == "error: window support contains no integers at this scale\n"
 
 
 def test_verify_prints_why_a_check_raised(monkeypatch):
@@ -310,6 +318,7 @@ def test_config_file_unknown_key(tmp_path):
         ["bench", "--kind=gauss", "--M=1009"],
         ["sweep", "--kind=dirichlet", "--pmin=5", "--pmax=7", "--method=smoothed"],
         ["sweep", "--kind=dirichlet", "--pmin=5", "--pmax=7", "--jobs=2"],
+        ["verify", "--suite=transforms", "--jobs=2"],
     ],
 )
 def test_removed_options_exit_2(argv):
@@ -318,13 +327,21 @@ def test_removed_options_exit_2(argv):
     assert "usage:" in err
 
 
-@pytest.mark.parametrize("key", ["jobs", "method"])
-def test_sweep_config_file_refuses_removed_keys(tmp_path, key):
-    cfg = tmp_path / "sweep.cfg"
-    cfg.write_text(f"kind = dirichlet\npmin = 5\npmax = 7\n{key} = 1\n")
-    code, out, err = run(["sweep", f"--config={cfg}"])
+@pytest.mark.parametrize(
+    "command, settings, key",
+    [
+        ("sweep", "kind = dirichlet\npmin = 5\npmax = 7", "jobs"),
+        ("sweep", "kind = dirichlet\npmin = 5\npmax = 7", "method"),
+        ("verify", "suite = transforms\nmmax = 13\nseed = 2", "jobs"),
+    ],
+    ids=["jobs", "method", "verify-jobs"],
+)
+def test_sweep_config_file_refuses_removed_keys(tmp_path, command, settings, key):
+    cfg = tmp_path / f"{command}.cfg"
+    cfg.write_text(f"{settings}\n{key} = 1\n")
+    code, out, err = run([command, f"--config={cfg}"])
     assert code == 2 and out == ""
-    assert err == f"error: {cfg}:4: unknown key {key!r} for sweep\n"
+    assert err == f"error: {cfg}:4: unknown key {key!r} for {command}\n"
 
 
 def test_no_command_exits_2():

@@ -249,11 +249,15 @@ def test_run_suite_captures_exceptions():
     assert reports[1].passed
 
 
-def test_run_suite_parallel_matches_serial():
-    checks = transforms_suite()
-    serial = run_suite(checks)
-    parallel = run_suite(checks, jobs=4)
-    assert [r.line() for r in serial] == [r.line() for r in parallel]
+def test_pipeline_suite_bounds_the_detection_tables():
+    assert len(pipeline_suite(N=80.0)) == 7  # 40,410 tabulated values
+    with pytest.raises(ValueError, match="needs 62419 trivial_delta values"):
+        pipeline_suite(N=100.0)
+
+
+def test_run_suite_refuses_more_than_one_job():
+    with pytest.raises(ValueError, match="jobs must be 1, got 2"):
+        run_suite(transforms_suite(), jobs=2)
 
 
 # (name, digest) of every report of the three suites below, recorded before

@@ -6,7 +6,7 @@ import math
 import random
 import sys
 import threading
-from collections import OrderedDict
+from functools import cache
 from pathlib import Path
 
 import mpmath as mp
@@ -235,6 +235,54 @@ def test_twist_refuses_insufficient_cache():
         l_value_twist(small, character(101, 1), method="smoothed")
 
 
+def test_smoothed_row_keeps_each_characters_own_ladder():
+    # the per-character rule written out: double X from 50 M log M until two
+    # consecutive gaps fall under 1e-5, refusing at the cache edge; at this
+    # bound mod 41 some characters settle before the edge and some do not
+    seq, M = divisor_sequence(3_000_000), 41
+    row_at = cache(lambda X: _character_transform(_class_vector(seq, M, X), M))
+
+    def ladder(k):
+        X = 50.0 * M * math.log(M)
+        prev, small = row_at(X)[k], 0
+        while math.floor(4.0 * X) <= seq.bound:
+            cur = row_at(2.0 * X)[k]
+            small = small + 1 if abs(cur - prev) < 1e-5 else 0
+            if small == 2:
+                return cur
+            prev, X = cur, 2.0 * X
+        return None
+
+    returned = 0
+    for k in range(1, M - 1):
+        ref = ladder(k)
+        if ref is None:
+            with pytest.raises(OutOfCacheRange, match="mod 41 still moving at the cache edge"):
+                l_value_twist(seq, character(M, k), "smoothed")
+        else:
+            assert l_value_twist(seq, character(M, k), "smoothed") == ref
+            returned += 1
+    assert returned == 33
+
+
+def test_smoothed_row_that_does_not_settle_raises(monkeypatch):
+    monkeypatch.setattr(lfunctions, "_MAX_DOUBLINGS", 1)
+    lfunctions._smoothed_values_all.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match="did not stabilize below 1e-08 within 1 doublings"):
+            l_value_dirichlet(character(17, 3), "smoothed")
+    finally:
+        lfunctions._smoothed_values_all.cache_clear()
+
+
+def test_sequences_compare_and_hash_by_kind_bound_weight():
+    a = divisor_sequence(10)
+    assert a == divisor_sequence(10) and hash(a) == hash(divisor_sequence(10))
+    rebuilt = lfunctions.CoefficientSequence("divisor", 10, a.lam.copy())
+    assert rebuilt == a and hash(rebuilt) == hash(a)
+    assert divisor_sequence(11) != a
+
+
 def test_twist_afe_is_independent_of_the_splitting_point(delta_seq, monkeypatch):
     for M in (5, 31, 101, 499):
         rows = []
@@ -418,40 +466,6 @@ def test_sweep_conjugates_exact_and_no_negative_zero():
     quadratic = [line.split(",") for line in buf.getvalue().splitlines()[1:]]
     assert len(quadratic) == len(list(sympy.primerange(5, 200)))
     assert all(row[4] == "0" for row in quadratic)
-
-
-def test_class_vector_cache_shared_by_threads(monkeypatch):
-    # a cache of one entry evicts on every insert, so threads that share some
-    # keys and not others keep hitting, inserting and evicting concurrently
-    monkeypatch.setattr(lfunctions, "_CLASS_VECTOR_CACHE", OrderedDict())
-    monkeypatch.setattr(lfunctions, "_CLASS_VECTOR_CACHE_MAX", 1)
-    keys = [(M, X) for M in (5, 7, 11) for X in (30.0, 45.0)]
-    ref = {key: _class_vector(None, *key).copy() for key in keys}
-    results, errors = [], []
-
-    def work(offset):
-        try:
-            for i in range(300):
-                key = keys[(i + offset) % len(keys)]
-                results.append((key, _class_vector(None, *key)))
-        except Exception as exc:  # reported below; a thread cannot raise into the test
-            errors.append(exc)
-
-    threads = [threading.Thread(target=work, args=(j // 2,)) for j in range(6)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert errors == []
-    assert len(results) == 6 * 300
-    assert all(np.array_equal(vec, ref[key]) for key, vec in results)
-    assert len(lfunctions._CLASS_VECTOR_CACHE) <= 1
 
 
 def test_sweep_csv_round_trip(tmp_path):
