@@ -6,7 +6,8 @@ The sums implemented here:
 
       delta(n = m mod q) = (1/q) * sum_{c | q} sum_{a mod c, (a,c)=1} e(a(n-m)/c),
 
-  an identity in which the inner sums are Ramanujan sums.
+  an identity in which the inner sums are Ramanujan sums, read for every d
+  mod c from one FFT of the unit indicator mod c.
 
 * ramanujan_sum(M, a) = sum over units z mod M of e(az/M), exactly by von
   Sterneck's formula mu(M/g) phi(M)/phi(M/g), g = gcd(M, a).
@@ -29,9 +30,9 @@ The sums implemented here:
   generic parameters exhibit square-root cancellation.
 
 Here xbar denotes the inverse of x for the relevant modulus, and
-e(x) = exp(2*pi*i*x).  Brute-force sums are evaluated with exact integer
-phase arithmetic (angles reduced mod 1 in integers before exponentiation)
-and compensated summation via math.fsum on the real and imaginary parts.
+e(x) = exp(2*pi*i*x).  The other brute-force sums use exact integer phase
+arithmetic (angles reduced mod 1 in integers before exponentiation) and
+compensated summation via math.fsum on the real and imaginary parts.
 """
 
 from __future__ import annotations
@@ -99,11 +100,15 @@ def _exp_table(c: int) -> np.ndarray:
     return tab
 
 
-@lru_cache(maxsize=1 << 20)
-def _unit_additive_sum(c: int, d: int) -> complex:
-    """sum over units a mod c of e(a*d/c); d is reduced mod c by the caller."""
-    units = unit_residues(c)
-    return _csum(_exp_table(c)[(units * d) % c])
+@lru_cache(maxsize=256)
+def _ramanujan_row(c: int) -> np.ndarray:
+    """sum over units a mod c of e(a*d/c) for every d in [0, c), read-only: one
+    FFT of the unit indicator, real since the units are closed under a -> -a."""
+    ind = np.zeros(c)
+    ind[unit_residues(c)] = 1.0
+    row = np.fft.fft(ind).real.copy()
+    row.setflags(write=False)
+    return row
 
 
 @dataclass(frozen=True)
@@ -154,17 +159,18 @@ def trivial_delta(n: int, m: int, q: int) -> complex:
     """The divisor-dissected indicator of n = m (mod q).
 
     Evaluates (1/q) sum_{c|q} sum_{(a,c)=1} e(a(n-m)/c) by brute force over
-    coprime residues; the value equals the indicator exactly for every q >= 1.
-    n, m and q must be integers (numpy integers included).
+    coprime residues, each inner sum read from the FFT row _ramanujan_row(c);
+    the value is the indicator up to rounding for every q >= 1. n, m and q
+    must be integers (numpy integers included).
     """
     n, m, q = operator.index(n), operator.index(m), operator.index(q)
     if q < 1:
         raise ValueError("trivial_delta requires q >= 1")
     d = n - m
-    total = 0.0 + 0.0j
+    total = 0.0
     for c in _divisor_pairs(q):
-        total += _unit_additive_sum(c, d % c)
-    return total / q
+        total += float(_ramanujan_row(c)[d % c])
+    return complex(total / q)
 
 
 def ramanujan_sum(M: int, a: int) -> float:

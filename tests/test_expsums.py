@@ -16,6 +16,7 @@ from deltasums.expsums import (
     ParameterConflict,
     _csum,
     _divisor_pairs,
+    _ramanujan_row,
     alpha_factorization_check,
     fourier_expansion,
     frak_c,
@@ -30,7 +31,7 @@ from deltasums.expsums import (
     trivial_delta,
     weil_bound_profile,
 )
-from deltasums.modular import mod_inverse, primes_in, unit_residues
+from deltasums.modular import MAX_MODULUS, mod_inverse, primes_in, unit_residues
 
 
 def _e(x: float) -> complex:
@@ -65,6 +66,17 @@ def test_trivial_delta_refuses_non_integers():
 
 def test_trivial_delta_accepts_numpy_integers():
     assert trivial_delta(np.int64(47), np.int32(2), np.int64(5)) == trivial_delta(47, 2, 5)
+
+
+@pytest.mark.parametrize("c", [1, 2, 12, 97, 30030, 11 * 47, 11 * 83, MAX_MODULUS])
+def test_ramanujan_row_matches_von_sterneck(c):
+    row = _ramanujan_row(c)
+    assert row.shape == (c,) and not row.flags.writeable
+    # von Sterneck's value depends on d only through gcd(c, d)
+    gcds = np.gcd(np.arange(c), c).tolist()
+    oracle = {g: ramanujan_sum(c, g) for g in set(gcds)}
+    want = np.array([oracle[g] for g in gcds])
+    assert np.abs(row - want).max() <= 1e-14 * c
 
 
 def test_divisor_pairs_keep_the_pair_order():

@@ -249,6 +249,13 @@ def test_run_suite_captures_exceptions():
     assert reports[1].passed
 
 
+def test_pipeline_suite_runs_the_largest_detection_configuration():
+    (check,) = [c for c in pipeline_suite(N=80.0) if c.name == "pipeline:delta_detection"]
+    (report,) = run_suite([check])
+    assert report.passed
+    assert report.details["expansion_values"] == 40410
+
+
 def test_pipeline_suite_bounds_the_detection_tables():
     assert len(pipeline_suite(N=80.0)) == 7  # 40,410 tabulated values
     with pytest.raises(ValueError, match="needs 62419 trivial_delta values"):
