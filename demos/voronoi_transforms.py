@@ -16,7 +16,7 @@ from deltasums import (
     fourier_dual,
     plateau_window,
     voronoi_step_check,
-    voronoi_transform,
+    voronoi_transform_batch,
 )
 
 
@@ -39,13 +39,14 @@ def dual_decay() -> None:
 
 def transforms() -> None:
     W = bump_window()
+    at_one = lambda seq, sign: voronoi_transform_batch(seq, sign, W, [1.0])[0]
     seq = divisor_sequence(6000)
     print("\nVoronoi transforms of the bump window at y = 1:")
-    print(f"  divisor, minus side (K0 kernel): {voronoi_transform(seq, -1, W, 1.0):.6e}")
-    print(f"  divisor, plus side  (J/Y kernel): {voronoi_transform(seq, +1, W, 1.0):.6e}")
+    print(f"  divisor, minus side (K0 kernel): {at_one(seq, -1):.6e}")
+    print(f"  divisor, plus side  (J/Y kernel): {at_one(seq, +1):.6e}")
     delta = delta_sequence(6000, cache=None)
-    print(f"  weight-12 form, plus side (J11):  {voronoi_transform(delta, +1, W, 1.0):.6e}")
-    print(f"  weight-12 form, minus side:       {voronoi_transform(delta, -1, W, 1.0):.6e}")
+    print(f"  weight-12 form, plus side (J11):  {at_one(delta, +1):.6e}")
+    print(f"  weight-12 form, minus side:       {at_one(delta, -1):.6e}")
 
 
 def summation_formula() -> None:

@@ -537,8 +537,10 @@ def poisson_r_sum_check(
     R = max(1, math.ceil(_POISSON_TRUNC * q / N))
     inner = 0j
     outer = 0j
-    for rhat in range(-2 * R, 2 * R + 1):
-        term = _beta_sum_brute(chi, c, alpha, ell, rhat) * fourier_dual(V, rhat * N / q)
+    rhats = range(-2 * R, 2 * R + 1)
+    duals = fourier_dual(V, np.array(rhats) * N / q)
+    for rhat, dual in zip(rhats, duals):
+        term = _beta_sum_brute(chi, c, alpha, ell, rhat) * dual
         outer += term
         if abs(rhat) <= R:
             inner += term

@@ -138,10 +138,7 @@ def unit_residues(c: int) -> np.ndarray:
     """
     if c < 1:
         raise ValueError("modulus must be >= 1")
-    if c == 1:
-        arr = np.array([0], dtype=np.int64)
-    else:
-        arr = np.array([a for a in range(1, c) if math.gcd(a, c) == 1], dtype=np.int64)
+    arr = np.flatnonzero(np.gcd(np.arange(c), c) == 1)
     arr.setflags(write=False)
     return arr
 

@@ -11,8 +11,8 @@ runs.
 
 The transforms:
 
-* fourier_dual(V, x)        = integral of V(u) e(-xu) du.
-* voronoi_transform(g, s, W, y): the dual-side kernel transforms of W.
+* fourier_dual(V, x)        = integral of V(u) e(-xu) du, at a scalar or an array.
+* voronoi_transform_batch(g, s, W, ys): the dual-side kernel transforms of W.
     For a holomorphic weight-k coefficient sequence,
         W+(y) = integral of W(x) * 2*pi*i^k * J_{k-1}(4*pi*sqrt(yx)) dx,
         W-(y) = 0.
@@ -24,24 +24,24 @@ The transforms:
     cusp-form coefficients.
 * decay_check: empirical sup of |T(x)| * (1+|x|)^A over a grid.
 
-Quadrature.  Every transform integral (fourier_dual, voronoi_main_term,
-voronoi_transform and voronoi_transform_batch) uses one fixed composite
-Gauss-Legendre rule, sized by _rule.  The default 12-node rule takes one
-panel per oscillation of the integrand, and at least 32 panels per unit of
-support width, which resolves the flat edges of the windows when the
-integrand hardly oscillates; a Voronoi panel_scale multiplies both.  The Voronoi
-transforms lay these panels over x for the kernel matrix and over
-u = sqrt(x) for Hankel's expansion (see Kernels).  Against the same rule at
-eight times the panels, the Voronoi transforms of the bump window agree to
-2.5e-14 relative to 1 + |value| for y in [0.01, 200], and the Fourier dual of
-the plateau window to 2.6e-14 for x in [0, 100].  Against four times the
-panels, the plus-side transforms of the first 6000 dual terms of
-(a, c, N) = (1, 3, 40), (1, 4, 50) and (2, 5, 60) (y up to 26667) agree to
-4.3e-14 each.  An explicit quad_order gets about three panels per
-oscillation and no width floor: the refinement sequence whose order the
-convergence checks measure.
-voronoi_transform is the batch at one point; the batch shares one rule
-among all y of a block.
+Quadrature.  Every transform integral (fourier_dual, voronoi_main_term and
+voronoi_transform_batch) uses one fixed composite Gauss-Legendre rule, sized
+by _rule.  The default 12-node rule takes one panel per oscillation of the
+integrand, and at least 32 panels per unit of support width, which resolves
+the flat edges of the windows when the integrand hardly oscillates; a
+Voronoi panel_scale multiplies both.  The Voronoi transforms lay these
+panels over x for the kernel matrix and over u = sqrt(x) for Hankel's
+expansion (see Kernels).  Against the same rule at eight times the panels,
+the Voronoi transforms of the bump window agree to 2.5e-14 relative to
+1 + |value| for y in [0.01, 200], and the Fourier dual of the plateau window
+to 1.9e-14 for x in [0, 100].  Against four times the panels, the plus-side
+transforms of the first 6000 dual terms of (a, c, N) = (1, 3, 40),
+(1, 4, 50) and (2, 5, 60) (y up to 26667) agree to 4.3e-14 each.  An
+explicit quad_order gets about three panels per oscillation and no width
+floor: the refinement sequence whose order the convergence checks measure.
+Both transforms take their points in geometric blocks (_blocks: keys from k
+to 4k, |x| for the dual and y for Voronoi), each on the rule sized for its
+largest key; one point is a block of one.
 
 Kernels.  The kernels front * J_{k-1}, -2 pi Y_0 and 4 K_0 are computed here
 in numpy, with one switch at the argument z = 50.  From 50 on, Hankel's
@@ -57,18 +57,20 @@ for nu = 0, 3, 11 and 23 agrees to 4.7e-15 of the envelope
 min(1, sqrt(2/(pi z))), Y_0 to 1.3e-15 of the envelope times max(1, |ln z|),
 and K_0 to 7.5e-16 of max(1, K_0).
 
-The batch takes the y in geometric blocks (a factor 4 each).  A block whose
-smallest argument z = 4 pi sqrt(y lo) is at least 50 goes through Hankel's
-expansion in u = sqrt(x).  With x = u^2 the phase is linear in u: on a panel
-with centre c and half-width h, e^{iAu} = e^{iAc} e^{iAht}, so a row costs
-one exponential per panel and per node and a share of one GEMM, where the
-kernel matrix costs a Bessel value per panel and node.  On the same u-rule it
-agrees with scipy's jv/y0 kernel matrix to 1.1e-14 of the integral of |k W|
-for weights 4, 12 and 24 and the divisor plus side.  The K_0 minus side and
-smaller arguments build the kernel matrix on the x-rule, except for K_0 rows
-whose smallest argument is at least 745: they are 0.0 without one.  Both
-paths work in row chunks of about _CHUNK = 2^15 elements, so the work space
-stays at about two megabytes whatever the block size.
+Phase sums.  A Voronoi block whose smallest argument z = 4 pi sqrt(y lo) is
+at least 50 goes through Hankel's expansion in u = sqrt(x).  With x = u^2
+the phase is linear in u, as the Fourier dual's e(-xu) is in u = x: on a
+panel with centre c and half-width h, e^{iAu} = e^{iAc} e^{iAht}, so a row
+costs one exponential per panel and per node and a share of one GEMM
+(_phase_sums, which both transforms call), where the kernel matrix costs a
+Bessel value per panel and node.  On the same u-rule it agrees with scipy's
+jv/y0 kernel matrix to 1.1e-14 of the integral of |k W| for weights 4, 12
+and 24 and the divisor plus side.  The K_0 minus side and smaller arguments
+build the kernel matrix on the x-rule, except for K_0 rows whose smallest
+argument is at least 745: they are 0.0 without one.  Both paths work in row
+chunks of about _CHUNK = 2^15 elements, so the work space stays at about
+two megabytes plus one complex per row and term of the expansion, whatever
+the block size.
 """
 
 from __future__ import annotations
@@ -90,7 +92,6 @@ __all__ = [
     "panel_quadrature",
     "adaptive_quadrature",
     "fourier_dual",
-    "voronoi_transform",
     "voronoi_transform_batch",
     "voronoi_main_term",
     "decay_check",
@@ -336,11 +337,52 @@ def _rule(cycles: float, width: float, quad_order, panel_scale: float) -> tuple[
     return max(8, panels, math.ceil(32 * width * panel_scale)), 12
 
 
-def fourier_dual(V: SmoothWindow, x: float) -> complex:
-    """The dual integral of V(u) e(-xu) du over the support of V, on the default rule."""
+def _blocks(keys: np.ndarray, rule: Callable):
+    """Yield (idx, rule(largest key)) over the keys >= 0 in ascending
+    geometric blocks, each from its smallest key k to 4k."""
+    order_idx = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order_idx]
+    start = 0
+    while start < sorted_keys.size:
+        stop = int(np.searchsorted(sorted_keys, 4.0 * sorted_keys[start], side="right"))
+        yield order_idx[start:stop], rule(sorted_keys[stop - 1])
+        start = stop
+
+
+def _phase_sums(A: np.ndarray, rule, lo: float, hi: float, f: Callable) -> np.ndarray:
+    """The sums of w(u) e^{iAu} f(u)[k] over the rule laid over [lo, hi], an
+    array (len(A), K) for every phase slope A and index k; f maps the
+    (panels, order) nodes to samples (panels, order, K). See Phase sums."""
+    panels, order = rule
+    nodes, weights = _gauss_rule(order)
+    edges = np.linspace(lo, hi, panels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1] - edges[0])
+    samples = f(mid[:, None] + half * nodes)
+    F = (half * weights[:, None] * samples).reshape(panels, -1)
+    out = np.empty((A.size, samples.shape[2]), complex)
+    rows = max(1, _CHUNK // (panels + F.shape[1]))
+    for start in range(0, A.size, rows):
+        a = A[start : start + rows]
+        cs = np.multiply.outer(a, mid)
+        # g[0] + i g[1]: the panel sums of e^{iAc_p} F, per node i and index k
+        g = (np.concatenate((np.cos(cs), np.sin(cs))) @ F).reshape(2, a.size, order, -1)
+        node = np.exp(1j * np.multiply.outer(a, half * nodes))[:, None, :]  # e^{iAht_i}
+        out[start : start + rows] = (node @ (g[0] + 1j * g[1]))[:, 0]
+    return out
+
+
+def fourier_dual(V: SmoothWindow, x):
+    """The dual integral of V(u) e(-xu) du over the support of V on the
+    default rule, in blocks of |x|: a complex at a scalar x, an array at an array."""
+    arr = np.asarray(x, dtype=np.float64)
+    flat = arr.ravel()
     lo, hi = V.support
-    f = lambda u: V(u) * np.exp(-2j * np.pi * x * u)
-    return panel_quadrature(f, lo, hi, *_rule(abs(x) * (hi - lo), hi - lo, None, 1.0))
+    out = np.empty(flat.shape, complex)
+    for idx, rule in _blocks(np.abs(flat), lambda k: _rule(k * (hi - lo), hi - lo, None, 1.0)):
+        A = -2.0 * np.pi * flat[idx]
+        out[idx] = _phase_sums(A, rule, lo, hi, lambda u: V(u)[..., None])[:, 0]
+    return complex(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 class _Kernel(NamedTuple):
@@ -514,23 +556,6 @@ def _kernel_cycles(W: SmoothWindow, y: float) -> float:
     return 2.0 * math.sqrt(y) * (math.sqrt(hi) - math.sqrt(lo))
 
 
-def voronoi_transform(
-    g,
-    sign,
-    W: SmoothWindow,
-    y: float,
-    quad_order: int | None = None,
-    panel_scale: float = 1.0,
-) -> float:
-    """The dual-side kernel transform of W at y > 0 for the given coefficients:
-    voronoi_transform_batch at the one point y.
-
-    g may be a CoefficientSequence or the kind string itself; holomorphic
-    kinds use the weight attribute (default 12).
-    """
-    return float(voronoi_transform_batch(g, sign, W, [y], quad_order, panel_scale)[0])
-
-
 def voronoi_transform_batch(
     g,
     sign,
@@ -551,20 +576,15 @@ def voronoi_transform_batch(
     if ys.size == 0:
         return np.zeros(0)
     if np.any(ys <= 0):
-        raise DomainError("voronoi_transform requires y > 0")
+        raise DomainError("voronoi_transform_batch requires y > 0")
     kernel = _voronoi_kernel(g, sign)
     if kernel is None:
         return np.zeros_like(ys)
     width = W.support[1] - W.support[0]
+    sized = lambda y: _rule(_kernel_cycles(W, y), width, quad_order, panel_scale)
     out = np.empty_like(ys)
-    order_idx = np.argsort(ys, kind="stable")
-    sorted_y = ys[order_idx]
-    start = 0
-    while start < sorted_y.size:
-        ytop = 4.0 * sorted_y[start]
-        stop = int(np.searchsorted(sorted_y, ytop, side="right"))
-        block, idx = sorted_y[start:stop], order_idx[start:stop]
-        rule = _rule(_kernel_cycles(W, block[-1]), width, quad_order, panel_scale)
+    for idx, rule in _blocks(ys, sized):
+        block = ys[idx]
         zmin = 4.0 * math.pi * math.sqrt(block[0] * W.support[0])
         coeffs = _hankel_coefficients(kernel.nu, zmin)
         if coeffs is None:
@@ -575,7 +595,6 @@ def voronoi_transform_batch(
             out[idx[live:]] = 0.0
         else:
             out[idx] = _hankel_block(kernel, coeffs, W, block, rule)
-        start = stop
     return out
 
 
@@ -601,40 +620,16 @@ def _hankel_block(
 
     With x = u^2 and A = 4 pi sqrt(y), a transform is
         front sqrt(2/(pi A)) Re[e^{-i phase} sum_m a_m (i/A)^m I_m],
-        I_m = integral of 2 u^{1/2-m} W(u^2) e^{iAu} du.
-    At the node u = c_p + h t_i of panel p, e^{iAu} = e^{iAc_p} e^{iAht_i}: one
-    GEMM of cos(A c_p) and sin(A c_p) against the samples F[p, (i, m)] of the
-    I_m integrands sums the panels, and a weighted sum over (i, m) finishes
-    each row. Rows go in chunks of about _CHUNK elements.
+        I_m = integral of 2 u^{1/2-m} W(u^2) e^{iAu} du,
+    and one _phase_sums gives every I_m of every row.
     """
-    panels, order = rule
-    nodes, weights = _gauss_rule(order)
-    edges = np.linspace(math.sqrt(W.support[0]), math.sqrt(W.support[1]), panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    u = mid[:, None] + half * nodes  # (panels, order)
     m = np.arange(coeffs.size)
-    samples = (2.0 * half) * weights * np.sqrt(u) * W((u * u).ravel()).reshape(u.shape)
-    F = (samples[:, :, None] * u[:, :, None] ** -m).reshape(panels, -1)
-    series = coeffs * np.array([1, 1j, -1, -1j])[m % 4]  # a_m i^m
-    out = np.empty_like(ys)
-    rows = max(1, _CHUNK // (panels + F.shape[1]))
-    for lo in range(0, ys.size, rows):
-        A = 4.0 * np.pi * np.sqrt(ys[lo : lo + rows])
-        cs = np.multiply.outer(A, mid)
-        trig = np.empty((2,) + cs.shape)
-        np.cos(cs, out=trig[0])
-        np.sin(cs, out=trig[1])
-        # g[0] + i g[1]: the panel sums of e^{iAc_p} F, per node i and term m
-        g = (trig.reshape(-1, panels) @ F).reshape(2, A.size, order, -1)
-        s = series * np.power.outer(1.0 / A, m)  # a_m (i/A)^m
-        sr, si = s.real[:, :, None], s.imag[:, :, None]
-        re, im = (g[0] @ sr - g[1] @ si)[..., 0], (g[1] @ sr + g[0] @ si)[..., 0]
-        # front sqrt(2/(pi A)) e^{i(A h t_i - phase)}
-        lead = kernel.front * np.sqrt(2.0 / (np.pi * A))
-        node = lead[:, None] * np.exp(1j * (np.multiply.outer(A, half * nodes) - kernel.phase))
-        out[lo : lo + rows] = (node.real * re - node.imag * im).sum(axis=1)
-    return out
+    A = 4.0 * np.pi * np.sqrt(ys)
+    f = lambda u: (2.0 * np.sqrt(u) * W(u * u))[..., None] * u[..., None] ** -m
+    I = _phase_sums(A, rule, math.sqrt(W.support[0]), math.sqrt(W.support[1]), f)
+    s = coeffs * np.array([1, 1j, -1, -1j])[m % 4] * np.power.outer(1.0 / A, m)  # a_m (i/A)^m
+    lead = kernel.front * np.sqrt(2.0 / (np.pi * A))
+    return lead * (np.exp(-1j * kernel.phase) * (I * s).sum(axis=1)).real
 
 
 def voronoi_main_term(
@@ -670,13 +665,13 @@ class DecayReport:
 
 def decay_check(transform: Callable, A: float, grid, name: str | None = None) -> DecayReport:
     """Fit the empirical constant in |T(x)| <= C (1+|x|)^{-A} over the grid,
-    where T is the callable x -> value, e.g. lambda x: fourier_dual(V, x)."""
+    where T maps the grid array to its values, e.g. lambda x: fourier_dual(V, x);
+    a NaN value makes the constant NaN and the report not finite."""
     if A > 6:
         raise ValueError("decay exponents above 6 are not quadrature-resolvable here")
-    best, arg = -1.0, 0.0
-    for x in np.asarray(grid, dtype=np.float64):
-        val = abs(transform(float(x))) * (1.0 + abs(float(x))) ** A
-        if val > best:
-            best, arg = val, float(x)
+    grid = np.asarray(grid, dtype=np.float64)
+    vals = np.abs(transform(grid)) * (1.0 + np.abs(grid)) ** A
+    at = int(np.argmax(vals))
+    best = float(vals[at])
     label = name or getattr(transform, "__name__", "transform")
-    return DecayReport(label, float(A), best, arg, math.isfinite(best))
+    return DecayReport(label, float(A), best, float(grid[at]), math.isfinite(best))

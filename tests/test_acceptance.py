@@ -59,7 +59,7 @@ from deltasums.transforms import (
     decay_check,
     fourier_dual,
     plateau_window,
-    voronoi_transform,
+    voronoi_transform_batch,
 )
 
 ARTIFACTS = Path(__file__).resolve().parent / "artifacts"
@@ -402,7 +402,7 @@ def test_criterion_11_transform_decay():
     v_rep = decay_check(lambda x: fourier_dual(V, x), 4.0, np.geomspace(1.0, 100.0, 13))
     seq = divisor_sequence(6000)
     w_rep = decay_check(
-        lambda x: voronoi_transform(seq, -1, W, x), 4.0, np.geomspace(1.0, 50.0, 9)
+        lambda y: voronoi_transform_batch(seq, -1, W, y), 4.0, np.geomspace(1.0, 50.0, 9)
     )
     resids = [
         voronoi_step_check(seq, 1, 3, 40.0, quad_order=3, panel_scale=s).details["relative"]

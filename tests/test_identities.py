@@ -15,6 +15,7 @@ from deltasums.identities import (
     CheckReport,
     ExactnessViolated,
     InvalidDivisor,
+    _fourier_decay_check,
     _quadrature_convergence_check,
     _support_range,
     appendix_suite,
@@ -227,6 +228,23 @@ def test_poisson_r_sum_check():
     rep = poisson_r_sum_check(chi, 11, 3, 1, 2, 30.0)
     assert rep.passed
     assert rep.details["truncation"] >= 1
+
+
+def test_fourier_duals_take_one_call_per_check(monkeypatch):
+    # the dual frequencies of the Poisson sum and the decay grid go to
+    # fourier_dual as one array each
+    calls = []
+
+    def counting(V, x):
+        calls.append(np.shape(x))
+        return transforms.fourier_dual(V, x)
+
+    monkeypatch.setattr(identities, "fourier_dual", counting)
+    assert poisson_r_sum_check(character(11, 1), 11, 3, 1, 2, 30.0).passed
+    assert len(calls) == 1 and calls[0][0] > 1
+    calls.clear()
+    assert _fourier_decay_check().passed
+    assert calls == [(40,)]
 
 
 def test_poisson_r_sum_rejects_bad_divisor():

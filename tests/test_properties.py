@@ -1,4 +1,5 @@
-"""Property tests for the trivial delta symbol and Dirichlet characters."""
+"""Property tests for the trivial delta symbol, Dirichlet characters and
+Fourier duals."""
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from deltasums.characters import character, enumerate_characters
 from deltasums.expsums import trivial_delta
 from deltasums.modular import primes_in
+from deltasums.transforms import bump_window, fourier_dual, plateau_window
 
 BOUND = 10**6
 PROPERTY = settings(max_examples=200, deadline=None, database=None)
@@ -65,3 +67,28 @@ def test_characters_are_orthogonal_and_multiplicative(M, data):
     chi = character(M, data.draw(st.integers(0, M - 2)))
     a, b = (data.draw(st.integers(-BOUND, BOUND)) for _ in range(2))
     assert abs(chi(a * b) - chi(a) * chi(b)) < 1e-12
+
+
+@st.composite
+def dual_points(draw):
+    """Up to 30 x in [-150, 150] in any order, with 0 and a repeated value."""
+    xs = draw(st.lists(st.floats(-150.0, 150.0), min_size=1, max_size=28))
+    return np.array(draw(st.permutations(xs + [0.0, xs[0]])))
+
+
+windows = st.sampled_from([bump_window(), plateau_window()])
+
+
+@PROPERTY
+@given(windows, dual_points())
+def test_fourier_dual_of_an_array_matches_its_points(V, xs):
+    got = fourier_dual(V, xs)
+    assert got.shape == xs.shape
+    single = np.array([fourier_dual(V, float(x)) for x in xs])
+    assert np.all(np.abs(got - single) <= 1e-12 * (1.0 + np.abs(single)))
+
+
+@PROPERTY
+@given(windows, dual_points())
+def test_fourier_dual_is_hermitian_on_arrays(V, xs):
+    assert np.array_equal(fourier_dual(V, -xs), np.conj(fourier_dual(V, xs)))

@@ -26,7 +26,6 @@ from deltasums.transforms import (
     panel_quadrature,
     plateau_window,
     voronoi_main_term,
-    voronoi_transform,
     voronoi_transform_batch,
 )
 from deltasums.transforms import (
@@ -111,10 +110,10 @@ def test_runtime_never_imports_sympy():
     _run_fresh(
         "import sys\n"
         "import deltasums\n"
-        "from deltasums.transforms import bump_window, plateau_window, voronoi_transform\n"
+        "from deltasums.transforms import bump_window, plateau_window, voronoi_transform_batch\n"
         "bump_window()(1.5, 4)\n"
         "plateau_window()(0.7, 4)\n"
-        "voronoi_transform('divisor', 1, bump_window(), 2.0)\n"
+        "voronoi_transform_batch('divisor', 1, bump_window(), [2.0])\n"
         "assert 'sympy' not in sys.modules, 'sympy was imported'\n"
     )
 
@@ -200,7 +199,7 @@ def test_voronoi_transform_batch_matches_scalar():
     ys = np.array([0.04, 0.3, 1.7, 9.0, 55.0])
     for kind, sign in (("delta_form", 1), ("divisor", 1), ("divisor", -1)):
         batch = voronoi_transform_batch(kind, sign, W, ys)
-        single = np.array([voronoi_transform(kind, sign, W, float(y)) for y in ys])
+        single = np.array([voronoi_transform_batch(kind, sign, W, [y])[0] for y in ys])
         assert np.max(np.abs(batch - single)) < 1e-8
 
 
@@ -329,8 +328,8 @@ def test_voronoi_transform_matches_fine_fixed_rule():
     W = bump_window()
     for kind, sign in (("delta_form", 1), ("divisor", 1), ("divisor", -1)):
         for y in np.geomspace(0.01, 200.0, 20):
-            ref = voronoi_transform(kind, sign, W, float(y), panel_scale=8.0)
-            got = voronoi_transform(kind, sign, W, float(y))
+            ref = voronoi_transform_batch(kind, sign, W, [y], panel_scale=8.0)[0]
+            got = voronoi_transform_batch(kind, sign, W, [y])[0]
             assert abs(got - ref) < 1e-11 * (1.0 + abs(ref))
 
 
@@ -380,7 +379,7 @@ def test_fourier_dual_matches_eight_times_the_panels():
 @pytest.mark.parametrize("panel_scale", [-3.0, 0.0, float("nan"), float("inf")])
 def test_rule_refuses_bad_panel_scale(panel_scale):
     with pytest.raises(ValueError, match="panel_scale"):
-        voronoi_transform("divisor", 1, bump_window(), 500.0, panel_scale=panel_scale)
+        voronoi_transform_batch("divisor", 1, bump_window(), [500.0], panel_scale=panel_scale)
     with pytest.raises(ValueError, match="panel_scale"):
         voronoi_main_term("divisor", bump_window(), 3, 40.0, panel_scale=panel_scale)
 
@@ -388,14 +387,14 @@ def test_rule_refuses_bad_panel_scale(panel_scale):
 @pytest.mark.parametrize("quad_order", [0, -2])
 def test_rule_refuses_bad_quad_order(quad_order):
     with pytest.raises(ValueError, match="quad_order"):
-        voronoi_transform("divisor", 1, bump_window(), 500.0, quad_order=quad_order)
+        voronoi_transform_batch("divisor", 1, bump_window(), [500.0], quad_order=quad_order)
 
 
 def test_voronoi_transform_rejects_nonpositive_y():
     W = bump_window()
     for y in (0.0, -1.0):
         with pytest.raises(DomainError):
-            voronoi_transform("divisor", -1, W, y)
+            voronoi_transform_batch("divisor", -1, W, [y])
         with pytest.raises(DomainError):
             voronoi_transform_batch("divisor", -1, W, np.array([1.0, y]))
 
@@ -403,13 +402,13 @@ def test_voronoi_transform_rejects_nonpositive_y():
 def test_voronoi_transform_delta_minus_side_vanishes():
     # holomorphic forms have no minus-side dual sum
     W = bump_window()
-    assert voronoi_transform("delta_form", -1, W, 2.0) == 0.0
+    assert voronoi_transform_batch("delta_form", -1, W, [2.0])[0] == 0.0
     assert np.all(voronoi_transform_batch("delta_form", -1, W, np.array([1.0, 2.0])) == 0.0)
 
 
 def test_voronoi_transform_rejects_unknown_kind():
     with pytest.raises(UnsupportedCoefficientKind):
-        voronoi_transform("maass", 1, bump_window(), 1.0)
+        voronoi_transform_batch("maass", 1, bump_window(), [1.0])
 
 
 def test_voronoi_main_term_quadrature_oracle():
@@ -431,6 +430,13 @@ def test_decay_check_fourier_dual():
     assert rep.finite
     assert rep.constant < 50.0
     assert rep.A == 4.0
+
+
+def test_decay_check_does_not_skip_nan():
+    rep = decay_check(lambda x: np.where(x == 2.0, np.nan, (1.0 + x) ** -5.0), 4, [1.0, 2.0, 3.0])
+    assert math.isnan(rep.constant)
+    assert rep.argmax == 2.0
+    assert not rep.finite
 
 
 def test_decay_check_rejects_steep_exponent():
