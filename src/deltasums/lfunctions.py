@@ -7,18 +7,24 @@ Coefficient sources:
   coefficients of the weight-12 discriminant form.
 
 The Ramanujan tau values come from the exact q-expansion of
-q * prod_{m>=1} (1 - q^m)^24.  The product is the eighth power of the sparse
-Jacobi cube prod (1-q^m)^3 = sum_k (-1)^k (2k+1) q^{k(k+1)/2}, raised by three
-truncated squarings.  Each squaring writes the coefficients as 40-digit slots
-of one decimal integer (Kronecker substitution), squares it with libmpdec's
-number-theoretic-transform multiply (stdlib decimal), and decodes the low
-slots with a borrow into exact integers.  |tau(n)| <= d(n) n^{11/2} < 10^36
-keeps every slot exact for n up to DEFAULT_TAU_BOUND = 10^6, past which
-ramanujan_tau_table refuses.  The table persists to a plain text cache
-(header line with the bound, then one integer per line), written atomically,
-at a location the DELTA_SUMS_CACHE environment variable overrides; a cache
-that does not parse or fails exact checks (known values, Hecke relations,
-the 691 congruence, Deligne's bound) is rebuilt.
+q * prod_{m>=1} (1 - q^m)^24, the eighth power of the sparse Jacobi cube
+J = prod (1-q^m)^3 = sum_k (-1)^k (2k+1) q^{k(k+1)/2}, in two stages.
+Stage 1 raises J to J^4 in int64 by three sparse products, each a shifted
+add per nonzero term of J (about sqrt(2n) of them), taken over blocks of the
+output that stay in cache.  Before each product the guard
+max|f| * sum_k |c_k| < 2^62, which bounds every partial sum, must hold, or
+the build raises OverflowError rather than wrap; at n = DEFAULT_TAU_BOUND =
+10^6 it stands at 0.45 of its limit.  Stage 2 squares J^4 once by
+Kronecker substitution: the coefficients become d-digit slots of one decimal
+integer, squared by libmpdec's number-theoretic-transform multiply (stdlib
+decimal), and the low slots decode with a borrow into exact integers.  Each
+truncated coefficient of the square is at most n * max^2 in absolute value,
+so d = digits(2 n max^2) + 1 keeps every slot exact without a bound on tau.
+ramanujan_tau_table refuses bounds past 10^6.  The table persists to a plain
+text cache (header line with the bound, then one integer per line), written
+atomically, at a location the DELTA_SUMS_CACHE environment variable
+overrides; a cache that does not parse or fails exact checks (known values,
+Hecke relations, the 691 congruence, Deligne's bound) is rebuilt.
 
 Central values:
 
@@ -93,8 +99,10 @@ __all__ = [
 
 DEFAULT_TAU_BOUND = 1_000_000
 
-_TERM_DIGITS = 40  # decimal digits per Kronecker slot
-_TERM_BASE = 10**_TERM_DIGITS
+# stage 1 of the tau build refuses a product whose partial sums could reach this
+_INT64_SUM_LIMIT = 1 << 62
+# output coefficients per block of a stage-1 product, so each block stays in cache
+_PRODUCT_BLOCK = 1 << 15
 
 _log = logging.getLogger("deltasums")
 
@@ -189,20 +197,17 @@ def load_tau_table(path: str | os.PathLike, bound: int | None = None) -> list[in
     p = Path(path)
     if not p.is_file():
         return None
-    with open(p) as fh:
-        try:
-            stored = int(fh.readline())
-            want = stored if bound is None else bound
-            if stored < max(want, 1):
-                return None
-            tau = []
-            for _ in range(want):
-                line = fh.readline()
-                if not line.endswith("\n"):
-                    return None
-                tau.append(int(line))
-        except ValueError:
+    try:
+        with open(p) as fh:
+            lines = fh.read().split("\n")
+        stored = int(lines[0])
+        want = stored if bound is None else bound
+        # lines[want] ends with a newline only when another item follows it
+        if stored < max(want, 1) or len(lines) < want + 2:
             return None
+        tau = list(map(int, lines[1 : want + 1]))
+    except ValueError:
+        return None
     return tau if _tau_table_is_valid(tau) else None
 
 
@@ -234,41 +239,66 @@ def _tau_table_is_valid(tau: list[int]) -> bool:
 
 
 def _square_truncated(coeffs: list[int]) -> list[int]:
-    """The first len(coeffs) coefficients of (sum coeffs[i] q^i)^2, exactly.
+    """The first n = len(coeffs) coefficients of (sum coeffs[i] q^i)^2, exactly.
 
-    Kronecker substitution in base B = 10^40: the coefficients are packed
-    as a positive and a negative decimal integer, and their difference is
+    Kronecker substitution in base B = 10^d: the coefficients are packed as
+    a positive and a negative decimal integer, and their difference is
     squared once.  Slot i of the (nonnegative) square holds coefficient i
-    less a borrow from slot i-1; each coefficient must lie in (-B/2, B/2).
+    less a borrow from slot i-1.  Each truncated coefficient is a sum of at
+    most n products, so its absolute value is at most n * max|coeffs|^2, and
+    d = digits(2 n max^2) + 1 keeps it inside (-B/2, B/2).
     """
+    top = max(map(abs, coeffs), default=0)
+    digits = len(str(2 * len(coeffs) * top * top)) + 1
+    base = 10**digits
     ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
-    zero = "0" * _TERM_DIGITS
+    zero = "0" * digits
 
     def pack(sign: int) -> decimal.Decimal:
-        slots = [str(sign * c).zfill(_TERM_DIGITS) if sign * c > 0 else zero for c in coeffs]
+        slots = [str(sign * c).zfill(digits) if sign * c > 0 else zero for c in coeffs]
         return decimal.Decimal("".join(reversed(slots)))
 
     packed = ctx.subtract(pack(1), pack(-1))
-    width = _TERM_DIGITS * len(coeffs)
-    digits = str(ctx.multiply(packed, packed))[-width:].zfill(width)
+    width = digits * len(coeffs)
+    square = str(ctx.multiply(packed, packed))[-width:].zfill(width)
     out, borrow = [], 0
-    for end in range(width, 0, -_TERM_DIGITS):
-        c = int(digits[end - _TERM_DIGITS : end]) + borrow
-        borrow = 2 * c >= _TERM_BASE
-        out.append(c - _TERM_BASE if borrow else c)
+    for end in range(width, 0, -digits):
+        c = int(square[end - digits : end]) + borrow
+        borrow = 2 * c >= base
+        out.append(c - base if borrow else c)
+    return out
+
+
+def _sparse_product(f: np.ndarray, shifts: list[int], coeffs: list[int]) -> np.ndarray:
+    """The first len(f) coefficients of f * sum coeffs[i] q^shifts[i] in int64,
+    shifts ascending.  Raises OverflowError unless max|f| * sum|coeffs| is
+    below _INT64_SUM_LIMIT, which bounds every partial sum."""
+    if int(np.abs(f).max()) * sum(map(abs, coeffs)) >= _INT64_SUM_LIMIT:
+        raise OverflowError("a sparse product of the tau build could overflow int64")
+    n = len(f)
+    out = np.zeros(n, dtype=np.int64)
+    for lo in range(0, n, _PRODUCT_BLOCK):
+        hi = min(lo + _PRODUCT_BLOCK, n)
+        for t, c in zip(shifts, coeffs):
+            if t >= hi:
+                break
+            s = max(lo, t)
+            out[s:hi] += c * f[s - t : hi - t]
     return out
 
 
 def _tau_kronecker(bound: int) -> list[int]:
-    """tau(1..bound) = coefficients of q^0..q^{bound-1} in (Jacobi cube)^8."""
-    coeffs = [0] * bound
-    k = 0
-    while k * (k + 1) // 2 < bound:
-        coeffs[k * (k + 1) // 2] = (-1) ** k * (2 * k + 1)
-        k += 1
+    """tau(1..bound) = coefficients of q^0..q^{bound-1} in J^8, J the Jacobi
+    cube: J^4 by three int64 sparse products, then one Kronecker squaring."""
+    k = np.arange(math.isqrt(2 * bound) + 1)
+    k = k[k * (k + 1) // 2 < bound]
+    shifts = (k * (k + 1) // 2).tolist()
+    coeffs = np.where(k % 2, -(2 * k + 1), 2 * k + 1).tolist()
+    power = np.zeros(bound, dtype=np.int64)
+    power[shifts] = coeffs
     for _ in range(3):
-        coeffs = _square_truncated(coeffs)
-    return coeffs
+        power = _sparse_product(power, shifts, coeffs)
+    return _square_truncated(power.tolist())
 
 
 def ramanujan_tau_table(bound: int, cache: str | os.PathLike | None = "auto") -> list[int]:
@@ -441,16 +471,16 @@ def _twist_values_all(seq: CoefficientSequence, M: int) -> np.ndarray:
 
 
 def _smooth_cutoff(t: np.ndarray) -> np.ndarray:
-    """C-infinity cutoff: 1 on [0,1], descending to 0 at 2, 0 beyond."""
+    """C-infinity cutoff: 1 on [0,1], descending to 0 at 2, 0 beyond; t
+    ascending and nonnegative, so the descent is one slice."""
     out = np.zeros_like(t)
-    out[t <= 1.0 + 1e-12] = 1.0
-    mid = (t > 1.0 + 1e-12) & (t < 2.0 - 1e-12)
-    if mid.any():
-        s = 2.0 - t[mid]  # in (0, 1): 0 at the far edge, 1 at the plateau
-        f = np.exp(-1.0 / s)
-        g = np.exp(-1.0 / (1.0 - s))
-        out[mid] = f / (f + g)
-    out[t < 0] = 0.0
+    lo = np.searchsorted(t, 1.0 + 1e-12, side="right")
+    hi = np.searchsorted(t, 2.0 - 1e-12, side="left")
+    out[:lo] = 1.0
+    s = 2.0 - t[lo:hi]  # in (0, 1): 0 at the far edge, 1 at the plateau
+    f = np.exp(-1.0 / s)
+    g = np.exp(-1.0 / (1.0 - s))
+    out[lo:hi] = f / (f + g)
     return out
 
 
@@ -465,12 +495,15 @@ def _class_vector(seq: CoefficientSequence | None, M: int, X: float) -> np.ndarr
     flat and reruns byte-identical.
     """
     hi = math.floor(2.0 * X)
+    if seq is not None and hi > seq.bound:
+        raise OutOfCacheRange(f"requested n outside [1, {seq.bound}] for kind {seq.kind}")
     acc = np.zeros(M)
     for lo in range(1, hi + 1, _CLASS_VECTOR_CHUNK):
-        n = np.arange(lo, min(lo + _CLASS_VECTOR_CHUNK, hi + 1), dtype=np.int64)
+        end = min(lo + _CLASS_VECTOR_CHUNK, hi + 1)
+        n = np.arange(lo, end, dtype=np.int64)
         w = _smooth_cutoff(n / X) / np.sqrt(n.astype(np.float64))
         if seq is not None:
-            w = w * seq.values(n)
+            w = w * seq.lam[lo:end]
         acc += np.bincount(n % M, weights=w, minlength=M)
     return acc
 

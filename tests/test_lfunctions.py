@@ -13,6 +13,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaincc
 
 from deltasums import lfunctions
@@ -37,7 +39,13 @@ from deltasums.lfunctions import (
     smoothed_sum,
     write_sweep_csv,
 )
-from deltasums.lfunctions import _character_transform, _class_vector, _twist_values_all
+from deltasums.lfunctions import (
+    _character_transform,
+    _class_vector,
+    _square_truncated,
+    _tau_table_is_valid,
+    _twist_values_all,
+)
 from deltasums.transforms import bump_window
 
 # q-expansion of Delta, Hecke-normalized later; classical table
@@ -60,14 +68,70 @@ def test_tau_table_known_values():
     assert tab == TAU_KNOWN
 
 
-def test_tau_table_matches_naive_eta_product():
-    degree = 300
-    poly = [1] + [0] * (degree - 1)  # prod (1 - q^m)^24, degrees 0..degree-1
+def _eta_power(exponent: int, degree: int) -> list[int]:
+    """prod (1 - q^m)^exponent, degrees 0..degree-1, one factor at a time."""
+    poly = [1] + [0] * (degree - 1)
     for m in range(1, degree):
-        for _ in range(24):
+        for _ in range(exponent):
             for i in range(degree - 1, m - 1, -1):
                 poly[i] -= poly[i - m]
-    assert ramanujan_tau_table(degree, cache=None) == poly
+    return poly
+
+
+def test_tau_table_matches_naive_eta_product():
+    degree = 300
+    assert ramanujan_tau_table(degree, cache=None) == _eta_power(24, degree)
+
+
+def test_tau_table_matches_naive_eta_product_at_every_small_bound():
+    # one-digit slots and, at bound 1, a one-term Jacobi cube
+    eta24 = _eta_power(24, 40)
+    for bound in range(1, 41):
+        assert ramanujan_tau_table(bound, cache=None) == eta24[:bound]
+
+
+@pytest.mark.parametrize("margin", [0, 1])
+def test_tau_build_raises_rather_than_wraps(monkeypatch, margin):
+    # the third int64 product's guard is max|J^3| * sum|c_k|; at that limit
+    # the build raises, one above it the build is exact
+    bound = 60
+    weight = sum(2 * k + 1 for k in range(bound) if k * (k + 1) // 2 < bound)
+    limit = max(map(abs, _eta_power(9, bound))) * weight
+    monkeypatch.setattr(lfunctions, "_INT64_SUM_LIMIT", limit + margin)
+    if margin == 0:
+        with pytest.raises(OverflowError, match="overflow int64"):
+            ramanujan_tau_table(bound, cache=None)
+    else:
+        assert ramanujan_tau_table(bound, cache=None) == _eta_power(24, bound)
+
+
+def test_tau_table_passes_its_exact_checks_at_100k():
+    assert _tau_table_is_valid(ramanujan_tau_table(100_000, cache=None))
+
+
+@st.composite
+def square_inputs(draw):
+    """Signed lists with zeros, all-negative lists, and lists of +-top with
+    2 n top^2 at or just past a power of ten, where the squares' largest
+    coefficients meet the edge of the slot width the rule picks."""
+    n = draw(st.integers(1, 30))
+    kind = draw(st.sampled_from(["signed", "negative", "edge"]))
+    if kind == "signed":
+        values = st.one_of(st.just(0), st.integers(-(10**30), 10**30))
+        return draw(st.lists(values, min_size=n, max_size=n))
+    if kind == "negative":
+        return draw(st.lists(st.integers(-(10**30), -1), min_size=n, max_size=n))
+    k = draw(st.integers(1, 80))
+    top = math.isqrt((10**k - 1) // (2 * n)) + draw(st.integers(0, 1))
+    signs = draw(st.lists(st.sampled_from([-1, 0, 1, 1]), min_size=n, max_size=n))
+    return [s * top for s in signs]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(square_inputs())
+def test_square_truncated_matches_naive_convolution(coeffs):
+    naive = [sum(coeffs[i] * coeffs[m - i] for i in range(m + 1)) for m in range(len(coeffs))]
+    assert _square_truncated(coeffs) == naive
 
 
 def test_tau_table_hecke_and_691_relations():
