@@ -7,7 +7,7 @@ The sums implemented here:
       delta(n = m mod q) = (1/q) * sum_{c | q} sum_{a mod c, (a,c)=1} e(a(n-m)/c),
 
   an identity in which the inner sums are Ramanujan sums, read for every d
-  mod c from one FFT of the unit indicator mod c.
+  mod c from one FFT of the unit indicator mod c; n, m may be arrays.
 
 * ramanujan_sum(M, a) = sum over units z mod M of e(az/M), exactly by von
   Sterneck's formula mu(M/g) phi(M)/phi(M/g), g = gcd(M, a).
@@ -45,7 +45,7 @@ from functools import lru_cache
 import numpy as np
 
 from .characters import DirichletCharacter, PrincipalCharacterNotAllowed
-from .modular import _factorize, euler_phi, inverse_table, unit_residues
+from .modular import _factorize, divisors, euler_phi, inverse_table, unit_residues
 
 __all__ = [
     "EllNotCoprime",
@@ -141,36 +141,38 @@ class CancellationProfile:
     mean_ratio: float
 
 
-@lru_cache(maxsize=4096)
-def _divisor_pairs(q: int) -> tuple:
-    """Divisors of q in pairs (c, q//c) for c <= sqrt(q), each divisor once."""
-    out = []
-    c = 1
-    while c * c <= q:
-        if q % c == 0:
-            out.append(c)
-            if q // c != c:
-                out.append(q // c)
-        c += 1
-    return tuple(out)
+@lru_cache(maxsize=16)
+def _delta_row(q: int) -> np.ndarray:
+    """sum over c | q of _ramanujan_row(c)[d mod c] at every d in [0, q), read-only,
+    the rows added in the pair order 1, q, 2, q/2, ..., which fixes each rounding."""
+    ds = divisors(q)
+    row = np.zeros(q)
+    for c in [c for pair in zip(ds, reversed(ds)) for c in pair][: len(ds)]:
+        row += np.tile(_ramanujan_row(c), q // c)
+    row.setflags(write=False)
+    return row
 
 
-def trivial_delta(n: int, m: int, q: int) -> complex:
+def trivial_delta(n, m, q: int):
     """The divisor-dissected indicator of n = m (mod q).
 
     Evaluates (1/q) sum_{c|q} sum_{(a,c)=1} e(a(n-m)/c) by brute force over
-    coprime residues, each inner sum read from the FFT row _ramanujan_row(c);
-    the value is the indicator up to rounding for every q >= 1. n, m and q
-    must be integers (numpy integers included).
+    coprime residues, read at (n - m) mod q from _delta_row(q), the sum of
+    the FFT rows _ramanujan_row(c); the value is the indicator up to rounding
+    for every q >= 1. n and m are integers or arrays that cast safely to int64
+    (numpy integers included), reduced mod q first, and q is an integer. An
+    array gives a complex array whose entries equal the scalar calls bit for
+    bit.
     """
-    n, m, q = operator.index(n), operator.index(m), operator.index(q)
+    q = operator.index(q)
     if q < 1:
         raise ValueError("trivial_delta requires q >= 1")
-    d = n - m
-    total = 0.0
-    for c in _divisor_pairs(q):
-        total += float(_ramanujan_row(c)[d % c])
-    return complex(total / q)
+    n, m = [
+        x.astype(np.int64, casting="safe") % q if isinstance(x, np.ndarray) else operator.index(x) % q
+        for x in (n, m)
+    ]
+    total = _delta_row(q)[(n - m) % q] / q
+    return total.astype(np.complex128) if isinstance(total, np.ndarray) else complex(total)
 
 
 def ramanujan_sum(M: int, a: int) -> float:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -189,12 +190,14 @@ def make_pipeline_config(
     """Build a validated PipelineConfig on the bump window W, with the
     coefficient table sized to cover r*ell up to ceil(N * sup supp W) * 2L.
 
-    Refused before any work: a table past DEFAULT_TAU_BOUND entries, M above
-    MAX_MODULUS and 2P (the amplifier's prime sieve) past DEFAULT_TAU_BOUND.
-    The amplifier is built here so degenerate prime sets fail at once.
+    Refused before any work: N, L or P not finite and positive, a table past
+    DEFAULT_TAU_BOUND entries, M above MAX_MODULUS and 2P (the amplifier's
+    prime sieve) past DEFAULT_TAU_BOUND. The amplifier is built here so
+    degenerate prime sets fail at once.
     """
-    if not (0 < N < math.inf and math.isfinite(L)):
-        raise ValueError(f"N must be positive and N, L finite, got N = {N:g}, L = {L:g}")
+    for name, value in (("N", N), ("L", L), ("P", P)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {name} = {value:g}")
     if kind not in ("divisor", "delta_form"):
         raise ValueError(f"unknown coefficient kind {kind!r}")
     if M > MAX_MODULUS:
@@ -305,9 +308,10 @@ def delta_detection_expansion(cfg: PipelineConfig) -> CheckReport:
     lam(rl) = sum_n lam(n) delta(n = rl) and replaces the delta by
     (1/P*) sum_{p in P} (1/(pM)) sum_{c | pM} sum*_{a mod c} e(a(n-rl)/c),
     which is exact as long as p*M exceeds every |n - rl| the windows admit;
-    the guard p*M > 8NL enforces that with margin. The brute divisor sum
-    depends only on n - rl, so it is evaluated once per difference and q.
-    The two sides must agree to 1e-8.
+    the guard p*M > 8NL enforces that with margin. Each q = pM gets one
+    table D_q[d] = trivial_delta(d, 0, q) over every d = n - rl, from one
+    call, and the detected sides sum_n lam(n) D_q[n - rl] are one linear FFT
+    correlation of D_q with lam(1..n_max). The two sides must agree to 1e-8.
     """
     amp = cfg.amplifier()
     guard = 8.0 * cfg.N * cfg.L
@@ -322,25 +326,22 @@ def delta_detection_expansion(cfg: PipelineConfig) -> CheckReport:
     if n_max > cfg.seq.bound:
         raise OutOfCacheRange(f"need coefficients to {n_max}, cache ends at {cfg.seq.bound}")
 
-    # one table D_q[d - d_lo] = trivial_delta(d, 0, q) per q over every
-    # d = n - r*ell the sum reaches; the detected side at m = r*ell is the
-    # correlation sum_{n <= n_max} lam(n) D_q[n - m], reduced by fsum
-    tables = {
-        p: np.array([trivial_delta(d, 0, p * cfg.M).real for d in range(d_lo, d_hi + 1)])
-        for p in amp.ps
-    }
-    lam_n = lam[1 : n_max + 1].astype(np.float64)
-    pre = 0j
-    post = 0j
-    for ell in amp.ells:
+    # linear correlation (nfft >= size + n_max - 1): corr[j] = sum_{k < n_max}
+    # lam(n_max - k) D_q[j - k], so the detected side at m is corr[n_max - m - d_lo]
+    size = d_hi - d_lo + 1
+    nfft = 1 << (size + n_max - 2).bit_length()
+    lam_rev = np.fft.rfft(lam[n_max:0:-1].astype(np.float64), nfft)
+    ms = np.multiply.outer(amp.ells, r)
+    detected = np.zeros(ms.shape)
+    for p in amp.ps:
+        D = trivial_delta(np.arange(d_lo, d_hi + 1), 0, p * cfg.M).real
+        corr = np.fft.irfft(np.fft.rfft(D, nfft) * lam_rev, nfft)
+        detected += corr[n_max - d_lo - ms]
+    pre = post = 0j
+    for i, ell in enumerate(amp.ells):
         lam_ell = float(lam[ell])
         pre += lam_ell * complex(np.sum(lam[r * ell] * chiw))
-        for p in amp.ps:
-            D = tables[p]
-            for rv, cw in zip(r.tolist(), chiw.tolist()):
-                start = 1 - rv * ell - d_lo
-                detected = math.fsum((lam_n * D[start : start + n_max]).tolist())
-                post += lam_ell * cw * detected
+        post += lam_ell * complex(np.sum(detected[i] * chiw))
     pre /= amp.lstar
     post /= amp.lstar * amp.pstar
     residual = abs(pre - post)
@@ -353,7 +354,7 @@ def delta_detection_expansion(cfg: PipelineConfig) -> CheckReport:
         ps=amp.ps,
         ells=amp.ells,
         n_max=n_max,
-        expansion_values=sum(t.size for t in tables.values()),
+        expansion_values=len(amp.ps) * size,
         expanded=post,
         exactness_margin=min(p * cfg.M for p in amp.ps) - guard,
     )
@@ -456,14 +457,14 @@ def voronoi_step_check(
     )
 
 
-def _beta_sum_brute(chi: DirichletCharacter, c: int, alpha: int, ell: int, rhat: int) -> complex:
-    """sum over beta mod [c, M] of chi(beta) e(-alpha beta ell / c) e(rhat beta / [c, M])."""
-    M = chi.M
-    q = c * M // math.gcd(c, M)
-    beta = np.arange(q, dtype=np.int64)
-    t = (rhat - alpha * ell * (q // c)) % q
-    phases = np.exp(2j * np.pi * (beta * t % q) / q)
-    return complex(np.sum(chi.values(beta) * phases))
+@lru_cache(maxsize=8)
+def _beta_row(chi: DirichletCharacter, q: int) -> np.ndarray:
+    """sum_{beta mod q} chi(beta) e(t beta / q) at every t in [0, q), M | q,
+    read-only: q times one inverse FFT of chi mod q. At q = [c, M] the
+    beta-sum with e(-alpha beta ell / c) e(rhat beta / q) is t = rhat - alpha ell q/c."""
+    row = q * np.fft.ifft(chi.values(np.arange(q, dtype=np.int64)))
+    row.setflags(write=False)
+    return row
 
 
 _BETA_SUM_TOL = 1e-9
@@ -479,7 +480,7 @@ def beta_sum_evaluation_check(
 ) -> bool:
     """Check the closed Gauss-sum evaluation of the beta-sum.
 
-    The brute sum over beta mod [c, M] must equal
+    The beta-sum over beta mod [c, M] at r, read from _beta_row, must equal
     chibar((r - alpha*ell*M_c) * inv(c_M)) * g_chi * c_M when c_M divides
     r - alpha*ell*M_c and 0 otherwise, where c_M = c/(c, M), M_c = M/(c, M),
     within _BETA_SUM_TOL * max(1, sqrt(M) c_M).
@@ -489,11 +490,11 @@ def beta_sum_evaluation_check(
         raise InvalidDivisor(f"c = {c} does not divide p*M = {p * M}")
     if math.gcd(alpha, c) != 1:
         raise NotCoprime(f"gcd({alpha}, {c}) != 1")
-    lhs = _beta_sum_brute(chi, c, alpha, ell, r)
     g = math.gcd(c, M)
     c_m = c // g
     m_c = M // g
     t = r - alpha * ell * m_c
+    lhs = _beta_row(chi, c_m * M)[t % (c_m * M)]
     if t % c_m != 0:
         rhs = 0j
     else:
@@ -535,15 +536,11 @@ def poisson_r_sum_check(
     )
     q = c * M // math.gcd(c, M)
     R = max(1, math.ceil(_POISSON_TRUNC * q / N))
-    inner = 0j
-    outer = 0j
-    rhats = range(-2 * R, 2 * R + 1)
-    duals = fourier_dual(V, np.array(rhats) * N / q)
-    for rhat, dual in zip(rhats, duals):
-        term = _beta_sum_brute(chi, c, alpha, ell, rhat) * dual
-        outer += term
-        if abs(rhat) <= R:
-            inner += term
+    rhats = np.arange(-2 * R, 2 * R + 1)
+    beta_sums = _beta_row(chi, q)[(rhats - alpha * ell * (q // c)) % q]
+    terms = beta_sums * fourier_dual(V, rhats * N / q)
+    outer = complex(np.sum(terms))
+    inner = complex(np.sum(terms[R : 3 * R + 1]))
     rhs = (N / q) * outer
     gap = abs((N / q) * inner - rhs)
     residual = abs(lhs - rhs)
@@ -815,8 +812,9 @@ def _beta_sum_suite_check(cfg: PipelineConfig) -> CheckReport:
 
 
 # trivial_delta values pipeline_suite lets delta detection tabulate (2 cores):
-# 2,943 (0.016 s) at the default N = 20, 40,410 (0.34 s) at N = 80, 4.6M at 1000
-_MAX_DETECTION_DELTAS = 50_000
+# 2,943 (0.005 s) at the default N = 20, 40,410 (0.03 s) at N = 80, 4,569,503
+# (3.8 s, mostly Ramanujan-row FFTs) at N = 1000 and 5,419,230 at N = 1100
+_MAX_DETECTION_DELTAS = 5_000_000
 
 
 def pipeline_suite(

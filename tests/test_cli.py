@@ -62,8 +62,12 @@ def test_verify_unknown_suite():
         (["--suite=appendix", "--mmax=4"], "mmax"),
         (["--suite=pipeline", "--M=100019"], "M"),
         (["--suite=pipeline", "--P=500001"], "2P"),
-        (["--suite=pipeline", "--N=1000"], "N"),
-        (["--suite=appendix,pipeline", "--N=20", "--L=40"], "N"),
+        # detection tables of 16,687,617 and 9,074,970 values, past the 5M cap
+        (["--suite=pipeline", "--N=2000"], "N"),
+        (["--suite=appendix,pipeline", "--N=20", "--L=200"], "N"),
+        (["--suite=pipeline", "--P=nan"], "P"),
+        (["--suite=pipeline", "--P=-5"], "P"),
+        (["--suite=pipeline", "--L=-3"], "L"),
     ],
 )
 def test_verify_refuses_bad_parameters_before_any_check(argv, name):

@@ -15,7 +15,7 @@ from deltasums.expsums import (
     EllNotCoprime,
     ParameterConflict,
     _csum,
-    _divisor_pairs,
+    _delta_row,
     _ramanujan_row,
     alpha_factorization_check,
     fourier_expansion,
@@ -59,13 +59,18 @@ def test_trivial_delta_rejects_bad_modulus():
 
 
 def test_trivial_delta_refuses_non_integers():
-    for args in ((7, 2, 5.5), (7.0, 2, 5), (7, Fraction(2), 5), (7, 2, "5")):
+    for args in ((7, 2, 5.5), (7.0, 2, 5), (7, Fraction(2), 5), (7, 2, "5"), (np.array([7.0]), 2, 5)):
         with pytest.raises(TypeError):
             trivial_delta(*args)
 
 
 def test_trivial_delta_accepts_numpy_integers():
     assert trivial_delta(np.int64(47), np.int32(2), np.int64(5)) == trivial_delta(47, 2, 5)
+
+
+def test_trivial_delta_reduces_huge_integers_before_any_array():
+    assert trivial_delta(10**40 + 3, 3, 10) == 1.0
+    assert trivial_delta(np.array([10**18, 10**18 + 1]), 10**40, 10).tolist() == [1.0, 0.0]
 
 
 @pytest.mark.parametrize("c", [1, 2, 12, 97, 30030, 11 * 47, 11 * 83, MAX_MODULUS])
@@ -79,10 +84,15 @@ def test_ramanujan_row_matches_von_sterneck(c):
     assert np.abs(row - want).max() <= 1e-14 * c
 
 
-def test_divisor_pairs_keep_the_pair_order():
-    assert _divisor_pairs(12) == (1, 12, 2, 6, 3, 4)
-    assert _divisor_pairs(49) == (1, 49, 7)
-    assert _divisor_pairs(1) == (1,)
+def test_delta_row_adds_the_divisor_rows_in_pair_order():
+    # the order 1, q, 2, q/2, ... fixes the rounding of every trivial_delta
+    for q, order in ((12, (1, 12, 2, 6, 3, 4)), (49, (1, 49, 7)), (1, (1,))):
+        want = np.zeros(q)
+        for c in order:
+            want = want + np.tile(_ramanujan_row(c), q // c)
+        row = _delta_row(q)
+        assert np.array_equal(row.view(np.uint64), want.view(np.uint64))
+        assert not row.flags.writeable
 
 
 def test_csum_matches_fsum_over_numpy_scalars(seed=8):

@@ -118,7 +118,7 @@ def test_delta_detection_tabulates_each_difference_once(monkeypatch):
     real = identities.trivial_delta
 
     def counting(n, m, q):
-        calls.append(q)
+        calls.append((q, np.size(n)))
         return real(n, m, q)
 
     monkeypatch.setattr(identities, "trivial_delta", counting)
@@ -126,16 +126,17 @@ def test_delta_detection_tabulates_each_difference_once(monkeypatch):
     rep = delta_detection_expansion(cfg)
     ps = rep.details["ps"]
     assert rep.passed
-    assert 0 < len(calls) <= len(ps) * 2 * rep.details["n_max"]
-    assert rep.details["expansion_values"] == len(calls)
-    assert set(calls) == {p * 11 for p in ps}
+    # one table per q = 11p, each over at most 2 n_max differences
+    assert sorted(q for q, _ in calls) == [p * 11 for p in ps]
+    assert all(0 < size <= 2 * rep.details["n_max"] for _, size in calls)
+    assert rep.details["expansion_values"] == sum(size for _, size in calls)
 
 
 def test_delta_detection_fails_on_a_perturbed_residue_class(monkeypatch):
     real = identities.trivial_delta
 
     def perturbed(n, m, q):
-        return real(n, m, q) + (1e-6 if (n - m) % q == 1 else 0.0)
+        return real(n, m, q) + np.where((n - m) % q == 1, 1e-6, 0.0)
 
     monkeypatch.setattr(identities, "trivial_delta", perturbed)
     rep = delta_detection_expansion(_detection_cfg("divisor", 101, 10.0, 2))
@@ -275,9 +276,15 @@ def test_pipeline_suite_runs_the_largest_detection_configuration():
 
 
 def test_pipeline_suite_bounds_the_detection_tables():
-    assert len(pipeline_suite(N=80.0)) == 7  # 40,410 tabulated values
-    with pytest.raises(ValueError, match="needs 62419 trivial_delta values"):
-        pipeline_suite(N=100.0)
+    assert len(pipeline_suite(N=1000.0)) == 7  # 4,569,503 tabulated values
+    with pytest.raises(ValueError, match="needs 5419230 trivial_delta values"):
+        pipeline_suite(N=1100.0)
+
+
+def test_pipeline_suite_passes_at_a_five_digit_modulus():
+    reports = run_suite(pipeline_suite(M=10007))
+    assert len(reports) == 7
+    assert all(rep.passed for rep in reports), [rep.line() for rep in reports]
 
 
 def test_run_suite_refuses_more_than_one_job():

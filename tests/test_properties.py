@@ -1,5 +1,7 @@
-"""Property tests for the trivial delta symbol, Dirichlet characters and
-Fourier duals."""
+"""Property tests for the trivial delta symbol, the beta-sum rows, Dirichlet
+characters and Fourier duals."""
+
+import math
 
 import numpy as np
 import pytest
@@ -10,7 +12,8 @@ from hypothesis import strategies as st
 
 from deltasums.characters import character, enumerate_characters
 from deltasums.expsums import trivial_delta
-from deltasums.modular import primes_in
+from deltasums.identities import _beta_row
+from deltasums.modular import divisors, primes_in
 from deltasums.transforms import bump_window, fourier_dual, plateau_window
 
 BOUND = 10**6
@@ -35,6 +38,18 @@ def test_trivial_delta_is_the_congruence_indicator(args):
     n, m, q = args
     expected = 1.0 if (n - m) % q == 0 else 0.0
     assert abs(trivial_delta(n, m, q) - expected) < 1e-10
+
+
+@PROPERTY
+@given(st.integers(1, 3000), st.lists(st.integers(-BOUND, BOUND), min_size=1, max_size=40), st.data())
+def test_trivial_delta_on_an_array_is_its_scalar_calls(q, ns, data):
+    m = data.draw(st.integers(-BOUND, BOUND))
+    got = trivial_delta(np.array(ns), m, q)
+    assert got.shape == (len(ns),) and got.dtype == np.complex128
+    single = np.array([trivial_delta(n, m, q) for n in ns])
+    assert np.array_equal(got.view(np.uint64), single.view(np.uint64))
+    flipped = trivial_delta(m, np.array(ns), q)
+    assert np.array_equal(flipped, np.array([trivial_delta(m, n, q) for n in ns]))
 
 
 non_integers = st.one_of(
@@ -67,6 +82,25 @@ def test_characters_are_orthogonal_and_multiplicative(M, data):
     chi = character(M, data.draw(st.integers(0, M - 2)))
     a, b = (data.draw(st.integers(-BOUND, BOUND)) for _ in range(2))
     assert abs(chi(a * b) - chi(a) * chi(b)) < 1e-12
+
+
+@PROPERTY
+@given(st.sampled_from([5, 7, 11, 13]), st.sampled_from([2, 3, 5]), st.data())
+def test_beta_row_is_the_beta_sum(M, p, data):
+    """Against the definition: sum over beta mod q = [c, M] of
+    chi(beta) e(-alpha beta ell / c) e(rhat beta / q), one term at a time."""
+    chi = character(M, data.draw(st.integers(1, M - 2)))
+    c = data.draw(st.sampled_from(divisors(p * M)))
+    alpha = data.draw(st.integers(1, c).filter(lambda a: math.gcd(a, c) == 1))
+    ell = data.draw(st.integers(0, 50))
+    rhat = data.draw(st.integers(-3 * p * M, 3 * p * M))
+    q = c * M // math.gcd(c, M)
+    want = sum(
+        chi(beta) * np.exp(2j * np.pi * (-alpha * beta * ell / c + rhat * beta / q))
+        for beta in range(q)
+    )
+    got = _beta_row(chi, q)[(rhat - alpha * ell * (q // c)) % q]
+    assert abs(got - want) < 1e-11 * q
 
 
 @st.composite
