@@ -24,6 +24,7 @@ two rated doublings fail the check.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -467,6 +468,12 @@ def _beta_row(chi: DirichletCharacter, q: int) -> np.ndarray:
     return row
 
 
+@lru_cache(maxsize=8)
+def _cached_gauss_sum(chi: DirichletCharacter) -> complex:
+    """gauss_sum(chi), once per character across beta-sum checks."""
+    return gauss_sum(chi)
+
+
 _BETA_SUM_TOL = 1e-9
 
 
@@ -499,7 +506,7 @@ def beta_sum_evaluation_check(
         rhs = 0j
     else:
         # (t / c_M) mod M realizes chibar(t * inv(c_M)) without a second division
-        rhs = chi.conjugate()((t // c_m) % M) * gauss_sum(chi) * c_m
+        rhs = chi.conjugate()((t // c_m) % M) * _cached_gauss_sum(chi) * c_m
     return bool(abs(lhs - rhs) <= _BETA_SUM_TOL * max(1.0, math.sqrt(M) * c_m))
 
 
@@ -795,8 +802,8 @@ def _beta_sum_suite_check(cfg: PipelineConfig) -> CheckReport:
     total = 0
     for c in divisors(p * cfg.M):
         q = c * cfg.M // math.gcd(c, cfg.M)
-        alphas = [a for a in range(1, c + 1) if math.gcd(a, c) == 1][:6] or [1]
-        for alpha in alphas:
+        units = (a for a in range(1, c + 1) if math.gcd(a, c) == 1)
+        for alpha in itertools.islice(units, 6):
             for ell in (1, 2):
                 for r in range(0, q, max(1, q // 5)):
                     total += 1

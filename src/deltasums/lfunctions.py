@@ -59,6 +59,7 @@ Each modulus of a sweep takes all its rows from one per-modulus row.
 
 from __future__ import annotations
 
+import contextlib
 import decimal
 import logging
 import math
@@ -67,6 +68,7 @@ import tempfile
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -644,8 +646,7 @@ def make_amplifier(
     return AmplifierSpec(L, P, ells, ps, lstar, len(ps))
 
 
-@dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(NamedTuple):
     """One Burgess-ratio row: modulus, character, L-value and normalized size."""
 
     M: int
@@ -657,13 +658,13 @@ class SweepRecord:
 
     def csv_line(self) -> str:
         v = self.l_value
-        return (
-            f"{self.M},{self.char_index},{self.kind},"
-            f"{v.real:.15g},{v.imag:.15g},{abs(v):.15g},"
-            f"{self.exponent:.15g},{self.ratio:.15g}"
+        return _CSV_LINE % (
+            self.M, self.char_index, self.kind, v.real, v.imag, abs(v), self.exponent, self.ratio
         )
 
 
+# %.15g and format(x, ".15g") both print through PyOS_double_to_string
+_CSV_LINE = "%d,%d,%s,%.15g,%.15g,%.15g,%.15g,%.15g"
 CSV_HEADER = "M,char_index,kind,re_L,im_L,abs_L,exponent,ratio"
 
 _DIRICHLET_EXPONENT = 3.0 / 16.0
@@ -726,20 +727,21 @@ def burgess_sweep(
             exponent, rec_kind, row = _DIRICHLET_EXPONENT, "dirichlet", _l_values_all(M)
         else:
             exponent, rec_kind, row = _TWIST_EXPONENT, seq.kind, _twist_values_all(seq, M)
-        for k in indices(M):
-            val = complex(row[k])
-            records.append(SweepRecord(M, k, rec_kind, val, exponent, abs(val) / M**exponent))
+        ks = indices(M)
+        scale = M**exponent
+        records += [
+            SweepRecord(M, k, rec_kind, val, exponent, abs(val) / scale)
+            for k, val in zip(ks, row[ks].tolist())
+        ]
     return records
 
 
 def write_sweep_csv(records: list[SweepRecord], path) -> None:
-    """CSV with '.' decimals, 15 significant digits, newline line endings."""
-    lines = [CSV_HEADER] + [r.csv_line() for r in records]
-    text = "\n".join(lines) + "\n"
-    if hasattr(path, "write"):
-        path.write(text)
-    else:
-        Path(path).write_text(text)
+    """CSV with '.' decimals, 15 significant digits, newline line endings,
+    written line by line to a file object or a path."""
+    with contextlib.nullcontext(path) if hasattr(path, "write") else open(path, "w") as out:
+        out.write(CSV_HEADER + "\n")
+        out.writelines(r.csv_line() + "\n" for r in records)
 
 
 def monotone_envelope(records: list[SweepRecord]) -> tuple[np.ndarray, np.ndarray]:

@@ -138,7 +138,10 @@ def unit_residues(c: int) -> np.ndarray:
     """
     if c < 1:
         raise ValueError("modulus must be >= 1")
-    arr = np.flatnonzero(np.gcd(np.arange(c), c) == 1)
+    keep = np.ones(c, dtype=bool)
+    for p in _factorize(c):
+        keep[::p] = False
+    arr = np.flatnonzero(keep)
     arr.setflags(write=False)
     return arr
 

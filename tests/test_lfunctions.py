@@ -1,5 +1,6 @@
 """Coefficient sequences, L-values, amplifiers and sweeps."""
 
+import hashlib
 import io
 import logging
 import math
@@ -24,6 +25,7 @@ from deltasums.lfunctions import (
     DEFAULT_TAU_BOUND,
     DegenerateAmplifier,
     OutOfCacheRange,
+    SweepRecord,
     burgess_sweep,
     default_cache_path,
     delta_sequence,
@@ -543,6 +545,61 @@ def test_sweep_csv_round_trip(tmp_path):
     assert int(first[0]) == 5 and first[2] == "dirichlet"
     # numeric fields parse and reproduce the record
     assert abs(float(first[5]) - abs(recs[0].l_value)) < 1e-12
+
+
+# sha256 of write_sweep_csv output, byte for byte
+SWEEP_PINS = [
+    (("dirichlet", 5, 199), {}, 4134, "f48b0ddf1a666f4e21c968701e82dd665d5d621ec05298e0d6677e6e8f911f2d"),
+    (("twist", 5, 61), {}, 464, "79b2600e7255cd63a68f92e1efeeb33c0885bc07f5d9aac91506bf5c2e2429ba"),
+    (
+        ("twist", 5, 31),
+        {"coeff": "delta_form"},
+        137,
+        "66572c733561657cc87f02461712bb492bd674b9917a479cd088c405f45ac16c",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, rows, digest", SWEEP_PINS, ids=["dirichlet_199", "twist_61", "delta_form_31"]
+)
+def test_sweep_csv_bytes_are_pinned(tmp_path, args, kwargs, rows, digest):
+    recs = burgess_sweep(*args, **kwargs)
+    assert len(recs) == rows
+    buf = io.StringIO()
+    write_sweep_csv(recs, buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+    out = tmp_path / "sweep.csv"
+    write_sweep_csv(recs, out)
+    assert out.read_bytes() == buf.getvalue().encode()
+
+
+def test_sweep_records_are_immutable_hashable_tuples():
+    assert SweepRecord._fields == ("M", "char_index", "kind", "l_value", "exponent", "ratio")
+    recs = burgess_sweep("dirichlet", 5, 31, chars=3)
+    with pytest.raises(AttributeError):
+        recs[0].ratio = 0.0
+    again = burgess_sweep("dirichlet", 5, 31, chars=3)
+    assert recs == again and list(map(hash, recs)) == list(map(hash, again))
+    assert len(set(recs + again)) == len(recs)
+    assert recs[0] == tuple(recs[0])
+
+
+def test_monotone_envelope_of_an_all_character_sweep():
+    ms, env = monotone_envelope(burgess_sweep("dirichlet", 5, 31))
+    assert ms.dtype == np.int64 and ms.tolist() == [5, 7, 11, 13, 17, 19, 23, 29, 31]
+    assert env.dtype == np.float64
+    assert env.tolist() == [
+        0.5871457196819886,
+        0.7960688419194576,
+        0.9693005435209434,
+        0.9693005435209434,
+        1.1322380094470692,
+        1.1419999511542567,
+        1.3639286496221406,
+        1.3639286496221406,
+        1.3639286496221406,
+    ]
 
 
 def test_monotone_envelope_nondecreasing():

@@ -1,5 +1,5 @@
 """Property tests for the trivial delta symbol, the beta-sum rows, Dirichlet
-characters and Fourier duals."""
+characters, unit residues, sweep CSV lines and Fourier duals."""
 
 import math
 
@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deltasums.characters import character, enumerate_characters
 from deltasums.expsums import trivial_delta
 from deltasums.identities import _beta_row
-from deltasums.modular import divisors, primes_in
+from deltasums.lfunctions import SweepRecord
+from deltasums.modular import divisors, primes_in, unit_residues
 from deltasums.transforms import bump_window, fourier_dual, plateau_window
 
 BOUND = 10**6
@@ -101,6 +102,48 @@ def test_beta_row_is_the_beta_sum(M, p, data):
     )
     got = _beta_row(chi, q)[(rhat - alpha * ell * (q // c)) % q]
     assert abs(got - want) < 1e-11 * q
+
+
+@PROPERTY
+@given(st.integers(1, 5000))
+@example(1)
+def test_unit_residues_are_the_gcd_units(c):
+    got = unit_residues(c)
+    want = np.array([a for a in range(c) if math.gcd(a, c) == 1], dtype=np.int64)
+    assert got.dtype == np.int64 and not got.flags.writeable
+    assert np.array_equal(got, want)
+
+
+# signed zeros, subnormals, the smallest normal, infinities and nan
+@PROPERTY
+@given(st.floats())
+@example(0.0)
+@example(-0.0)
+@example(5e-324)
+@example(-2.5e-320)
+@example(2.2250738585072014e-308)
+@example(math.inf)
+@example(-math.inf)
+@example(math.nan)
+def test_percent_15g_is_format_15g(x):
+    assert "%.15g" % x == format(x, ".15g")
+
+
+@PROPERTY
+@given(
+    st.integers(5, 10**4),
+    st.integers(0, 10**4),
+    st.sampled_from(["dirichlet", "divisor", "delta_form"]),
+    st.complex_numbers(),
+    st.floats(),
+    st.floats(),
+)
+def test_csv_line_is_the_fstring_line(M, k, kind, v, exponent, ratio):
+    want = (
+        f"{M},{k},{kind},{v.real:.15g},{v.imag:.15g},{abs(v):.15g},"
+        f"{exponent:.15g},{ratio:.15g}"
+    )
+    assert SweepRecord(M, k, kind, v, exponent, ratio).csv_line() == want
 
 
 @st.composite
