@@ -2,7 +2,9 @@
 
 Coefficient sources:
 
-* divisor_sequence(bound): lam(n) = tau(n), the number of divisors.
+* divisor_sequence(bound): lam(n) = tau(n), the number of divisors, by a
+  sieve that counts the divisor pairs (d, n/d) with d <= n/d in uint16,
+  block by block of the output.
 * delta_sequence(bound):   lam(n) = tau_R(n) / n^{11/2}, the Hecke-normalized
   coefficients of the weight-12 discriminant form.
 
@@ -16,15 +18,18 @@ max|f| * sum_k |c_k| < 2^62, which bounds every partial sum, must hold, or
 the build raises OverflowError rather than wrap; at n = DEFAULT_TAU_BOUND =
 10^6 it stands at 0.45 of its limit.  Stage 2 squares J^4 once by
 Kronecker substitution: the coefficients become d-digit slots of one decimal
-integer, squared by libmpdec's number-theoretic-transform multiply (stdlib
-decimal), and the low slots decode with a borrow into exact integers.  Each
-truncated coefficient of the square is at most n * max^2 in absolute value,
-so d = digits(2 n max^2) + 1 keeps every slot exact without a bound on tau.
-ramanujan_tau_table refuses bounds past 10^6.  The table persists to a plain
-text cache (header line with the bound, then one integer per line), written
-atomically, at a location the DELTA_SUMS_CACHE environment variable
-overrides; a cache that does not parse or fails exact checks (known values,
-Hecke relations, the 691 congruence, Deligne's bound) is rebuilt.
+integer, written a digit column at a time into a byte buffer, squared by
+libmpdec's number-theoretic-transform multiply (stdlib decimal), and the low
+slots are read back through numpy as 18-digit int64 chunks, with a borrow
+wherever a slot's leading digit is 5 or more, before they become exact
+integers.  Each truncated coefficient of the square is at most n * max^2 in
+absolute value, so d = digits(2 n max^2) + 1 keeps every slot exact without
+a bound on tau.  ramanujan_tau_table refuses bounds past 10^6.  The table
+persists to a plain text cache (header line with the bound, then one integer
+per line, parsed as it streams in), written atomically, at a location the
+DELTA_SUMS_CACHE environment variable overrides; a cache that does not parse
+or fails exact checks (known values, Hecke relations, the 691 congruence,
+Deligne's bound) is rebuilt.
 
 Central values:
 
@@ -67,6 +72,7 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -101,10 +107,16 @@ __all__ = [
 
 DEFAULT_TAU_BOUND = 1_000_000
 
-# stage 1 of the tau build refuses a product whose partial sums could reach this
+# the tau build refuses a stage-1 product whose partial sums could reach this,
+# and a stage-2 squaring of a coefficient this large
 _INT64_SUM_LIMIT = 1 << 62
 # output coefficients per block of a stage-1 product, so each block stays in cache
 _PRODUCT_BLOCK = 1 << 15
+# outputs per block of the divisor sieve, whose uint16 counts are exact below 2^30
+_SIEVE_BLOCK = 1 << 18
+_SIEVE_LIMIT = 1 << 30
+# decimal digits per int64 chunk when the Kronecker square's slots are read back
+_CHUNK_DIGITS = 18
 
 _log = logging.getLogger("deltasums")
 
@@ -144,15 +156,25 @@ class CoefficientSequence:
 
 @lru_cache(maxsize=8)
 def divisor_sequence(bound: int) -> CoefficientSequence:
-    """tau(n) = number of divisors, by a sieve over d <= s = isqrt(bound) that
-    counts d and, on the second slice, each cofactor n/d > s."""
+    """tau(n) = number of divisors, by counting divisor pairs (d, n/d) with
+    d <= n/d: each d <= isqrt(bound) adds 2 at d^2, d^2 + d, ... and the
+    square d^2 gives back 1.  The counts are uint16, exact since
+    tau(n) <= 2 sqrt(n) < 2^16 below 2^30, taken over blocks of
+    _SIEVE_BLOCK outputs and cast into the float64 lam block by block."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    lam = np.zeros(bound + 1, dtype=np.float64)
-    s = math.isqrt(bound)
-    for d in range(1, s + 1):
-        lam[d::d] += 1.0
-        lam[d * (s + 1) :: d] += 1.0
+    if bound >= _SIEVE_LIMIT:
+        raise ValueError(f"divisor counts are uint16-exact only below {_SIEVE_LIMIT}, got {bound}")
+    lam = np.empty(bound + 1, dtype=np.float64)
+    for lo in range(0, bound + 1, _SIEVE_BLOCK):
+        hi = min(lo + _SIEVE_BLOCK, bound + 1)
+        count = np.zeros(hi - lo, dtype=np.uint16)
+        for d in range(1, math.isqrt(hi - 1) + 1):
+            # from the first multiple of d in the block that is at least d^2
+            count[max(d * d, -(-lo // d) * d) - lo :: d] += 2
+        roots = np.arange(math.isqrt(lo - 1) + 1 if lo else 1, math.isqrt(hi - 1) + 1)
+        count[roots * roots - lo] -= 1
+        lam[lo:hi] = count
     lam.setflags(write=False)
     return CoefficientSequence("divisor", bound, lam, weight=None)
 
@@ -195,19 +217,24 @@ def save_tau_table(tau: list[int], path: str | os.PathLike) -> None:
 
 def load_tau_table(path: str | os.PathLike, bound: int | None = None) -> list[int] | None:
     """Read tau(1..bound) from a cache file; None when the file is absent,
-    too short or unparsable, or fails the checks of _tau_table_is_valid."""
+    too short or unparsable, or fails the checks of _tau_table_is_valid.
+
+    The lines are parsed as they stream in, and reading stops after line
+    bound; that line, like every one before it, must end with a newline.
+    """
     p = Path(path)
     if not p.is_file():
         return None
     try:
-        with open(p) as fh:
-            lines = fh.read().split("\n")
-        stored = int(lines[0])
-        want = stored if bound is None else bound
-        # lines[want] ends with a newline only when another item follows it
-        if stored < max(want, 1) or len(lines) < want + 2:
-            return None
-        tau = list(map(int, lines[1 : want + 1]))
+        with open(p, "rb") as fh:
+            stored = int(fh.readline())
+            want = stored if bound is None else bound
+            if stored < max(want, 1):
+                return None
+            tau = list(map(int, islice(fh, want)))
+            fh.seek(-1, os.SEEK_CUR)
+            if len(tau) < want or fh.read(1) != b"\n":
+                return None
     except ValueError:
         return None
     return tau if _tau_table_is_valid(tau) else None
@@ -240,35 +267,65 @@ def _tau_table_is_valid(tau: list[int]) -> bool:
     return True
 
 
-def _square_truncated(coeffs: list[int]) -> list[int]:
-    """The first n = len(coeffs) coefficients of (sum coeffs[i] q^i)^2, exactly.
+def _square_truncated(f: np.ndarray) -> list[int]:
+    """The first n = len(f) coefficients of (sum f[i] q^i)^2, exactly, for an
+    int64 array f with max|f| < 2^62.
 
-    Kronecker substitution in base B = 10^d: the coefficients are packed as
-    a positive and a negative decimal integer, and their difference is
-    squared once.  Slot i of the (nonnegative) square holds coefficient i
-    less a borrow from slot i-1.  Each truncated coefficient is a sum of at
-    most n products, so its absolute value is at most n * max|coeffs|^2, and
-    d = digits(2 n max^2) + 1 keeps it inside (-B/2, B/2).
+    Kronecker substitution in base B = 10^d: P = sum f[i] B^i is written out
+    as one decimal integer and squared once.  Each truncated coefficient of
+    the square is a sum of at most n products, so its absolute value is at
+    most n * max|f|^2, and d = digits(2 n max^2) + 1 keeps it inside
+    (-B/20, B/20).  In base B, with b_i = 1 when slot i borrows B from
+    slot i+1 (b_{-1} = 0), slot i holds its coefficient - b_{i-1} + B b_i.
+    For P, b_i = 1 exactly when the last nonzero f[j], j <= i, is negative;
+    such a slot is B - x with x = b_{i-1} - f[i] >= 1, written as the nines'
+    complement of x - 1.  The digit string is P mod B^n, all the low n slots
+    of the square depend on.  There b_i = 1 exactly when slot i is at least
+    B/2, that is when its leading digit is 5 or more.
     """
-    top = max(map(abs, coeffs), default=0)
-    digits = len(str(2 * len(coeffs) * top * top)) + 1
-    base = 10**digits
+    n = len(f)
+    top = max(int(f.max(initial=0)), -int(f.min(initial=0)))
+    if top >= _INT64_SUM_LIMIT:
+        raise OverflowError("the Kronecker squaring takes coefficients below 2^62")
+    digits = len(str(2 * n * top * top)) + 1
     ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
-    zero = "0" * digits
 
-    def pack(sign: int) -> decimal.Decimal:
-        slots = [str(sign * c).zfill(digits) if sign * c > 0 else zero for c in coeffs]
-        return decimal.Decimal("".join(reversed(slots)))
+    borrow = f[np.maximum.accumulate(np.where(f != 0, np.arange(n), 0))] < 0
+    v = f.copy()
+    v[1:] -= borrow[:-1]
+    v[borrow] = -1 - v[borrow]
+    # one uint8 row of d decimal digits per slot, most significant slot first
+    slots = np.zeros((n, digits), dtype=np.uint8)
+    v = v[::-1]
+    for col in range(digits - 1, digits - 1 - len(str(top)), -1):
+        v, slots[:, col] = np.divmod(v, 10)
+    slots[borrow[::-1]] = 9 - slots[borrow[::-1]]
+    slots += ord("0")
+    packed = decimal.Decimal(str(slots.data, "ascii"))
 
-    packed = ctx.subtract(pack(1), pack(-1))
-    width = digits * len(coeffs)
-    square = str(ctx.multiply(packed, packed))[-width:].zfill(width)
-    out, borrow = [], 0
-    for end in range(width, 0, -digits):
-        c = int(square[end - digits : end]) + borrow
-        borrow = 2 * c >= base
-        out.append(c - base if borrow else c)
-    return out
+    # a shift by 0 at precision n d keeps the last n d digits: the low n slots
+    low_slots = decimal.Context(prec=n * digits, Emax=decimal.MAX_EMAX)
+    text = str(low_slots.shift(ctx.multiply(packed, packed), 0)).zfill(n * digits).encode("ascii")
+    slots = (np.frombuffer(text, dtype=np.uint8) - ord("0")).reshape(n, digits)[::-1]
+    borrow = slots[:, 0] >= 5
+    # each slot as int64 chunks of 18 digits, the lowest chunk first; the top
+    # chunk (d mod 18 digits, maybe none) also takes the slot's own borrow,
+    # -B, and the lowest the borrow the slot below took from it
+    chunks = []
+    for end in range(digits, -1, -_CHUNK_DIGITS):
+        chunk = np.zeros(n, dtype=np.int64)
+        for col in range(max(end - _CHUNK_DIGITS, 0), end):
+            chunk *= 10
+            chunk += slots[:, col]
+        chunks.append(chunk)
+    chunks[0][1:] += borrow[:-1]
+    chunks[-1] -= borrow * 10 ** (digits % _CHUNK_DIGITS)
+    del text, slots  # the digit buffers go before the exact integers are built
+    out = chunks.pop().astype(object)
+    for chunk in reversed(chunks):
+        out *= 10**_CHUNK_DIGITS
+        out += chunk
+    return out.tolist()
 
 
 def _sparse_product(f: np.ndarray, shifts: list[int], coeffs: list[int]) -> np.ndarray:
@@ -300,7 +357,7 @@ def _tau_kronecker(bound: int) -> list[int]:
     power[shifts] = coeffs
     for _ in range(3):
         power = _sparse_product(power, shifts, coeffs)
-    return _square_truncated(power.tolist())
+    return _square_truncated(power)
 
 
 def ramanujan_tau_table(bound: int, cache: str | os.PathLike | None = "auto") -> list[int]:

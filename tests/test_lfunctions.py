@@ -108,7 +108,11 @@ def test_tau_build_raises_rather_than_wraps(monkeypatch, margin):
 
 
 def test_tau_table_passes_its_exact_checks_at_100k():
-    assert _tau_table_is_valid(ramanujan_tau_table(100_000, cache=None))
+    assert _tau_table_is_valid(_tau_table(100_000))
+
+
+# the Kronecker squaring takes int64 coefficients below 2^62 in absolute value
+SQUARE_TOP = 2**62 - 1
 
 
 @st.composite
@@ -119,11 +123,12 @@ def square_inputs(draw):
     n = draw(st.integers(1, 30))
     kind = draw(st.sampled_from(["signed", "negative", "edge"]))
     if kind == "signed":
-        values = st.one_of(st.just(0), st.integers(-(10**30), 10**30))
+        values = st.one_of(st.just(0), st.integers(-SQUARE_TOP, SQUARE_TOP))
         return draw(st.lists(values, min_size=n, max_size=n))
     if kind == "negative":
-        return draw(st.lists(st.integers(-(10**30), -1), min_size=n, max_size=n))
-    k = draw(st.integers(1, 80))
+        return draw(st.lists(st.integers(-SQUARE_TOP, -1), min_size=n, max_size=n))
+    # 10^37 / 2 is the last power-of-ten edge below 2 * SQUARE_TOP^2 at n = 1
+    k = draw(st.integers(1, 37))
     top = math.isqrt((10**k - 1) // (2 * n)) + draw(st.integers(0, 1))
     signs = draw(st.lists(st.sampled_from([-1, 0, 1, 1]), min_size=n, max_size=n))
     return [s * top for s in signs]
@@ -133,7 +138,32 @@ def square_inputs(draw):
 @given(square_inputs())
 def test_square_truncated_matches_naive_convolution(coeffs):
     naive = [sum(coeffs[i] * coeffs[m - i] for i in range(m + 1)) for m in range(len(coeffs))]
-    assert _square_truncated(coeffs) == naive
+    assert _square_truncated(np.array(coeffs, dtype=np.int64)) == naive
+
+
+@pytest.mark.parametrize("value", [2**62, -(2**62), -(2**63)])
+def test_square_truncated_refuses_coefficients_past_2_62(value):
+    with pytest.raises(OverflowError, match="below 2\\^62"):
+        _square_truncated(np.array([1, value, -3], dtype=np.int64))
+
+
+@cache
+def _tau_table(bound: int) -> list[int]:
+    return ramanujan_tau_table(bound, cache=None)
+
+
+# sha256 of the table written one value per line, each line ending in a newline
+@pytest.mark.parametrize(
+    "bound, digest",
+    [
+        (30_000, "b8a65337bf34f0b893ab6b7cb0da29f120edf74a44ef9d9f174712c389755069"),
+        (100_000, "6e61fe4cd8a5d7d3a0ae9d70cbaabc6fcf8f506366de163a1cb27f34eaf39c66"),
+    ],
+    ids=["30k", "100k"],
+)
+def test_tau_table_bytes_are_pinned(bound, digest):
+    text = "\n".join(map(str, _tau_table(bound))) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_tau_table_hecke_and_691_relations():
@@ -168,6 +198,51 @@ def test_tau_table_refuses_bounds_past_exact_range(tmp_path, monkeypatch):
 def test_divisor_sieve_matches_naive_count(bound):
     naive = [0] + [sum(1 for d in range(1, n + 1) if n % d == 0) for n in range(1, bound + 1)]
     assert divisor_sequence(bound).lam.tolist() == naive
+
+
+def _trial_division_count(n: int) -> int:
+    return sum(1 if d * d == n else 2 for d in range(1, math.isqrt(n) + 1) if n % d == 0)
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(st.integers(1, 5), st.integers(-1, 1))
+def test_divisor_sieve_at_block_edges(blocks, offset):
+    # bounds at k * _SIEVE_BLOCK + {-1, 0, 1}; _SIEVE_BLOCK = 512^2, so the
+    # squares next to each edge fall just inside the blocks on either side
+    block = lfunctions._SIEVE_BLOCK
+    bound = blocks * block + offset
+    lam = divisor_sequence.__wrapped__(bound).lam
+    points = {1, bound - 1, bound}
+    for edge in range(block, bound + 1, block):
+        r = math.isqrt(edge)
+        points |= {edge - 1, edge, edge + 1, (r - 1) ** 2, r * r, (r + 1) ** 2}
+    for n in sorted(points):
+        if 1 <= n <= bound:
+            assert lam[n] == _trial_division_count(n), n
+
+
+# sha256 of lam.tobytes()
+@pytest.mark.parametrize(
+    "bound, digest",
+    [
+        (1_500_000, "fbfe198fc2f59ea96c58637e65493fbd195e341c5452993afba2e284b9e974ac"),
+        (3_000_000, "adf8aa577daf6a1ea4c286016cd9cad5829e6002e70e771147f4aeb317aeb255"),
+    ],
+    ids=["1.5e6", "3e6"],
+)
+def test_divisor_sieve_bytes_are_pinned(bound, digest):
+    lam = divisor_sequence.__wrapped__(bound).lam
+    assert hashlib.sha256(lam.tobytes()).hexdigest() == digest
+
+
+def test_divisor_sieve_refuses_bounds_past_uint16_counts(monkeypatch):
+    class NoArrays:
+        def __getattr__(self, name):
+            raise AssertionError(f"np.{name} reached before the bound was refused")
+
+    monkeypatch.setattr(lfunctions, "np", NoArrays())
+    with pytest.raises(ValueError, match="uint16"):
+        divisor_sequence.__wrapped__(1 << 30)
 
 
 def test_divisor_coefficients_vs_sympy(div_seq, seed=10):
@@ -218,6 +293,29 @@ def test_hecke_relation(div_seq, delta_seq, seed=16):
             if r % ell == 0:
                 rhs -= seq(r // ell)
             assert abs(seq(r * ell) - rhs) < 1e-10
+
+
+@st.composite
+def hecke_pairs(draw, bound=30_000):
+    """(m, n) with m n <= bound, built as g a and g b so gcd(m, n) is often
+    larger than 1."""
+    g = draw(st.integers(1, 40))
+    a = draw(st.integers(1, bound // (g * g)))
+    b = draw(st.integers(1, bound // (g * g * a)))
+    return g * a, g * b
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(hecke_pairs())
+def test_hecke_relation_for_all_pairs(div_seq, delta_seq, pair):
+    # lam(m) lam(n) = sum over e | gcd(m, n) of lam(m n / e^2)
+    m, n = pair
+    es = [e for e in range(1, math.gcd(m, n) + 1) if m % e == 0 and n % e == 0]
+    assert div_seq(m) * div_seq(n) == sum(div_seq(m * n // (e * e)) for e in es)
+    terms = [delta_seq(m * n // (e * e)) for e in es]
+    assert abs(delta_seq(m) * delta_seq(n) - math.fsum(terms)) <= 1e-12 * (
+        1 + math.fsum(map(abs, terms))
+    )
 
 
 def test_coeff_eval_out_of_range(div_seq):
@@ -666,6 +764,26 @@ def test_tau_cache_damage_is_rebuilt(tmp_path, damage):
     assert ramanujan_tau_table(200, cache=path) == cold
     assert load_tau_table(path) == cold
     assert path.read_text().split("\n", 1)[0] == "200"
+
+
+def test_tau_cache_reads_only_the_wanted_lines(tmp_path):
+    # a 200-line cache serves tau(1..150) whatever follows line 150, as long
+    # as line 150 itself is whole, and nothing past its last whole line
+    path = tmp_path / "tau.txt"
+    cold = ramanujan_tau_table(200, cache=None)
+    save_tau_table(cold, path)
+    lines = path.read_text().split("\n")
+    path.write_text("\n".join(lines[:151] + ["12x", "garbage"]))
+    assert load_tau_table(path, 150) == cold[:150]
+    assert load_tau_table(path, 151) is None
+    assert load_tau_table(path) is None
+    path.write_text("\n".join(lines[:151]) + "\n")  # 150 whole lines under header 200
+    assert load_tau_table(path, 150) == cold[:150]
+    assert load_tau_table(path, 151) is None
+    assert load_tau_table(path) is None
+    path.write_text("\n".join(lines[:151]))  # line 150 cut before its newline
+    assert load_tau_table(path, 150) is None
+    assert load_tau_table(path, 149) == cold[:149]
 
 
 def test_tau_cache_readers_never_see_a_partial_write(tmp_path):
