@@ -12,10 +12,18 @@ quadratic character takes values in {-1, 0, 1} with no rounding fuzz.
 Index 0 is the principal character.  It can be constructed and evaluated,
 but operations that require primitivity (Gauss sums, L-values) reject it
 with PrincipalCharacterNotAllowed.
+
+A character sum sum_a chi_k(a) v[a] over a real vector v indexed by residue
+is taken for every index k at once by _character_transform: one real FFT of
+length M-1 of v reordered by powers of the primitive root.  _gauss_row(M)
+holds the Gauss sums sum_y chi_k(y) e(y/M) of every k mod M, the transforms
+of cos and sin(2 pi y/M); expsums.gauss_sum and the twist root numbers of
+lfunctions both read it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -50,6 +58,34 @@ def _value_table(M: int, index: int) -> np.ndarray:
     table[0] = 0.0
     table.setflags(write=False)
     return table
+
+
+def _character_transform(vec: np.ndarray, M: int) -> np.ndarray:
+    """sum_a chi_k(a) vec[a] for every character index k mod the prime M.
+
+    vec is real and indexed by residue in [0, M); vec[0] is never read.
+    Since chi_k(g^j) = e(kj/(M-1)), the sums are the inverse DFT of
+    f[j] = vec[g^j]. rfft gives R_k = sum_j f[j] e(-kj/(M-1)) for
+    k <= (M-1)/2, and f is real, so the sums are conj(R_k) up to there and
+    R_{M-1-k} above: a character and its conjugate get exactly conjugate
+    values. Adding 0.0 clears the -0.0 that conj leaves on real bins.
+    """
+    powers = np.empty(M - 1, dtype=np.int64)
+    powers[prime_modulus(M).dlog[1:]] = np.arange(1, M)
+    R = np.fft.rfft(np.asarray(vec, dtype=np.float64)[powers])
+    half = (M - 1) // 2
+    return np.concatenate((np.conj(R), R[half - 1 : 0 : -1])) + 0.0
+
+
+@lru_cache(maxsize=64)
+def _gauss_row(M: int) -> np.ndarray:
+    """sum_y chi_k(y) e(y/M) for every index k mod the prime M, read-only: the
+    character transforms of cos and sin(2 pi y/M). Entry 0, the principal
+    character, is the Ramanujan sum -1."""
+    angle = 2.0 * math.pi * np.arange(M) / M
+    row = _character_transform(np.cos(angle), M) + 1j * _character_transform(np.sin(angle), M)
+    row.setflags(write=False)
+    return row
 
 
 @dataclass(frozen=True)

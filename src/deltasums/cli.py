@@ -48,7 +48,7 @@ _SUITES = {
 # closed form or None). A leading (M, char) pair reaches the sum as one
 # character.
 _SUMS = {
-    "gauss": (("M", "char"), "M", "direct", gauss_sum, None),
+    "gauss": (("M", "char"), "M", "character_transform", gauss_sum, None),
     "ramanujan": (("M", "a"), "M", "closed_form", ramanujan_sum, None),
     "kloosterman": (("a", "b", "c"), "c", "direct", kloosterman_sum, None),
     "frak_k": (

@@ -13,6 +13,9 @@ The sums implemented here:
   Sterneck's formula mu(M/g) phi(M)/phi(M/g), g = gcd(M, a).
 
 * gauss_sum(chi) = sum_y chi(y) e(y/M), primitive chi only; |g_chi| = sqrt(M).
+  It is an entry of characters._gauss_row(M), the Gauss sums of every
+  character mod M from one character transform of cos and sin(2 pi y/M);
+  the twist root numbers of lfunctions read the same row.
 
 * kloosterman_sum(a, b, c) = sum over units x mod c of e((ax + b*xbar)/c),
   real by the x -> xbar symmetry, with the Weil bound 2*sqrt(p) at primes.
@@ -30,9 +33,16 @@ The sums implemented here:
   generic parameters exhibit square-root cancellation.
 
 Here xbar denotes the inverse of x for the relevant modulus, and
-e(x) = exp(2*pi*i*x).  The other brute-force sums use exact integer phase
+e(x) = exp(2*pi*i*x).  The brute-force sums use exact integer phase
 arithmetic (angles reduced mod 1 in integers before exponentiation) and
 compensated summation via math.fsum on the real and imaginary parts.
+
+kloosterman_sum, frak_k and frak_c, like trivial_delta, take integers or
+integer arrays (numpy integers included) for their integer arguments; the
+modulus and the character stay scalar.  Arguments are reduced mod the
+modulus first and broadcast together, and the terms of every parameter row
+are gathered as one (rows, units) array and summed row by row, so an array
+call gives entries equal to the scalar calls bit for bit.
 """
 
 from __future__ import annotations
@@ -44,7 +54,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .characters import DirichletCharacter, PrincipalCharacterNotAllowed
+from .characters import DirichletCharacter, PrincipalCharacterNotAllowed, _gauss_row
 from .modular import _factorize, divisors, euler_phi, inverse_table, unit_residues
 
 __all__ = [
@@ -81,12 +91,57 @@ class ParameterConflict(ValueError):
     """No summand satisfies the stated side conditions."""
 
 
-def _csum(values: np.ndarray) -> complex:
-    """Compensated complex reduction (exact fsum on each part)."""
-    arr = np.asarray(values, dtype=np.complex128).ravel()
+def _csum(values: np.ndarray):
+    """Compensated complex reduction (exact fsum on each part): a complex for a
+    vector, and a complex array of the row sums for a (rows, terms) matrix."""
+    arr = np.asarray(values, dtype=np.complex128)
     # fsum is correctly rounded, so Python floats give the same bits as numpy
     # scalars and are faster to iterate
-    return complex(math.fsum(arr.real.tolist()), math.fsum(arr.imag.tolist()))
+    if arr.ndim == 1:
+        return complex(math.fsum(arr.real.tolist()), math.fsum(arr.imag.tolist()))
+    out = np.empty(arr.shape[0], dtype=np.complex128)
+    out.real = [math.fsum(row) for row in arr.real.tolist()]
+    out.imag = [math.fsum(row) for row in arr.imag.tolist()]
+    return out
+
+
+def _reduce(x, q: int):
+    """An integer reduced mod q (huge Python ints before any numpy
+    conversion), or an array that casts safely to int64 reduced mod q."""
+    if isinstance(x, np.ndarray):
+        return x.astype(np.int64, casting="safe") % q
+    return operator.index(x) % q
+
+
+def _parameter_rows(q: int, *args):
+    """The integer arguments of a unit sum reduced mod q, and their broadcast
+    shape. With an array among them they are broadcast together and flattened
+    into (rows, 1) columns, so a gather over the units is a (rows, units)
+    array; with none, they stay integers, the one-row case of the same
+    gather, and the shape is None."""
+    if not any(isinstance(x, np.ndarray) for x in args):
+        return [operator.index(x) % q for x in args], None
+    reduced = np.broadcast_arrays(*(_reduce(x, q) for x in args))
+    return [x.reshape(-1, 1) for x in reduced], reduced[0].shape
+
+
+def _has_zero(x) -> bool:
+    """Whether a reduced integer argument, or any entry of an array one, is 0."""
+    return not (x.all() if isinstance(x, np.ndarray) else x)
+
+
+def _unbatch(values, shape):
+    """Row sums back in the arguments' shape; a scalar call's value as is."""
+    return values if shape is None else values.reshape(shape)
+
+
+@lru_cache(maxsize=256)
+def _inverse_row(c: int) -> np.ndarray:
+    """x^{-1} mod c at every unit x in [0, c) and 0 elsewhere, read-only int64."""
+    row = np.zeros(c, dtype=np.int64)
+    row[unit_residues(c)] = inverse_table(c)
+    row.setflags(write=False)
+    return row
 
 
 @lru_cache(maxsize=256)
@@ -115,10 +170,10 @@ def _ramanujan_row(c: int) -> np.ndarray:
 class ExpSumResult:
     """A finite sum value with its modulus, evaluation route and size scale."""
 
-    value: complex
+    value: complex  # a complex array for a batched brute-force call
     modulus: int
     method: str  # "brute_force" | "closed_form"
-    normalized_size: float  # |value| / sqrt(modulus)
+    normalized_size: float  # |value| / sqrt(modulus), entrywise for a batch
 
     @classmethod
     def brute(cls, value: complex, modulus: int) -> "ExpSumResult":
@@ -167,10 +222,7 @@ def trivial_delta(n, m, q: int):
     q = operator.index(q)
     if q < 1:
         raise ValueError("trivial_delta requires q >= 1")
-    n, m = [
-        x.astype(np.int64, casting="safe") % q if isinstance(x, np.ndarray) else operator.index(x) % q
-        for x in (n, m)
-    ]
+    n, m = _reduce(n, q), _reduce(m, q)
     total = _delta_row(q)[(n - m) % q] / q
     return total.astype(np.complex128) if isinstance(total, np.ndarray) else complex(total)
 
@@ -191,17 +243,11 @@ def ramanujan_sum(M: int, a: int) -> float:
 
 
 def gauss_sum(chi: DirichletCharacter) -> complex:
-    """sum_y chi(y) e(y/M) for primitive chi; |value| = sqrt(M)."""
+    """sum_y chi(y) e(y/M) for primitive chi; |value| = sqrt(M). Read from
+    _gauss_row(M), one character transform for every character mod M."""
     if chi.is_principal:
         raise PrincipalCharacterNotAllowed("gauss_sum requires a primitive character")
-    M = chi.M
-    order = M - 1
-    y = np.arange(1, M, dtype=np.int64)
-    dlog = chi.modulus.dlog[1:]
-    # combined angle (k*dlog)/(M-1) + y/M reduced exactly over denominator M(M-1)
-    den = M * order
-    num = (chi.index * dlog * M + y * order) % den
-    return _csum(np.exp(2j * np.pi * (num / den)))
+    return complex(_gauss_row(chi.M)[chi.index])
 
 
 def fourier_expansion(chi: DirichletCharacter, a: int) -> complex:
@@ -214,14 +260,18 @@ def fourier_expansion(chi: DirichletCharacter, a: int) -> complex:
     return _csum(conj_tab[y] * _exp_table(M)[(a % M) * y % M]) / gauss_sum(chi.conjugate())
 
 
-def kloosterman_sum(a: int, b: int, c: int) -> float:
-    """sum over units x mod c of e((ax + b*xbar)/c); real by x -> xbar symmetry."""
+def kloosterman_sum(a, b, c: int):
+    """sum over units x mod c of e((ax + b*xbar)/c); real by x -> xbar symmetry.
+
+    a and b are integers or integer arrays, broadcast together; an array
+    call gives a float array whose entries equal the scalar calls bit for bit.
+    """
     if c < 1:
         raise ValueError("kloosterman_sum requires c >= 1")
+    (a, b), shape = _parameter_rows(c, a, b)
     units = unit_residues(c)
-    inv = inverse_table(c)
-    phases = ((a % c) * units + (b % c) * inv) % c
-    return _csum(_exp_table(c)[phases]).real
+    phases = (a * units + b * inverse_table(c)) % c
+    return _unbatch(_csum(_exp_table(c)[phases]).real, shape)
 
 
 def generalized_kloosterman(chi: DirichletCharacter, r: int, n: int) -> complex:
@@ -234,17 +284,20 @@ def generalized_kloosterman(chi: DirichletCharacter, r: int, n: int) -> complex:
     return _csum(tab[units] * _exp_table(M)[phases])
 
 
-def frak_k(chi: DirichletCharacter, r: int, ell: int, n: int) -> ExpSumResult:
-    """Brute-force sum over units z of chibar(r + ell*z) e(n*zbar/M)."""
+def frak_k(chi: DirichletCharacter, r, ell, n) -> ExpSumResult:
+    """Brute-force sum over units z of chibar(r + ell*z) e(n*zbar/M).
+
+    r, ell and n are integers or integer arrays, broadcast together; an array
+    call gives a result whose value and normalized_size are arrays with
+    entries equal to the scalar calls bit for bit.
+    """
     M = chi.M
-    if math.gcd(ell, M) != 1:
+    (r, ell_m, n), shape = _parameter_rows(M, r, ell, n)
+    if _has_zero(ell_m):  # M is prime
         raise EllNotCoprime(f"gcd(ell={ell}, M={M}) != 1")
-    z = unit_residues(M)
-    zbar = inverse_table(M)
     conj_tab = chi.conjugate().value_table()
-    w = ((r % M) + (ell % M) * z) % M
-    terms = conj_tab[w] * _exp_table(M)[(n % M) * zbar % M]
-    return ExpSumResult.brute(_csum(terms), M)
+    terms = conj_tab[(r + ell_m * unit_residues(M)) % M] * _exp_table(M)[n * inverse_table(M) % M]
+    return ExpSumResult.brute(_unbatch(_csum(terms), shape), M)
 
 
 def frak_k_closed_form(chi: DirichletCharacter, r: int, ell: int, n: int) -> ExpSumResult | None:
@@ -257,29 +310,26 @@ def frak_k_closed_form(chi: DirichletCharacter, r: int, ell: int, n: int) -> Exp
     return None
 
 
-def frak_c(
-    chi: DirichletCharacter, r1: int, r2: int, alpha: int, beta: int, n: int
-) -> ExpSumResult:
+def frak_c(chi: DirichletCharacter, r1, r2, alpha, beta, n) -> ExpSumResult:
     """Brute-force paired character sum with an inverted-shift argument.
 
     sum over units z mod M, restricted to n + beta*zbar a unit, of
-    chibar(r1 + z) * chi(r2 + alpha*(n + beta*zbar)^{-1}).
+    chibar(r1 + z) * chi(r2 + alpha*(n + beta*zbar)^{-1}); the excluded
+    summand enters as 0. The integer arguments may be arrays, broadcast
+    together, as in frak_k.
     """
     M = chi.M
-    if math.gcd(alpha * beta, M) != 1:
+    (r1, r2, alpha, beta, n), shape = _parameter_rows(M, r1, r2, alpha, beta, n)
+    if _has_zero(alpha * beta):  # M is prime
         raise AlphaBetaNotCoprime(f"gcd(alpha*beta, {M}) != 1")
     z = unit_residues(M)
-    zbar = inverse_table(M)
-    t = ((n % M) + (beta % M) * zbar) % M
-    keep = t != 0
-    # inverse of t on the kept entries, via the unit tables
-    full_inv = np.zeros(M, dtype=np.int64)
-    full_inv[unit_residues(M)] = inverse_table(M)
-    tab = chi.value_table()
-    conj_tab = chi.conjugate().value_table()
-    w = ((r1 % M) + z[keep]) % M
-    u = ((r2 % M) + (alpha % M) * full_inv[t[keep]]) % M
-    return ExpSumResult.brute(_csum(conj_tab[w] * tab[u]), M)
+    inv = _inverse_row(M)
+    t = (n + beta * inverse_table(M)) % M
+    w = (r1 + z) % M
+    u = (r2 + alpha * inv[t]) % M
+    terms = chi.conjugate().value_table()[w] * chi.value_table()[u]
+    terms[t == 0] = 0.0
+    return ExpSumResult.brute(_unbatch(_csum(terms), shape), M)
 
 
 def frak_c_closed_form(

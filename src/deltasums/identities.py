@@ -468,12 +468,6 @@ def _beta_row(chi: DirichletCharacter, q: int) -> np.ndarray:
     return row
 
 
-@lru_cache(maxsize=8)
-def _cached_gauss_sum(chi: DirichletCharacter) -> complex:
-    """gauss_sum(chi), once per character across beta-sum checks."""
-    return gauss_sum(chi)
-
-
 _BETA_SUM_TOL = 1e-9
 
 
@@ -506,7 +500,7 @@ def beta_sum_evaluation_check(
         rhs = 0j
     else:
         # (t / c_M) mod M realizes chibar(t * inv(c_M)) without a second division
-        rhs = chi.conjugate()((t // c_m) % M) * _cached_gauss_sum(chi) * c_m
+        rhs = chi.conjugate()((t // c_m) % M) * gauss_sum(chi) * c_m
     return bool(abs(lhs - rhs) <= _BETA_SUM_TOL * max(1.0, math.sqrt(M) * c_m))
 
 
@@ -609,10 +603,12 @@ def _gauss_magnitude_check(mmax: int, tol: float) -> CheckReport:
 def _ramanujan_check(qmax: int, tol: float) -> CheckReport:
     worst = 0.0
     for q in range(1, qmax + 1):
-        units = np.array([a for a in range(q) if math.gcd(a, q) == 1] or [0])
-        for d in range(q):
-            brute = complex(np.sum(np.exp(2j * np.pi * (units * d % q) / q))) if q > 1 else 1.0
-            worst = max(worst, abs(ramanujan_sum(q, d) - brute))
+        units = np.array([a for a in range(q) if math.gcd(a, q) == 1])
+        d = np.arange(q)
+        # one (q, phi(q)) phase matrix: row d holds e(d*u/q) over the units u
+        brute = np.exp(2j * np.pi * (np.multiply.outer(d, units) % q) / q).sum(axis=1)
+        closed = np.array([ramanujan_sum(q, x) for x in range(q)])
+        worst = max(worst, float(np.abs(closed - brute).max()))
     return _report("appendix:ramanujan_brute", (qmax,), float(qmax), worst, tol)
 
 
@@ -637,14 +633,18 @@ def _kloosterman_weil_check(pmax: int) -> CheckReport:
 
 def _kloosterman_scaling_check(samples: int, seed: int, tol: float) -> CheckReport:
     rng = np.random.default_rng(seed)
-    worst = 0.0
     primes = primes_in(5, 120)
+    draws = {}
     for _ in range(samples):
         p = primes[int(rng.integers(len(primes)))]
         a = int(rng.integers(1, p))
         b = int(rng.integers(1, p))
+        draws.setdefault(p, []).append((a, b))
+    worst = 0.0
+    for p, pairs in draws.items():
+        a, b = np.array(pairs).T
         scaled = kloosterman_sum(1, a * b % p, p)
-        worst = max(worst, abs(kloosterman_sum(a, b, p) - scaled))
+        worst = max(worst, float(np.abs(kloosterman_sum(a, b, p) - scaled).max()))
     return _report("appendix:kloosterman_scaling", (samples, seed), 1.0, worst, tol)
 
 
@@ -653,14 +653,15 @@ def _k_sum_exact_check(tol: float) -> CheckReport:
     for M in (5, 7, 11, 13, 31):
         for k in sorted({1, (M - 1) // 2, M - 2}):
             chi = character(M, k)
-            for ell in (1, 3):
-                for j in (1, 2):
-                    n = M * j
-                    for r in range(1, M):
-                        closed = frak_k_closed_form(chi, r, ell, n)
-                        if closed is None:
-                            raise AssertionError("exact case must have a closed form")
-                        worst = max(worst, abs(frak_k(chi, r, ell, n).value - closed.value))
+            params = [(r, ell, M * j) for ell in (1, 3) for j in (1, 2) for r in range(1, M)]
+            closed = []
+            for args in params:
+                value = frak_k_closed_form(chi, *args)
+                if value is None:
+                    raise AssertionError("exact case must have a closed form")
+                closed.append(value.value)
+            brute = frak_k(chi, *np.array(params).T).value
+            worst = max(worst, float(np.abs(brute - np.array(closed)).max()))
     return _report("appendix:k_sum_exact_case", ("5-31",), 1.0, worst, tol)
 
 
@@ -671,34 +672,33 @@ def _c_sum_check(samples: int, seed: int, tol: float) -> CheckReport:
     for M in (5, 7, 11):
         for k in sorted({1, (M - 1) // 2}):
             chi = character(M, k)
+            params, closed = [], []
+
+            def route(*args):
+                value = frak_c_closed_form(chi, *args)
+                if value is not None:
+                    params.append(args)
+                    closed.append(value.value)
+
             for _ in range(samples // 6):
                 r1, r2 = (int(rng.integers(1, M)) for _ in range(2))
                 alpha, beta = (int(rng.integers(1, M)) for _ in range(2))
                 # case (i): M | n
-                n1 = M * int(rng.integers(1, 3))
-                closed = frak_c_closed_form(chi, r1, r2, alpha, beta, n1)
-                if closed is not None:
-                    brute = frak_c(chi, r1, r2, alpha, beta, n1)
-                    worst = max(worst, abs(brute.value - closed.value))
-                    cases += 1
+                route(r1, r2, alpha, beta, M * int(rng.integers(1, 3)))
                 # case (ii): n = beta/r1 - alpha/r2 mod M, nonzero
                 n2 = (beta * mod_inverse(r1, M) - alpha * mod_inverse(r2, M)) % M
                 if n2 != 0:
-                    closed = frak_c_closed_form(chi, r1, r2, alpha, beta, n2)
-                    if closed is not None:
-                        brute = frak_c(chi, r1, r2, alpha, beta, n2)
-                        worst = max(worst, abs(brute.value - closed.value))
-                        cases += 1
+                    route(r1, r2, alpha, beta, n2)
                 # case (iii): r1 = beta/n, r2 = -alpha/n
                 n3 = int(rng.integers(1, M))
                 nbar = mod_inverse(n3, M)
                 r1c, r2c = nbar * beta % M, (-nbar * alpha) % M
                 if r1c and r2c:
-                    closed = frak_c_closed_form(chi, r1c, r2c, alpha, beta, n3)
-                    if closed is not None:
-                        brute = frak_c(chi, r1c, r2c, alpha, beta, n3)
-                        worst = max(worst, abs(brute.value - closed.value))
-                        cases += 1
+                    route(r1c, r2c, alpha, beta, n3)
+            if params:
+                brute = frak_c(chi, *np.array(params).T).value
+                worst = max(worst, float(np.abs(brute - np.array(closed)).max()))
+                cases += len(params)
     return _report("appendix:c_sum_closed_forms", (samples, seed), float(cases), worst, tol)
 
 
@@ -724,17 +724,21 @@ def _alpha_factorization_suite_check(samples: int, seed: int) -> CheckReport:
 
 def _conjugation_check(samples: int, seed: int, tol: float) -> CheckReport:
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    groups = {}
     for _ in range(samples):
         M = (5, 7, 11, 13)[int(rng.integers(4))]
         k = int(rng.integers(1, M - 1))
-        chi = character(M, k)
         r = int(rng.integers(1, M))
         ell = int(rng.integers(1, M))
         n = int(rng.integers(0, 3 * M))
+        groups.setdefault((M, k), []).append((r, ell, n))
+    worst = 0.0
+    for (M, k), params in groups.items():
+        chi = character(M, k)
+        r, ell, n = np.array(params).T
         left = frak_k(chi, r, ell, n).value.conjugate()
         right = frak_k(chi.conjugate(), r, ell, (-n) % M).value
-        worst = max(worst, abs(left - right))
+        worst = max(worst, float(np.abs(left - right).max()))
     return _report("appendix:conjugation_symmetry", (samples, seed), 1.0, worst, tol)
 
 

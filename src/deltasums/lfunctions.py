@@ -52,10 +52,12 @@ sums of an AFE half or of a truncated series, cos and sin(2 pi a/M) for the
 Gauss sums.  With chi_k(g^j) = e(kj/(M-1)) for the primitive root g,
 reordering v by powers of g turns the sums for all M-1 characters into one
 discrete Fourier transform of length M-1, taken as a single real FFT
-(_character_transform).  So the Hurwitz identity, the twist AFE and each
-doubling of a smoothed series are evaluated once per modulus for every
-character: every value is an entry of one per-modulus row (_l_values_all,
-_twist_values_all, _smoothed_values_all).
+(characters._character_transform).  So the Hurwitz identity, the twist AFE
+and each doubling of a smoothed series are evaluated once per modulus for
+every character: every value is an entry of one per-modulus row
+(_l_values_all, _twist_values_all, _smoothed_values_all).  The Gauss sums
+of the twist root numbers are characters._gauss_row(M), the same row
+expsums.gauss_sum reads.
 
 Burgess sweeps record |L|/M^exponent with exponent 3/16 (Dirichlet) or 3/8
 (twist), sorted by modulus, with a CSV writer matching the fixed schema.
@@ -78,7 +80,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .characters import DirichletCharacter, PrincipalCharacterNotAllowed
+from .characters import (
+    DirichletCharacter,
+    PrincipalCharacterNotAllowed,
+    _character_transform,
+    _gauss_row,
+)
 from .modular import prime_modulus, primes_in, primes_up_to
 from .transforms import SmoothWindow
 
@@ -438,23 +445,6 @@ def hurwitz_zeta(s: float, a):
     return float(acc[0]) if scalar else acc
 
 
-def _character_transform(vec: np.ndarray, M: int) -> np.ndarray:
-    """sum_a chi_k(a) vec[a] for every character index k mod the prime M.
-
-    vec is real and indexed by residue in [0, M); vec[0] is never read.
-    Since chi_k(g^j) = e(kj/(M-1)), the sums are the inverse DFT of
-    f[j] = vec[g^j]. rfft gives R_k = sum_j f[j] e(-kj/(M-1)) for
-    k <= (M-1)/2, and f is real, so the sums are conj(R_k) up to there and
-    R_{M-1-k} above: a character and its conjugate get exactly conjugate
-    values. Adding 0.0 clears the -0.0 that conj leaves on real bins.
-    """
-    powers = np.empty(M - 1, dtype=np.int64)
-    powers[prime_modulus(M).dlog[1:]] = np.arange(1, M)
-    R = np.fft.rfft(np.asarray(vec, dtype=np.float64)[powers])
-    half = (M - 1) // 2
-    return np.concatenate((np.conj(R), R[half - 1 : 0 : -1])) + 0.0
-
-
 @lru_cache(maxsize=64)
 def _l_values_all(M: int) -> np.ndarray:
     """L(1/2, chi_k) mod M for every index k by the Hurwitz identity."""
@@ -493,7 +483,7 @@ def _twist_values_all(seq: CoefficientSequence, M: int) -> np.ndarray:
         L = sum lam(n) chi(n) n^{-1/2} Q(6, 2 pi n/(M X))
             + eps sum lam(n) conj(chi(n)) n^{-1/2} Q(6, 2 pi n X/M),
     each half one class vector through _character_transform, the Gauss sums
-    tau(chi) the transforms of cos and sin(2 pi a/M). The value does not
+    tau(chi) read from _gauss_row(M). The value does not
     depend on X; it is formed at both _AFE_X points, and a gap above
     _AFE_TOL (1 + |L|) raises ArithmeticError.
     """
@@ -509,8 +499,7 @@ def _twist_values_all(seq: CoefficientSequence, M: int) -> np.ndarray:
     n = np.arange(1, n_max + 1, dtype=np.float64)
     w = seq.lam[1 : n_max + 1] / np.sqrt(n)
     res = np.arange(1, n_max + 1) % M
-    angle = 2.0 * math.pi * np.arange(M) / M
-    gauss = _character_transform(np.cos(angle), M) + 1j * _character_transform(np.sin(angle), M)
+    gauss = _gauss_row(M)
     eps = gauss * gauss / M
 
     def at(X: float) -> np.ndarray:

@@ -148,15 +148,77 @@ def test_kloosterman_direct_loop_and_known_value():
         assert abs(kloosterman_sum(a, b, c) - oracle(a, b, c)) < 1e-10
 
 
-def test_kloosterman_symmetries(seed=8):
-    rng = random.Random(seed)
-    for _ in range(100):
-        c = rng.choice([5, 7, 11, 13, 23])
-        a = rng.randrange(1, c)
-        b = rng.randrange(1, c)
-        assert abs(kloosterman_sum(a, b, c) - kloosterman_sum(b, a, c)) < 1e-10
-        # S(a, b; c) = S(1, ab; c) by substituting x -> a*x
-        assert abs(kloosterman_sum(a, b, c) - kloosterman_sum(1, a * b, c)) < 1e-10
+def _same_bits(got, want) -> bool:
+    """Equal entries bit for bit (so 0.0 and -0.0 differ), shapes included."""
+    want = np.asarray(want, dtype=got.dtype)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_kloosterman_on_arrays_is_its_scalar_calls(seed=15):
+    rng = np.random.default_rng(seed)
+    for c in (1, 2, 12, 25, 31, 101):
+        a = rng.integers(-3 * c, 3 * c, size=(3, 1))
+        b = rng.integers(-3 * c, 3 * c, size=4)
+        got = kloosterman_sum(a, b, c)
+        assert got.dtype == np.float64
+        want = [[kloosterman_sum(int(x), int(y), c) for y in b] for x in a[:, 0]]
+        assert _same_bits(got, want)
+        # an array on one side only, and a 0-d array
+        assert _same_bits(kloosterman_sum(7, b, c), [kloosterman_sum(7, int(y), c) for y in b])
+        assert _same_bits(kloosterman_sum(np.array(-5), 3, c), kloosterman_sum(-5, 3, c))
+    assert kloosterman_sum(np.array([], dtype=np.int64), 1, 7).shape == (0,)
+    with pytest.raises(TypeError):
+        kloosterman_sum(np.array([1.0]), 1, 7)
+
+
+def test_frak_k_on_arrays_is_its_scalar_calls(seed=16):
+    rng = np.random.default_rng(seed)
+    for M, k in ((5, 1), (7, 3), (13, 6), (31, 29)):
+        chi = character(M, k)
+        r = rng.integers(-4 * M, 4 * M, size=5)
+        ell = np.array([1, -1, M + 2, -3 * M - 1]).reshape(4, 1, 1)
+        n = np.concatenate(([0, M, -2 * M], rng.integers(-4 * M, 4 * M, size=3))).reshape(6, 1)
+        res = frak_k(chi, r, ell, n)
+        assert res.value.shape == (4, 6, 5) and res.method == "brute_force"
+        want = [
+            [[frak_k(chi, int(x), int(e), int(m)).value for x in r] for m in n[:, 0]]
+            for e in ell[:, 0, 0]
+        ]
+        assert _same_bits(res.value, want)
+        assert _same_bits(res.normalized_size, np.abs(res.value) / math.sqrt(M))
+    with pytest.raises(EllNotCoprime):
+        frak_k(character(11, 1), 1, np.array([1, 22]), 5)
+
+
+def test_frak_c_on_arrays_is_its_scalar_calls(seed=17):
+    rng = np.random.default_rng(seed)
+    for M, k in ((5, 2), (7, 1), (11, 5), (13, 4)):
+        chi = character(M, k)
+        units = [x for x in range(-3 * M, 3 * M) if x % M]
+        r1, r2, alpha, beta = (rng.integers(-3 * M, 3 * M, size=12) for _ in range(4))
+        alpha[alpha % M == 0] += 1
+        beta[beta % M == 0] -= 1
+        # n = 0 mod M excludes no summand; any other n excludes z = -beta/n
+        n = np.concatenate((M * rng.integers(-2, 3, size=4), rng.choice(units, size=8)))
+        res = frak_c(chi, r1, r2, alpha, beta, n)
+        scalar = [frak_c(chi, *map(int, args)).value for args in zip(r1, r2, alpha, beta, n)]
+        assert _same_bits(res.value, scalar)
+        # broadcast: one row of r1 against a column of n
+        got = frak_c(chi, r1[:3], 1, 1, 1, n[:, None]).value
+        assert got.shape == (12, 3)
+        want = [[frak_c(chi, int(x), 1, 1, 1, int(m)).value for x in r1[:3]] for m in n]
+        assert _same_bits(got, want)
+    # the excluded summand enters as 0: a direct loop that skips it
+    chi = character(11, 3)
+    for n in (0, 4, -7):
+        direct = sum(
+            chi.conjugate()(1 + z) * chi(2 + 3 * mod_inverse(n + 5 * mod_inverse(z, 11), 11))
+            for z in range(1, 11)
+            if (n + 5 * mod_inverse(z, 11)) % 11
+        )
+        assert abs(frak_c(chi, np.array([1]), 2, 3, 5, n).value[0] - direct) < 1e-12
+    with pytest.raises(AlphaBetaNotCoprime):
+        frak_c(character(11, 1), 1, 1, np.array([1, 11]), 1, 2)
 
 
 def test_weil_bound_profile():

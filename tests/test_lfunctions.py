@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from scipy.special import gammaincc
 
 from deltasums import lfunctions
-from deltasums.characters import PrincipalCharacterNotAllowed, character
+from deltasums.characters import PrincipalCharacterNotAllowed, _character_transform, character
 from deltasums.lfunctions import (
     CSV_HEADER,
     DEFAULT_TAU_BOUND,
@@ -42,7 +42,6 @@ from deltasums.lfunctions import (
     write_sweep_csv,
 )
 from deltasums.lfunctions import (
-    _character_transform,
     _class_vector,
     _square_truncated,
     _tau_table_is_valid,
@@ -491,15 +490,8 @@ def test_afe_weight_closed_form_matches_incomplete_gamma():
 
 def test_twist_afe_splitting_gap_raises(delta_seq, monkeypatch):
     # a wrong root number breaks the X-independence the row is checked by
-    real = lfunctions._character_transform
-    calls = []
-
-    def skewed(vec, M):
-        calls.append(M)
-        out = real(vec, M)
-        return out * 1.01 if len(calls) == 1 else out
-
-    monkeypatch.setattr(lfunctions, "_character_transform", skewed)
+    real = lfunctions._gauss_row
+    monkeypatch.setattr(lfunctions, "_gauss_row", lambda M: real(M) * 1.01)
     with pytest.raises(ArithmeticError, match="splitting point"):
         lfunctions._twist_values_all(delta_seq, 31)
 

@@ -1,5 +1,6 @@
 """Property tests for the trivial delta symbol, the beta-sum rows, Dirichlet
-characters, unit residues, sweep CSV lines and Fourier duals."""
+characters, Gauss and Kloosterman sums, the frak_k/frak_c closed-form routing,
+unit residues, sweep CSV lines and Fourier duals."""
 
 import math
 
@@ -7,11 +8,20 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from deltasums.characters import character, enumerate_characters
-from deltasums.expsums import trivial_delta
+from deltasums.expsums import (
+    _csum,
+    frak_c,
+    frak_c_closed_form,
+    frak_k,
+    frak_k_closed_form,
+    gauss_sum,
+    kloosterman_sum,
+    trivial_delta,
+)
 from deltasums.identities import _beta_row
 from deltasums.lfunctions import SweepRecord
 from deltasums.modular import divisors, primes_in, unit_residues
@@ -102,6 +112,94 @@ def test_beta_row_is_the_beta_sum(M, p, data):
     )
     got = _beta_row(chi, q)[(rhat - alpha * ell * (q // c)) % q]
     assert abs(got - want) < 1e-11 * q
+
+
+def _gauss_sum_brute(chi) -> complex:
+    """sum_y chi(y) e(y/M) one term per unit y: the combined angle
+    k dlog(y)/(M-1) + y/M reduced exactly over M(M-1), then exponentiated."""
+    M = chi.M
+    order = M - 1
+    y = np.arange(1, M, dtype=np.int64)
+    den = M * order
+    num = (chi.index * chi.modulus.dlog[1:] * M + y * order) % den
+    return _csum(np.exp(2j * np.pi * (num / den)))
+
+
+gauss_characters = st.sampled_from(primes_in(5, 1000)).flatmap(
+    lambda M: st.tuples(st.just(M), st.integers(1, M - 2))
+)
+
+
+@PROPERTY
+@given(gauss_characters)
+@example((997, 498))
+@example((5, 1))
+def test_gauss_sum_is_the_definition_sum(character_key):
+    M, k = character_key
+    chi = character(M, k)
+    assert abs(gauss_sum(chi) - _gauss_sum_brute(chi)) < 1e-12 * math.sqrt(M)
+
+
+@PROPERTY
+@given(st.integers(1, 400), st.integers(-BOUND, BOUND), st.integers(-BOUND, BOUND))
+@example(12, 5, 7)
+@example(25, 10, 3)
+def test_kloosterman_is_symmetric_and_scales(c, a, b):
+    """S(a, b; c) = S(b, a; c) by x -> xbar, and S(a, b; c) = S(1, ab; c) by
+    x -> a x when gcd(a, c) = 1, prime or composite c. Both substitutions
+    permute the integer phases, so the table entries summed are the same
+    multiset and the correctly rounded sums agree exactly."""
+    value = kloosterman_sum(a, b, c)
+    assert value == kloosterman_sum(b, a, c)
+    if math.gcd(a, c) == 1:
+        assert value == kloosterman_sum(1, a * b, c)
+
+
+def units_mod(M):
+    return st.integers(-BOUND, BOUND).filter(lambda x: x % M)
+
+
+@PROPERTY
+@given(st.sampled_from(primes_in(5, 60)), st.data())
+def test_frak_k_closed_form_routing(M, data):
+    """A closed form exactly when M | n and gcd(r, M) = 1, equal to the brute sum."""
+    chi = character(M, data.draw(st.integers(1, M - 2)))
+    r = data.draw(st.integers(-BOUND, BOUND))
+    ell = data.draw(units_mod(M))
+    n = data.draw(st.integers(-BOUND, BOUND))
+    if data.draw(st.booleans()):
+        n = M * data.draw(st.integers(-50, 50))
+    closed = frak_k_closed_form(chi, r, ell, n)
+    assert (closed is not None) == (n % M == 0 and r % M != 0)
+    if closed is not None:
+        assert abs(closed.value - frak_k(chi, r, ell, n).value) < 1e-9
+
+
+@PROPERTY
+@given(
+    st.sampled_from(primes_in(5, 60)),
+    st.sampled_from(["M | n", "diagonal", "inverted pair", "any"]),
+    st.data(),
+)
+def test_frak_c_closed_form_is_the_brute_sum_on_every_routed_class(M, route, data):
+    """Each class of frak_c_closed_form's routing has a closed form, and any
+    closed form equals the brute sum."""
+    chi = character(M, data.draw(st.integers(1, M - 2)))
+    r1, r2, alpha, beta = (data.draw(units_mod(M)) for _ in range(4))
+    n = data.draw(st.integers(-BOUND, BOUND))
+    if route == "M | n":
+        n = M * data.draw(st.integers(-50, 50))
+    elif route == "diagonal":
+        n = (beta * pow(r1, -1, M) - alpha * pow(r2, -1, M)) % M
+        assume(n != 0)
+    elif route == "inverted pair":
+        assume(n % M != 0)
+        nbar = pow(n, -1, M)
+        r1, r2 = nbar * beta % M, -nbar * alpha % M
+    closed = frak_c_closed_form(chi, r1, r2, alpha, beta, n)
+    assert closed is not None or route == "any"
+    if closed is not None:
+        assert abs(closed.value - frak_c(chi, r1, r2, alpha, beta, n).value) < 1e-9
 
 
 @PROPERTY
