@@ -44,7 +44,7 @@ def sweep(pmax: int = 3000, out: str = "burgess_quadratic.csv") -> None:
 
 def record_holder(M: int = 2999) -> None:
     chi = enumerate_characters(M, "quadratic")[0]
-    val = l_value_dirichlet(chi, "hurwitz_oracle")
+    val = l_value_dirichlet(chi)
     print(f"\nlargest |L| in the range, quadratic character mod {M}:")
     print(f"  L(1/2, chi) = {val:.12f}  |L| = {abs(val):.12f}")
 

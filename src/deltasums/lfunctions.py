@@ -33,30 +33,26 @@ Deligne's bound) is rebuilt.
 
 Central values:
 
-* l_value_dirichlet(chi): either the Hurwitz-zeta identity
+* l_value_dirichlet(chi): the Hurwitz-zeta identity
       L(1/2, chi) = M^{-1/2} * sum_a chi(a) zeta(1/2, a/M)
-  with zeta(s, a) evaluated by Euler-Maclaurin, or a smoothly truncated
-  series of effective length >= 50 sqrt(M) log M whose truncation scale is
-  doubled until three evaluations agree.
-* l_value_twist(seq, chi): exact by default.  For the divisor function
+  with zeta(s, a) evaluated by Euler-Maclaurin.
+* l_value_twist(seq, chi): for the divisor function
   L(s, E x chi) = L(s, chi)^2, the square of the Hurwitz value; for the
   weight-12 form the approximate functional equation at conductor M^2
   (Iwaniec-Kowalski, Analytic Number Theory, Thm 5.3 and Prop 14.20) with
   weight Q(6, x) = e^{-x} sum_{j<6} x^j/j!, evaluated at two splitting
-  points whose values must agree.  The smoothly truncated series of
-  effective length >= 50 M log M stays available as method "smoothed".
+  points whose values must agree.
 
 All of these reduce to character sums sum_a chi(a) v[a] over real vectors
 indexed by residue: the Hurwitz values zeta(1/2, a/M), the residue-class
-sums of an AFE half or of a truncated series, cos and sin(2 pi a/M) for the
-Gauss sums.  With chi_k(g^j) = e(kj/(M-1)) for the primitive root g,
-reordering v by powers of g turns the sums for all M-1 characters into one
-discrete Fourier transform of length M-1, taken as a single real FFT
-(characters._character_transform).  So the Hurwitz identity, the twist AFE
-and each doubling of a smoothed series are evaluated once per modulus for
-every character: every value is an entry of one per-modulus row
-(_l_values_all, _twist_values_all, _smoothed_values_all).  The Gauss sums
-of the twist root numbers are characters._gauss_row(M), the same row
+sums of an AFE half, cos and sin(2 pi a/M) for the Gauss sums.  With
+chi_k(g^j) = e(kj/(M-1)) for the primitive root g, reordering v by powers
+of g turns the sums for all M-1 characters into one discrete Fourier
+transform of length M-1, taken as a single real FFT
+(characters._character_transform).  So the Hurwitz identity and the twist
+AFE are evaluated once per modulus for every character: every value is an
+entry of one per-modulus row (_l_values_all, _twist_values_all).  The Gauss
+sums of the twist root numbers are characters._gauss_row(M), the same row
 expsums.gauss_sum reads.
 
 Burgess sweeps record |L|/M^exponent with exponent 3/16 (Dirichlet) or 3/8
@@ -482,9 +478,9 @@ def _twist_values_all(seq: CoefficientSequence, M: int) -> np.ndarray:
     conductor M^2 with root number eps = tau(chi)^2 / M,
         L = sum lam(n) chi(n) n^{-1/2} Q(6, 2 pi n/(M X))
             + eps sum lam(n) conj(chi(n)) n^{-1/2} Q(6, 2 pi n X/M),
-    each half one class vector through _character_transform, the Gauss sums
-    tau(chi) read from _gauss_row(M). The value does not
-    depend on X; it is formed at both _AFE_X points, and a gap above
+    each half one residue-class vector through _character_transform, the
+    Gauss sums tau(chi) read from _gauss_row(M). The value does not depend
+    on X; it is formed at both _AFE_X points, and a gap above
     _AFE_TOL (1 + |L|) raises ArithmeticError.
     """
     if seq.kind == "divisor":
@@ -518,143 +514,21 @@ def _twist_values_all(seq: CoefficientSequence, M: int) -> np.ndarray:
     return row
 
 
-def _smooth_cutoff(t: np.ndarray) -> np.ndarray:
-    """C-infinity cutoff: 1 on [0,1], descending to 0 at 2, 0 beyond; t
-    ascending and nonnegative, so the descent is one slice."""
-    out = np.zeros_like(t)
-    lo = np.searchsorted(t, 1.0 + 1e-12, side="right")
-    hi = np.searchsorted(t, 2.0 - 1e-12, side="left")
-    out[:lo] = 1.0
-    s = 2.0 - t[lo:hi]  # in (0, 1): 0 at the far edge, 1 at the plateau
-    f = np.exp(-1.0 / s)
-    g = np.exp(-1.0 / (1.0 - s))
-    out[lo:hi] = f / (f + g)
-    return out
-
-
-_CLASS_VECTOR_CHUNK = 2_000_000
-
-
-def _class_vector(seq: CoefficientSequence | None, M: int, X: float) -> np.ndarray:
-    """Residue-class sums T[a] = sum over n = a mod M of lam(n) n^{-1/2} f(n/X).
-
-    The character enters only through _character_transform, so one vector
-    serves every character of the modulus. Fixed chunking keeps peak memory
-    flat and reruns byte-identical.
-    """
-    hi = math.floor(2.0 * X)
-    if seq is not None and hi > seq.bound:
-        raise OutOfCacheRange(f"requested n outside [1, {seq.bound}] for kind {seq.kind}")
-    acc = np.zeros(M)
-    for lo in range(1, hi + 1, _CLASS_VECTOR_CHUNK):
-        end = min(lo + _CLASS_VECTOR_CHUNK, hi + 1)
-        n = np.arange(lo, end, dtype=np.int64)
-        w = _smooth_cutoff(n / X) / np.sqrt(n.astype(np.float64))
-        if seq is not None:
-            w = w * seq.lam[lo:end]
-        acc += np.bincount(n % M, weights=w, minlength=M)
-    return acc
-
-
-# doublings of the cutoff length _smoothed_values_all tries before it gives up
-_MAX_DOUBLINGS = 16
-
-
-@lru_cache(maxsize=64)
-def _smoothed_values_all(seq: CoefficientSequence | None, M: int) -> tuple:
-    """sum lam(n) chi_k(n) n^{-1/2} cutoff(n/X) for every index k mod the prime
-    M (lam = 1 when seq is None), doubling X from X0 until each is stable.
-
-    X0 = 50 sqrt(M) log M and tol = 1e-8 without seq, 50 M log M and 1e-5
-    with it. Each doubling is one class vector and one _character_transform.
-    A character keeps its value from its first step with two consecutive
-    gaps under tol: one near-coincidence of partials can occur while the
-    value still drifts, flatness across a 4x span of lengths cannot. Open
-    characters read NaN; the second item is the (exception type, message)
-    they raise: OutOfCacheRange at the cache edge, ArithmeticError after
-    _MAX_DOUBLINGS doublings.
-    """
-    if seq is None:
-        X0, tol = 50.0 * math.sqrt(M) * math.log(M), 1e-8
-    else:
-        X0, tol = 50.0 * M * math.log(M), 1e-5
-        if 2.0 * 2.0 * X0 > seq.bound:
-            raise OutOfCacheRange(
-                f"twist series needs coefficients up to {4.0 * X0:.0f} > bound {seq.bound}"
-            )
-    X = X0
-    prev = _character_transform(_class_vector(seq, M, X), M)
-    vals = np.full(M - 1, np.nan, dtype=complex)
-    vals[0] = 0.0  # the principal series diverges and is never read
-    small = np.zeros(M - 1, dtype=np.int64)
-    for _ in range(_MAX_DOUBLINGS):
-        if seq is not None and math.floor(4.0 * X) > seq.bound:
-            failure = (
-                OutOfCacheRange,
-                f"smoothed series mod {M} still moving at the cache edge; "
-                f"a gap below {tol:g} needs coefficients past "
-                f"{math.floor(4.0 * X)} > bound {seq.bound}",
-            )
-            break
-        cur = _character_transform(_class_vector(seq, M, 2.0 * X), M)
-        small = np.where(np.abs(cur - prev) < tol, small + 1, 0)
-        done = np.isnan(vals) & (small == 2)
-        vals[done] = cur[done]
-        if not np.isnan(vals).any():
-            failure = None
-            break
-        prev, X = cur, 2.0 * X
-    else:
-        failure = (
-            ArithmeticError,
-            f"smoothed central series did not stabilize below {tol} within "
-            f"{_MAX_DOUBLINGS} doublings of X0 = {X0:.3g}",
-        )
-    vals.setflags(write=False)
-    return vals, failure
-
-
-def _smoothed_value(seq: CoefficientSequence | None, chi: DirichletCharacter) -> complex:
-    """The entry of _smoothed_values_all for chi, or its row's failure."""
-    vals, failure = _smoothed_values_all(seq, chi.M)
-    if np.isnan(vals[chi.index]):
-        raise failure[0](failure[1])
-    return complex(vals[chi.index])
-
-
-def l_value_dirichlet(chi: DirichletCharacter, method: str = "hurwitz_oracle") -> complex:
-    """L(1/2, chi) for primitive chi, by the Hurwitz identity or smooth truncation."""
+def l_value_dirichlet(chi: DirichletCharacter) -> complex:
+    """L(1/2, chi) for primitive chi, chi's entry of the Hurwitz row _l_values_all."""
     if chi.is_principal:
         raise PrincipalCharacterNotAllowed("central values require a primitive character")
-    if method == "hurwitz_oracle":
-        return complex(_l_values_all(chi.M)[chi.index])
-    if method == "smoothed":
-        return _smoothed_value(None, chi)
-    raise ValueError(f"unknown method {method!r}")
+    return complex(_l_values_all(chi.M)[chi.index])
 
 
-def l_value_twist(
-    seq: CoefficientSequence,
-    chi: DirichletCharacter,
-    method: str = "exact",
-) -> complex:
-    """L(1/2, g x chi) for primitive chi mod a prime M.
-
-    "exact": the entry of _twist_values_all, L(1/2, chi)^2 for the divisor
-    kind and the approximate functional equation, checked at two splitting
-    points, for the delta form (which reads coefficients to about 10 M).
-    "smoothed": sum lam(n) chi(n) n^{-1/2}, smoothly truncated, the
-    truncation doubling from effective length 50 M log M until the step gap
-    falls under 1e-5; when the cache cannot carry the ladder that far the
-    evaluation refuses rather than returning a moving value.
-    """
+def l_value_twist(seq: CoefficientSequence, chi: DirichletCharacter) -> complex:
+    """L(1/2, g x chi) for primitive chi mod a prime M, chi's entry of
+    _twist_values_all: L(1/2, chi)^2 for the divisor kind and the
+    approximate functional equation, checked at two splitting points, for
+    the delta form (which reads coefficients to about 10 M)."""
     if chi.is_principal:
         raise PrincipalCharacterNotAllowed("central values require a primitive character")
-    if method == "exact":
-        return complex(_twist_values_all(seq, chi.M)[chi.index])
-    if method == "smoothed":
-        return _smoothed_value(seq, chi)
-    raise ValueError(f"unknown method {method!r}")
+    return complex(_twist_values_all(seq, chi.M)[chi.index])
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,6 @@ from deltasums.lfunctions import (
     delta_sequence,
     divisor_sequence,
     l_value_dirichlet,
-    l_value_twist,
     monotone_envelope,
     write_sweep_csv,
 )
@@ -61,6 +60,7 @@ from deltasums.transforms import (
     plateau_window,
     voronoi_transform_batch,
 )
+from oracles import smoothed_row, smoothed_value
 
 ARTIFACTS = Path(__file__).resolve().parent / "artifacts"
 RESULT_LINES: list[str] = []  # replayed by the conftest terminal summary
@@ -291,20 +291,17 @@ def test_criterion_09_l_value_oracles():
     t0 = time.perf_counter()
     worst_a = 0.0
     for M in (5, 7, 11, 101, 499):
+        row = smoothed_row(None, M)
         for chi in enumerate_characters(M, "primitive"):
-            dev = abs(
-                l_value_dirichlet(chi, "hurwitz_oracle") - l_value_dirichlet(chi, "smoothed")
-            )
+            dev = abs(l_value_dirichlet(chi) - smoothed_value(row, chi))
             if dev > worst_a:
                 worst_a = dev
     seq = divisor_sequence(24_000_000)
     worst_b = 0.0
     for M in primes_in(5, 101):
+        row = smoothed_row(seq, M)
         for chi in enumerate_characters(M, "primitive"):
-            dev = abs(
-                l_value_twist(seq, chi, "smoothed")
-                - l_value_dirichlet(chi, "hurwitz_oracle") ** 2
-            )
+            dev = abs(smoothed_value(row, chi) - l_value_dirichlet(chi) ** 2)
             if dev > worst_b:
                 worst_b = dev
     elapsed = time.perf_counter() - t0
@@ -320,7 +317,7 @@ def test_criterion_09_l_value_oracles():
     assert elapsed < 300.0
 
 
-def test_criterion_10_burgess_scaling():
+def test_criterion_10_burgess_scaling(tmp_path):
     """Burgess-consistency of the quadratic-character sweep up to M = 3000.
 
     (a) The envelope E_b of |L(1/2,chi)| / M^(3/16) grows by less than a
@@ -346,12 +343,15 @@ def test_criterion_10_burgess_scaling():
     finite-range growth comparison cannot confirm a bound that carries an
     M^eps factor and an unspecified constant; (b) instead checks that the
     sweep's exponent, ratios and envelope agree with the raw L-values.
+
+    The sweep's CSV, written to a temporary directory, must equal the
+    committed tests/artifacts/burgess_quadratic_3000.csv byte for byte.
     """
     t0 = time.perf_counter()
     records = burgess_sweep("dirichlet", 3, 3000, chars="quadratic")
-    ARTIFACTS.mkdir(exist_ok=True)
-    csv_path = ARTIFACTS / "burgess_quadratic_3000.csv"
+    csv_path = tmp_path / "burgess_quadratic_3000.csv"
     write_sweep_csv(records, csv_path)
+    pinned = csv_path.read_bytes() == (ARTIFACTS / csv_path.name).read_bytes()
 
     ms, env = monotone_envelope(records)
     i100 = int(np.searchsorted(ms, 100, side="right")) - 1
@@ -376,7 +376,7 @@ def test_criterion_10_burgess_scaling():
     elapsed = time.perf_counter() - t0
     bounded = env_final < 10.0 * env_100
     tied = lower * (1 - 1e-12) <= relative <= upper * (1 + 1e-12)
-    ok = bounded and tied and elapsed < 600.0
+    ok = bounded and tied and pinned and elapsed < 600.0
     _report(
         10,
         "burgess_scaling",
@@ -385,8 +385,9 @@ def test_criterion_10_burgess_scaling():
         f"growth={growth_b:.4f} convexity_growth={growth_c:.4f} "
         f"tie={lower:.4f}<={relative:.4f}<={upper:.4f} "
         f"m_b={m_b} m_b0={m_b0} m_c={m_c} m_c0={m_c0} "
-        f"csv={csv_path.name} wall={elapsed:.1f}s",
+        f"csv={csv_path.name} matches_artifact={pinned} wall={elapsed:.1f}s",
     )
+    assert pinned, f"sweep CSV differs from tests/artifacts/{csv_path.name}"
     assert bounded, f"envelope exploded: {env_final:.4f} >= 10 * {env_100:.4f}"
     assert tied, (
         f"growth ratio {relative:.6f} (3/16-envelope {growth_b:.6f} over "

@@ -1,5 +1,6 @@
 """Coefficient sequences, L-values, amplifiers and sweeps."""
 
+import gc
 import hashlib
 import io
 import logging
@@ -7,6 +8,7 @@ import math
 import random
 import sys
 import threading
+import weakref
 from functools import cache
 from pathlib import Path
 
@@ -42,12 +44,14 @@ from deltasums.lfunctions import (
     write_sweep_csv,
 )
 from deltasums.lfunctions import (
-    _class_vector,
     _square_truncated,
     _tau_table_is_valid,
     _twist_values_all,
 )
 from deltasums.transforms import bump_window
+
+import oracles
+from oracles import class_vector, smoothed_row, smoothed_value
 
 # q-expansion of Delta, Hecke-normalized later; classical table
 TAU_KNOWN = [1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643, -115920]
@@ -337,11 +341,10 @@ def test_hurwitz_zeta_against_mpmath():
 
 def test_l_value_methods_agree_small_moduli():
     for M in (5, 7, 11):
+        row = smoothed_row(None, M)
         for k in range(1, M - 1):
             chi = character(M, k)
-            a = l_value_dirichlet(chi, "hurwitz_oracle")
-            b = l_value_dirichlet(chi, "smoothed")
-            assert abs(a - b) < 1e-6
+            assert abs(l_value_dirichlet(chi) - smoothed_value(row, chi)) < 1e-6
 
 
 def test_l_value_conjugate_symmetry():
@@ -378,7 +381,7 @@ def test_l_value_rejects_principal():
 
 def test_twist_divisor_square_mod5(div_seq):
     chi = character(5, 2)
-    lhs = l_value_twist(div_seq, chi, "smoothed")
+    lhs = smoothed_value(smoothed_row(div_seq, 5), chi)
     rhs = l_value_dirichlet(chi) ** 2
     assert abs(lhs - rhs) < 1e-5
     assert abs(l_value_twist(div_seq, chi) - rhs) < 1e-15
@@ -395,7 +398,7 @@ def test_twist_refuses_insufficient_cache():
     # the doubling ladder must not return a still-moving value
     small = divisor_sequence(2048)
     with pytest.raises(OutOfCacheRange):
-        l_value_twist(small, character(101, 1), method="smoothed")
+        smoothed_row(small, 101)
 
 
 def test_smoothed_row_keeps_each_characters_own_ladder():
@@ -403,7 +406,7 @@ def test_smoothed_row_keeps_each_characters_own_ladder():
     # consecutive gaps fall under 1e-5, refusing at the cache edge; at this
     # bound mod 41 some characters settle before the edge and some do not
     seq, M = divisor_sequence(3_000_000), 41
-    row_at = cache(lambda X: _character_transform(_class_vector(seq, M, X), M))
+    row_at = cache(lambda X: _character_transform(class_vector(seq, M, X), M))
 
     def ladder(k):
         X = 50.0 * M * math.log(M)
@@ -416,26 +419,48 @@ def test_smoothed_row_keeps_each_characters_own_ladder():
             prev, X = cur, 2.0 * X
         return None
 
+    row = smoothed_row(seq, M)
     returned = 0
     for k in range(1, M - 1):
         ref = ladder(k)
         if ref is None:
             with pytest.raises(OutOfCacheRange, match="mod 41 still moving at the cache edge"):
-                l_value_twist(seq, character(M, k), "smoothed")
+                smoothed_value(row, character(M, k))
         else:
-            assert l_value_twist(seq, character(M, k), "smoothed") == ref
+            assert smoothed_value(row, character(M, k)) == ref
             returned += 1
     assert returned == 33
 
 
 def test_smoothed_row_that_does_not_settle_raises(monkeypatch):
-    monkeypatch.setattr(lfunctions, "_MAX_DOUBLINGS", 1)
-    lfunctions._smoothed_values_all.cache_clear()
-    try:
-        with pytest.raises(ArithmeticError, match="did not stabilize below 1e-08 within 1 doublings"):
-            l_value_dirichlet(character(17, 3), "smoothed")
-    finally:
-        lfunctions._smoothed_values_all.cache_clear()
+    monkeypatch.setattr(oracles, "MAX_DOUBLINGS", 1)
+    row = smoothed_row(None, 17)
+    with pytest.raises(ArithmeticError, match="did not stabilize below 1e-08 within 1 doublings"):
+        smoothed_value(row, character(17, 3))
+
+
+def test_central_values_hold_no_sequence():
+    # neither the library's L-value rows nor the test oracle keep a
+    # sequence's coefficients alive once divisor_sequence lets go of them
+    divisor_sequence.cache_clear()
+    seq = divisor_sequence(2_000_000)
+    lam = weakref.ref(seq.lam)
+    chi = character(5, 1)
+    l_value_twist(seq, chi)
+    l_value_dirichlet(chi)
+    smoothed_row(seq, 5)
+    del seq
+    divisor_sequence.cache_clear()
+    gc.collect()
+    assert lam() is None
+
+
+def test_l_values_take_no_method():
+    chi = character(11, 3)
+    with pytest.raises(TypeError):
+        l_value_dirichlet(chi, "smoothed")
+    with pytest.raises(TypeError):
+        l_value_twist(divisor_sequence(64), chi, method="smoothed")
 
 
 def test_sequences_compare_and_hash_by_kind_bound_weight():
@@ -466,10 +491,10 @@ def test_twist_afe_forced_zeros(delta_seq):
 
 def test_twist_afe_matches_converged_smoothed_ladder(delta_seq):
     for M in (5, 7, 13):
+        row = smoothed_row(delta_seq, M)
         for k in range(1, M - 1):
             chi = character(M, k)
-            exact = l_value_twist(delta_seq, chi)
-            assert abs(exact - l_value_twist(delta_seq, chi, "smoothed")) <= 1e-6
+            assert abs(l_value_twist(delta_seq, chi) - smoothed_value(row, chi)) <= 1e-6
 
 
 def test_twist_afe_refuses_short_sequence():
@@ -587,7 +612,7 @@ def test_twist_sweep_divisor_rows_are_dirichlet_squares(div_seq):
     recs = burgess_sweep("twist", 5, 31, seq=div_seq)
     assert len(recs) == sum(p - 2 for p in sympy.primerange(5, 32))
     for r in recs:
-        ref = l_value_dirichlet(character(r.M, r.char_index), "hurwitz_oracle") ** 2
+        ref = l_value_dirichlet(character(r.M, r.char_index)) ** 2
         assert abs(r.l_value - ref) <= 1e-15 * (1 + abs(ref))
 
 
