@@ -42,8 +42,8 @@ def closed_form_spotchecks(M: int = 13) -> None:
     # n = M lands in the exact case of the single-character sum
     brute = frak_k(chi, 5, 1, M)
     closed = frak_k_closed_form(chi, 5, 1, M)
-    print(f"  frak_k(r=5, ell=1, n={M}): brute {brute.value:+.9f}")
-    print(f"                            closed {closed.value:+.9f}")
+    print(f"  frak_k(r=5, ell=1, n={M}): brute {brute:+.9f}")
+    print(f"                            closed {closed:+.9f}")
     # the paired sum at parameters forced into its inverted-pair class
     n, alpha, beta = 3, 2, 5
     nbar = pow(n, -1, M)
@@ -51,11 +51,11 @@ def closed_form_spotchecks(M: int = 13) -> None:
     brute = frak_c(chi, r1, r2, alpha, beta, n)
     closed = frak_c_closed_form(chi, r1, r2, alpha, beta, n)
     print(f"  frak_c(r1={r1}, r2={r2}, alpha={alpha}, beta={beta}, n={n}):")
-    print(f"    brute  {brute.value:+.9f}")
-    print(f"    closed {closed.value:+.9f}")
+    print(f"    brute  {brute:+.9f}")
+    print(f"    closed {closed:+.9f}")
     quad = enumerate_characters(M, "quadratic")[0]
     brute_q = frak_c(quad, r1, r2, alpha, beta, n)
-    print(f"  same parameters, quadratic character: {brute_q.value.real:+.9f}")
+    print(f"  same parameters, quadratic character: {brute_q.real:+.9f}")
     print(f"    (the full unit sum would give {M - 1}; one summand is excluded,"
           f" leaving the constant {M - 2})")
 

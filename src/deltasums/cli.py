@@ -22,7 +22,6 @@ from pathlib import Path
 
 from .characters import character
 from .expsums import (
-    ExpSumResult,
     frak_c,
     frak_c_closed_form,
     frak_k,
@@ -185,10 +184,9 @@ def cmd_sums(ns: argparse.Namespace) -> int:
     for method, result in rows:
         if result is None:
             continue
-        value = result.value if isinstance(result, ExpSumResult) else result
-        mag = abs(complex(value))
+        mag = abs(complex(result))
         print(
-            f"{ns.kind} method={method} value={_fmt_value(value)} "
+            f"{ns.kind} method={method} value={_fmt_value(result)} "
             f"abs={_fmt(mag)} abs_over_sqrt_modulus={_fmt(mag / math.sqrt(modulus))}"
         )
     return 0

@@ -7,10 +7,11 @@ The sums implemented here:
       delta(n = m mod q) = (1/q) * sum_{c | q} sum_{a mod c, (a,c)=1} e(a(n-m)/c),
 
   an identity in which the inner sums are Ramanujan sums, read for every d
-  mod c from one FFT of the unit indicator mod c; n, m may be arrays.
+  mod c from the exact row ramanujan_sum(c, arange(c)); n, m may be arrays.
 
-* ramanujan_sum(M, a) = sum over units z mod M of e(az/M), exactly by von
-  Sterneck's formula mu(M/g) phi(M)/phi(M/g), g = gcd(M, a).
+* ramanujan_sum(M, a) = sum over units z mod M of e(az/M), exactly in
+  integers by Kluyver's formula: the sum over squarefree s | M of
+  mu(s) (M/s) [M/s divides a]. a is an integer or an integer array.
 
 * gauss_sum(chi) = sum_y chi(y) e(y/M), primitive chi only; |g_chi| = sqrt(M).
   It is an entry of characters._gauss_row(M), the Gauss sums of every
@@ -55,13 +56,20 @@ from functools import lru_cache
 import numpy as np
 
 from .characters import DirichletCharacter, PrincipalCharacterNotAllowed, _gauss_row
-from .modular import _factorize, divisors, euler_phi, inverse_table, unit_residues
+from .modular import (
+    _factorize,
+    divisors,
+    inverse_table,
+    is_prime,
+    prime_modulus,
+    primes_in,
+    unit_residues,
+)
 
 __all__ = [
     "EllNotCoprime",
     "AlphaBetaNotCoprime",
     "ParameterConflict",
-    "ExpSumResult",
     "CancellationProfile",
     "trivial_delta",
     "ramanujan_sum",
@@ -157,31 +165,10 @@ def _exp_table(c: int) -> np.ndarray:
 
 @lru_cache(maxsize=256)
 def _ramanujan_row(c: int) -> np.ndarray:
-    """sum over units a mod c of e(a*d/c) for every d in [0, c), read-only: one
-    FFT of the unit indicator, real since the units are closed under a -> -a."""
-    ind = np.zeros(c)
-    ind[unit_residues(c)] = 1.0
-    row = np.fft.fft(ind).real.copy()
+    """ramanujan_sum(c, d) for every d in [0, c), read-only float64."""
+    row = ramanujan_sum(c, np.arange(c)).astype(np.float64)
     row.setflags(write=False)
     return row
-
-
-@dataclass(frozen=True)
-class ExpSumResult:
-    """A finite sum value with its modulus, evaluation route and size scale."""
-
-    value: complex  # a complex array for a batched brute-force call
-    modulus: int
-    method: str  # "brute_force" | "closed_form"
-    normalized_size: float  # |value| / sqrt(modulus), entrywise for a batch
-
-    @classmethod
-    def brute(cls, value: complex, modulus: int) -> "ExpSumResult":
-        return cls(value, modulus, "brute_force", abs(value) / math.sqrt(modulus))
-
-    @classmethod
-    def closed(cls, value: complex, modulus: int) -> "ExpSumResult":
-        return cls(value, modulus, "closed_form", abs(value) / math.sqrt(modulus))
 
 
 @dataclass(frozen=True)
@@ -198,11 +185,9 @@ class CancellationProfile:
 
 @lru_cache(maxsize=16)
 def _delta_row(q: int) -> np.ndarray:
-    """sum over c | q of _ramanujan_row(c)[d mod c] at every d in [0, q), read-only,
-    the rows added in the pair order 1, q, 2, q/2, ..., which fixes each rounding."""
-    ds = divisors(q)
+    """sum over c | q of _ramanujan_row(c)[d mod c] at every d in [0, q), read-only."""
     row = np.zeros(q)
-    for c in [c for pair in zip(ds, reversed(ds)) for c in pair][: len(ds)]:
+    for c in divisors(q):
         row += np.tile(_ramanujan_row(c), q // c)
     row.setflags(write=False)
     return row
@@ -211,13 +196,12 @@ def _delta_row(q: int) -> np.ndarray:
 def trivial_delta(n, m, q: int):
     """The divisor-dissected indicator of n = m (mod q).
 
-    Evaluates (1/q) sum_{c|q} sum_{(a,c)=1} e(a(n-m)/c) by brute force over
-    coprime residues, read at (n - m) mod q from _delta_row(q), the sum of
-    the FFT rows _ramanujan_row(c); the value is the indicator up to rounding
-    for every q >= 1. n and m are integers or arrays that cast safely to int64
-    (numpy integers included), reduced mod q first, and q is an integer. An
-    array gives a complex array whose entries equal the scalar calls bit for
-    bit.
+    Evaluates (1/q) sum_{c|q} sum_{(a,c)=1} e(a(n-m)/c), read at
+    (n - m) mod q from _delta_row(q), the sum of the exact integer rows
+    _ramanujan_row(c), so the value is the indicator for every q >= 1. n and
+    m are integers or arrays that cast safely to int64 (numpy integers
+    included), reduced mod q first, and q is an integer. An array gives a
+    complex array whose entries equal the scalar calls bit for bit.
     """
     q = operator.index(q)
     if q < 1:
@@ -227,19 +211,25 @@ def trivial_delta(n, m, q: int):
     return total.astype(np.complex128) if isinstance(total, np.ndarray) else complex(total)
 
 
-def ramanujan_sum(M: int, a: int) -> float:
-    """sum over units z mod M of e(az/M), exactly, by von Sterneck's formula.
+def ramanujan_sum(M: int, a):
+    """sum over units z mod M of e(az/M), exactly, by Kluyver's formula.
 
-    c_M(a) = mu(M/g) phi(M) / phi(M/g) with g = gcd(M, a); the integer is
-    computed exactly and returned as a float.
+    c_M(a) = sum over squarefree s | M of mu(s) (M/s) [(M/s) | a], an integer
+    sum. An integer a is reduced mod M first and gives a float; an array that
+    casts safely to int64 gives an int64 array.
     """
+    M = operator.index(M)
     if M < 1:
         raise ValueError("ramanujan_sum requires M >= 1")
-    m = M // math.gcd(M, a)
-    factors = _factorize(m)
-    if any(e > 1 for e in factors.values()):
-        return 0.0
-    return float((-1) ** len(factors) * (euler_phi(M) // euler_phi(m)))
+    a = _reduce(a, M)
+    squarefree = [(1, 0)]  # (s, number of primes in s)
+    for p in _factorize(M):
+        squarefree += [(s * p, k + 1) for s, k in squarefree]
+    total = 0
+    for s, k in squarefree:
+        e = M // s
+        total = total + (-1) ** k * e * (a % e == 0)
+    return total if isinstance(total, np.ndarray) else float(total)
 
 
 def gauss_sum(chi: DirichletCharacter) -> complex:
@@ -284,12 +274,12 @@ def generalized_kloosterman(chi: DirichletCharacter, r: int, n: int) -> complex:
     return _csum(tab[units] * _exp_table(M)[phases])
 
 
-def frak_k(chi: DirichletCharacter, r, ell, n) -> ExpSumResult:
+def frak_k(chi: DirichletCharacter, r, ell, n):
     """Brute-force sum over units z of chibar(r + ell*z) e(n*zbar/M).
 
     r, ell and n are integers or integer arrays, broadcast together; an array
-    call gives a result whose value and normalized_size are arrays with
-    entries equal to the scalar calls bit for bit.
+    call gives a complex array whose entries equal the scalar calls bit for
+    bit.
     """
     M = chi.M
     (r, ell_m, n), shape = _parameter_rows(M, r, ell, n)
@@ -297,20 +287,20 @@ def frak_k(chi: DirichletCharacter, r, ell, n) -> ExpSumResult:
         raise EllNotCoprime(f"gcd(ell={ell}, M={M}) != 1")
     conj_tab = chi.conjugate().value_table()
     terms = conj_tab[(r + ell_m * unit_residues(M)) % M] * _exp_table(M)[n * inverse_table(M) % M]
-    return ExpSumResult.brute(_unbatch(_csum(terms), shape), M)
+    return _unbatch(_csum(terms), shape)
 
 
-def frak_k_closed_form(chi: DirichletCharacter, r: int, ell: int, n: int) -> ExpSumResult | None:
+def frak_k_closed_form(chi: DirichletCharacter, r: int, ell: int, n: int) -> complex | None:
     """Exact value -chibar(r) when M | n and gcd(r, M) = 1; None otherwise."""
     M = chi.M
     if math.gcd(ell, M) != 1:
         raise EllNotCoprime(f"gcd(ell={ell}, M={M}) != 1")
     if n % M == 0 and math.gcd(r, M) == 1:
-        return ExpSumResult.closed(-chi.conjugate()(r), M)
+        return -chi.conjugate()(r)
     return None
 
 
-def frak_c(chi: DirichletCharacter, r1, r2, alpha, beta, n) -> ExpSumResult:
+def frak_c(chi: DirichletCharacter, r1, r2, alpha, beta, n):
     """Brute-force paired character sum with an inverted-shift argument.
 
     sum over units z mod M, restricted to n + beta*zbar a unit, of
@@ -329,19 +319,19 @@ def frak_c(chi: DirichletCharacter, r1, r2, alpha, beta, n) -> ExpSumResult:
     u = (r2 + alpha * inv[t]) % M
     terms = chi.conjugate().value_table()[w] * chi.value_table()[u]
     terms[t == 0] = 0.0
-    return ExpSumResult.brute(_unbatch(_csum(terms), shape), M)
+    return _unbatch(_csum(terms), shape)
 
 
 def frak_c_closed_form(
     chi: DirichletCharacter, r1: int, r2: int, alpha: int, beta: int, n: int
-) -> ExpSumResult | None:
+) -> complex | None:
     """Closed forms of frak_c on the degenerate parameter classes.
 
     Requires gcd(r1*r2, M) = 1 in addition to gcd(alpha*beta, M) = 1; the
     classes are routed in this order:
 
     1. M | n:  chi(alpha*betabar) R_M(r2 - r1*alpha*betabar) - chi(r2*r1bar),
-       with R_M the Ramanujan sum (M - 1 at multiples of M, else -1).
+       with R_M = ramanujan_sum(M, .) (M - 1 at multiples of M, else -1).
     2. M does not divide n and n = beta*r1bar - alpha*r2bar (mod M):
        -chi^2(r2*r1bar) chi(beta*alphabar) - chi(r2*r1bar).
     3. M does not divide n and r1 = nbar*beta, r2 = -nbar*alpha (mod M):
@@ -362,20 +352,15 @@ def frak_c_closed_form(
     abar = pow(alpha, -1, M)
     bbar = pow(beta, -1, M)
     if n % M == 0:
-        rama = float(M - 1) if (r2 - r1 * alpha * bbar) % M == 0 else -1.0
-        value = chi(alpha * bbar) * rama - chi(r2 * r1bar)
-        return ExpSumResult.closed(value, M)
+        return chi(alpha * bbar) * ramanujan_sum(M, r2 - r1 * alpha * bbar) - chi(r2 * r1bar)
     nbar = pow(n % M, -1, M)
     if (beta * r1bar - alpha * r2bar - n) % M == 0:
         base = chi(r2 * r1bar)
-        value = -base * base * chi(beta * abar) - base
-        return ExpSumResult.closed(value, M)
+        return -base * base * chi(beta * abar) - base
     if (r1 - nbar * beta) % M == 0 and (r2 + nbar * alpha) % M == 0:
         if chi.is_quadratic:
-            value = chi(nbar * r2 * beta) * (M - 2)
-        else:
-            value = -chi(n * r2 * bbar)
-        return ExpSumResult.closed(value, M)
+            return chi(nbar * r2 * beta) * (M - 2)
+        return -chi(n * r2 * bbar)
     return None
 
 
@@ -396,8 +381,6 @@ def alpha_factorization_check(chi: DirichletCharacter, p: int, r: int, ell: int,
     must agree to 1e-10.
     """
     M = chi.M
-    from .modular import is_prime  # local to avoid polluting module surface
-
     if not is_prime(p):
         raise ParameterConflict(f"p = {p} must be prime")
     if p == M:
@@ -438,8 +421,6 @@ def weil_bound_profile(pmax: int) -> tuple[float, int]:
     The Weil bound asserts the ratio never exceeds 1; the fully degenerate
     pair a = b = 0, where the sum collapses to phi(p), is excluded.
     """
-    from .modular import primes_in
-
     if pmax < 2:
         raise ValueError(f"pmax must be >= 2, got {pmax}")
     worst, worst_p = 0.0, 0
@@ -467,7 +448,7 @@ def _profile_sample(family: str, chi: DirichletCharacter, rng: np.random.Generat
         r = int(rng.integers(1, M))
         ell = int(rng.integers(1, M))
         n = int(rng.integers(1, M))  # M never divides n, the generic regime
-        return abs(frak_k(chi, r, ell, n).value)
+        return abs(frak_k(chi, r, ell, n))
     if family == "frak_c":
         while True:
             r1 = int(rng.integers(1, M))
@@ -476,7 +457,7 @@ def _profile_sample(family: str, chi: DirichletCharacter, rng: np.random.Generat
             beta = int(rng.integers(1, M))
             n = int(rng.integers(1, M))
             if frak_c_closed_form(chi, r1, r2, alpha, beta, n) is None:
-                return abs(frak_c(chi, r1, r2, alpha, beta, n).value)
+                return abs(frak_c(chi, r1, r2, alpha, beta, n))
     raise ValueError(f"unknown sum family {family!r}")
 
 
@@ -490,14 +471,12 @@ def sqrt_cancellation_profile(
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    from .modular import prime_modulus
-
     mod = prime_modulus(M)
     rng = np.random.default_rng(seed)
     root = math.sqrt(M)
     ratios = []
     for i in range(samples):
-        index = 1 + (i % (M - 2)) if M > 4 else 1
+        index = 1 + (i % (M - 2))
         chi = DirichletCharacter(mod, index)
         ratios.append(_profile_sample(family, chi, rng) / root)
     return CancellationProfile(

@@ -34,6 +34,7 @@ import numpy as np
 
 from .characters import DirichletCharacter, PrincipalCharacterNotAllowed, character
 from .expsums import (
+    _ramanujan_row,
     alpha_factorization_check,
     fourier_expansion,
     frak_c,
@@ -42,7 +43,6 @@ from .expsums import (
     frak_k_closed_form,
     gauss_sum,
     kloosterman_sum,
-    ramanujan_sum,
     sqrt_cancellation_profile,
     trivial_delta,
     weil_bound_profile,
@@ -607,8 +607,7 @@ def _ramanujan_check(qmax: int, tol: float) -> CheckReport:
         d = np.arange(q)
         # one (q, phi(q)) phase matrix: row d holds e(d*u/q) over the units u
         brute = np.exp(2j * np.pi * (np.multiply.outer(d, units) % q) / q).sum(axis=1)
-        closed = np.array([ramanujan_sum(q, x) for x in range(q)])
-        worst = max(worst, float(np.abs(closed - brute).max()))
+        worst = max(worst, float(np.abs(_ramanujan_row(q) - brute).max()))
     return _report("appendix:ramanujan_brute", (qmax,), float(qmax), worst, tol)
 
 
@@ -659,8 +658,8 @@ def _k_sum_exact_check(tol: float) -> CheckReport:
                 value = frak_k_closed_form(chi, *args)
                 if value is None:
                     raise AssertionError("exact case must have a closed form")
-                closed.append(value.value)
-            brute = frak_k(chi, *np.array(params).T).value
+                closed.append(value)
+            brute = frak_k(chi, *np.array(params).T)
             worst = max(worst, float(np.abs(brute - np.array(closed)).max()))
     return _report("appendix:k_sum_exact_case", ("5-31",), 1.0, worst, tol)
 
@@ -678,7 +677,7 @@ def _c_sum_check(samples: int, seed: int, tol: float) -> CheckReport:
                 value = frak_c_closed_form(chi, *args)
                 if value is not None:
                     params.append(args)
-                    closed.append(value.value)
+                    closed.append(value)
 
             for _ in range(samples // 6):
                 r1, r2 = (int(rng.integers(1, M)) for _ in range(2))
@@ -696,7 +695,7 @@ def _c_sum_check(samples: int, seed: int, tol: float) -> CheckReport:
                 if r1c and r2c:
                     route(r1c, r2c, alpha, beta, n3)
             if params:
-                brute = frak_c(chi, *np.array(params).T).value
+                brute = frak_c(chi, *np.array(params).T)
                 worst = max(worst, float(np.abs(brute - np.array(closed)).max()))
                 cases += len(params)
     return _report("appendix:c_sum_closed_forms", (samples, seed), float(cases), worst, tol)
@@ -736,8 +735,8 @@ def _conjugation_check(samples: int, seed: int, tol: float) -> CheckReport:
     for (M, k), params in groups.items():
         chi = character(M, k)
         r, ell, n = np.array(params).T
-        left = frak_k(chi, r, ell, n).value.conjugate()
-        right = frak_k(chi.conjugate(), r, ell, (-n) % M).value
+        left = frak_k(chi, r, ell, n).conjugate()
+        right = frak_k(chi.conjugate(), r, ell, (-n) % M)
         worst = max(worst, float(np.abs(left - right).max()))
     return _report("appendix:conjugation_symmetry", (samples, seed), 1.0, worst, tol)
 
@@ -823,8 +822,9 @@ def _beta_sum_suite_check(cfg: PipelineConfig) -> CheckReport:
 
 
 # trivial_delta values pipeline_suite lets delta detection tabulate (2 cores):
-# 2,943 (0.005 s) at the default N = 20, 40,410 (0.03 s) at N = 80, 4,569,503
-# (3.8 s, mostly Ramanujan-row FFTs) at N = 1000 and 5,419,230 at N = 1100
+# 2,943 (0.003 s) at the default N = 20, 40,410 (0.007 s) at N = 80, 4,569,503
+# (0.6 s, half of it Ramanujan rows, a third the correlation FFTs) at N = 1000
+# and 5,419,230 at N = 1100
 _MAX_DETECTION_DELTAS = 5_000_000
 
 

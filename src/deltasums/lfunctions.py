@@ -82,7 +82,7 @@ from .characters import (
     _character_transform,
     _gauss_row,
 )
-from .modular import prime_modulus, primes_in, primes_up_to
+from .modular import primes_in, primes_up_to
 from .transforms import SmoothWindow
 
 __all__ = [

@@ -409,12 +409,9 @@ def _voronoi_kernel(g, sign) -> _Kernel | None:
     """
     kind = getattr(g, "kind", g)
     weight = int(getattr(g, "weight", 12) or 12)
-    if sign in (1, "+", "plus"):
-        plus = True
-    elif sign in (-1, "-", "minus"):
-        plus = False
-    else:
+    if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+    plus = sign == 1
     if kind == "delta_form":
         if weight % 2 != 0 or weight < 4:
             raise UnsupportedCoefficientKind("holomorphic weight must be even >= 4")

@@ -97,7 +97,7 @@ def test_criterion_02_frak_k_exact_case():
         for chi in enumerate_characters(M, "primitive"):
             target = -np.conj(chi.value_table())
             for r in range(1, M):
-                dev = abs(frak_k(chi, r, 1, M).value - target[r])
+                dev = abs(frak_k(chi, r, 1, M) - target[r])
                 if dev > worst:
                     worst = dev
     elapsed = time.perf_counter() - t0
@@ -122,14 +122,14 @@ def test_criterion_03_paired_sum_closed_forms():
                     alpha = int(rng.integers(1, M))
                     beta = int(rng.integers(1, M))
                     # case (i): M | n
-                    got = frak_c(chi, r1, r2, alpha, beta, M).value
-                    want = frak_c_closed_form(chi, r1, r2, alpha, beta, M).value
+                    got = frak_c(chi, r1, r2, alpha, beta, M)
+                    want = frak_c_closed_form(chi, r1, r2, alpha, beta, M)
                     worst_routed = max(worst_routed, abs(got - want))
                     # case (ii): n = beta*r1bar - alpha*r2bar, skipping M | n
                     n2 = (beta * r1bar - alpha * pow(r2, -1, M)) % M
                     if n2 != 0:
-                        got = frak_c(chi, r1, r2, alpha, beta, n2).value
-                        want = frak_c_closed_form(chi, r1, r2, alpha, beta, n2).value
+                        got = frak_c(chi, r1, r2, alpha, beta, n2)
+                        want = frak_c_closed_form(chi, r1, r2, alpha, beta, n2)
                         worst_routed = max(worst_routed, abs(got - want))
             # case (iii): r1 = nbar*beta, r2 = -nbar*alpha forced by (alpha, beta, n)
             for _ in range(40):
@@ -137,8 +137,8 @@ def test_criterion_03_paired_sum_closed_forms():
                 nbar = pow(n, -1, M)
                 r1 = (nbar * beta) % M
                 r2 = (-nbar * alpha) % M
-                got = frak_c(chi, r1, r2, alpha, beta, n).value
-                want = frak_c_closed_form(chi, r1, r2, alpha, beta, n).value
+                got = frak_c(chi, r1, r2, alpha, beta, n)
+                want = frak_c_closed_form(chi, r1, r2, alpha, beta, n)
                 if chi.is_quadratic:
                     # r1 + z = (nz + beta)/n and r2 + alpha*(n + beta*zbar)^{-1}
                     # = -alpha*beta / (n(nz + beta)), so each summand is

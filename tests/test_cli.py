@@ -155,6 +155,12 @@ def test_sums_ramanujan_is_exact():
     code, out, _ = run(["sums", "--kind=ramanujan", "--M=12", "--a=3"])
     assert code == 0
     assert out.startswith("ramanujan method=closed_form value=0 abs=0 ")
+    # an argument past 2^63 is reduced mod M before any array
+    code, out, _ = run(["sums", "--kind=ramanujan", "--M=30030", "--a=300300000000000000000000"])
+    assert code == 0
+    assert out.startswith("ramanujan method=closed_form value=5760 abs=5760 ")
+    code, _, err = run(["sums", "--kind=ramanujan", "--M=0", "--a=1"])
+    assert code == 2 and err == "error: ramanujan_sum requires M >= 1\n"
 
 
 def test_sums_gauss_magnitude():

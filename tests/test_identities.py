@@ -8,7 +8,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from deltasums import identities, transforms
+from deltasums import expsums, identities, transforms
 from deltasums.characters import PrincipalCharacterNotAllowed, character
 from deltasums.identities import (
     Check,
@@ -142,6 +142,26 @@ def test_delta_detection_fails_on_a_perturbed_residue_class(monkeypatch):
     rep = delta_detection_expansion(_detection_cfg("divisor", 101, 10.0, 2))
     assert not rep.passed
     assert rep.residual > rep.tolerance
+
+
+def test_ramanujan_brute_sees_a_planted_row_defect(monkeypatch):
+    real = expsums._ramanujan_row
+
+    def planted(c):
+        row = real(c).copy()
+        row[0] *= 1 + 1e-10
+        return row
+
+    monkeypatch.setattr(expsums, "_ramanujan_row", planted)
+    monkeypatch.setattr(identities, "_ramanujan_row", planted)
+    expsums._delta_row.cache_clear()
+    try:
+        rep = identities._ramanujan_check(40, 1e-9)
+        assert not rep.passed and rep.residual > rep.tolerance
+        # the check reads the rows trivial_delta sums
+        assert expsums.trivial_delta(0, 0, 37) != 1.0
+    finally:
+        expsums._delta_row.cache_clear()
 
 
 def test_choose_detection_scale_satisfies_guard():

@@ -406,6 +406,12 @@ def test_voronoi_transform_delta_minus_side_vanishes():
     assert np.all(voronoi_transform_batch("delta_form", -1, W, np.array([1.0, 2.0])) == 0.0)
 
 
+@pytest.mark.parametrize("sign", ["+", "plus", "-", "minus", 0, 2, None])
+def test_voronoi_transform_takes_only_plus_or_minus_one(sign):
+    with pytest.raises(ValueError, match="sign must be"):
+        voronoi_transform_batch("divisor", sign, bump_window(), [1.0])
+
+
 def test_voronoi_transform_rejects_unknown_kind():
     with pytest.raises(UnsupportedCoefficientKind):
         voronoi_transform_batch("maass", 1, bump_window(), [1.0])
