@@ -37,7 +37,8 @@ def detection(M: int = 101) -> None:
     print(f"\ndetection mod p*{M}, p in {ps}: p*M = {ps[0]*M} > 8*N*L = {8*10*2:.0f}")
     rep = delta_detection_expansion(cfg)
     print(f"  {rep.line()}")
-    print(f"  residual {rep.residual:.3e} is pure floating-point accumulation")
+    # the detection table D_q is an exact integer indicator
+    print(f"  residual {rep.residual:.3e} can come only from the FFT correlation and the float sums")
 
 
 def amplifier_identity() -> None:

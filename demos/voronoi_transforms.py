@@ -44,7 +44,7 @@ def transforms() -> None:
     print("\nVoronoi transforms of the bump window at y = 1:")
     print(f"  divisor, minus side (K0 kernel): {at_one(seq, -1):.6e}")
     print(f"  divisor, plus side  (J/Y kernel): {at_one(seq, +1):.6e}")
-    delta = delta_sequence(6000, cache=None)
+    delta = delta_sequence(6000)
     print(f"  weight-12 form, plus side (J11):  {at_one(delta, +1):.6e}")
     print(f"  weight-12 form, minus side:       {at_one(delta, -1):.6e}")
 
@@ -52,7 +52,7 @@ def transforms() -> None:
 def summation_formula() -> None:
     print("\nDual-expansion residuals, sum vs transform side:")
     for kind, seq in (
-        ("delta_form", delta_sequence(6000, cache=None)),
+        ("delta_form", delta_sequence(6000)),
         ("divisor", divisor_sequence(6000)),
     ):
         for a, c, N in ((1, 3, 40.0), (2, 5, 60.0)):

@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .modular import NotPrime, PrimeModulus, is_prime, prime_modulus
+from .modular import PrimeModulus, prime_modulus
 
 __all__ = [
     "PrincipalCharacterNotAllowed",
@@ -143,10 +143,6 @@ def enumerate_characters(M: int, which: str = "all") -> list[DirichletCharacter]
     For prime modulus the non-principal characters are exactly the primitive
     ones, and the unique quadratic character has index (M-1)/2.
     """
-    if not is_prime(M):
-        raise NotPrime(f"{M} is not prime")
-    if M <= 3:
-        raise ValueError("enumerate_characters requires M > 3")
     mod = prime_modulus(M)
     if which == "all":
         indices = range(M - 1)

@@ -395,12 +395,10 @@ def alpha_factorization_check(chi: DirichletCharacter, p: int, r: int, ell: int,
     alpha0 = unit_residues(M)
     # CRT lift: alpha = a_p (mod p), alpha = alpha0 (mod M)
     lift = (a_p * M * pow(M, -1, p) + alpha0 * p * pow(p, -1, M)) % q
-    alphabar = np.array([pow(int(x), -1, q) for x in lift], dtype=np.int64)
+    alphabar = _inverse_row(q)[lift]
     chi_part = conj_tab[(r - alpha0 * ell) % M]
     pref_num = pow(r * M % p, -1, p) * n * ell % p
-    inner_phase = np.array(
-        [pow(int(x) * p % M, -1, M) for x in alpha0], dtype=np.int64
-    ) * (n % M) % M
+    inner_phase = _inverse_row(M)[alpha0 * p % M] * (n % M) % M
     for s in (1, -1):
         lhs = _csum(chi_part * _exp_table(q)[(s * alphabar * (n % q)) % q])
         rhs = _exp_table(p)[(s * pref_num) % p] * _csum(

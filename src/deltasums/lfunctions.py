@@ -24,12 +24,12 @@ slots are read back through numpy as 18-digit int64 chunks, with a borrow
 wherever a slot's leading digit is 5 or more, before they become exact
 integers.  Each truncated coefficient of the square is at most n * max^2 in
 absolute value, so d = digits(2 n max^2) + 1 keeps every slot exact without
-a bound on tau.  ramanujan_tau_table refuses bounds past 10^6.  The table
-persists to a plain text cache (header line with the bound, then one integer
-per line, parsed as it streams in), written atomically, at a location the
-DELTA_SUMS_CACHE environment variable overrides; a cache that does not parse
-or fails exact checks (known values, Hecke relations, the 691 congruence,
-Deligne's bound) is rebuilt.
+a bound on tau.  ramanujan_tau_table refuses bounds past 10^6.  By default
+the table is built and nothing is read or written.  Given a path, it is read
+from and written to a plain text file there (header line with the bound,
+then one integer per line, parsed as it streams in), written atomically; a
+file that does not parse or fails exact checks (known values, Hecke
+relations, the 691 congruence, Deligne's bound) is rebuilt.
 
 Central values:
 
@@ -96,7 +96,6 @@ __all__ = [
     "ramanujan_tau_table",
     "save_tau_table",
     "load_tau_table",
-    "default_cache_path",
     "smoothed_sum",
     "hurwitz_zeta",
     "l_value_dirichlet",
@@ -182,8 +181,8 @@ def divisor_sequence(bound: int) -> CoefficientSequence:
     return CoefficientSequence("divisor", bound, lam, weight=None)
 
 
-def delta_sequence(bound: int, cache: str | os.PathLike | None = "auto") -> CoefficientSequence:
-    """Hecke-normalized discriminant-form coefficients tau_R(n)/n^{11/2}."""
+def delta_sequence(bound: int, cache: str | os.PathLike | None = None) -> CoefficientSequence:
+    """Hecke-normalized coefficients tau_R(n)/n^{11/2}; cache as in ramanujan_tau_table."""
     tau = ramanujan_tau_table(bound, cache=cache)
     n = np.arange(bound + 1, dtype=np.float64)
     lam = np.zeros(bound + 1, dtype=np.float64)
@@ -191,13 +190,6 @@ def delta_sequence(bound: int, cache: str | os.PathLike | None = "auto") -> Coef
     lam[1:] = np.array([float(t) for t in tau], dtype=np.float64) / n[1:] ** 5.5
     lam.setflags(write=False)
     return CoefficientSequence("delta_form", bound, lam, weight=12)
-
-
-def default_cache_path() -> Path:
-    env = os.environ.get("DELTA_SUMS_CACHE")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "delta-sums" / "tau_table.txt"
 
 
 def save_tau_table(tau: list[int], path: str | os.PathLike) -> None:
@@ -363,21 +355,23 @@ def _tau_kronecker(bound: int) -> list[int]:
     return _square_truncated(power)
 
 
-def ramanujan_tau_table(bound: int, cache: str | os.PathLike | None = "auto") -> list[int]:
-    """Exact tau(1..bound).  cache: "auto" for the default path, None to skip IO."""
+def ramanujan_tau_table(bound: int, cache: str | os.PathLike | None = None) -> list[int]:
+    """Exact tau(1..bound).  cache: None builds the table and touches no file;
+    a path is read when it holds a valid table and written otherwise."""
     if not 1 <= bound <= DEFAULT_TAU_BOUND:
         raise ValueError(f"tau bound must lie in [1, {DEFAULT_TAU_BOUND}], got {bound}")
-    path = default_cache_path() if cache == "auto" else cache
-    if path is not None:
-        loaded = load_tau_table(path, bound)
+    if cache == "auto":
+        raise ValueError('cache takes a path or None; "auto" names no default location')
+    if cache is not None:
+        loaded = load_tau_table(cache, bound)
         if loaded is not None:
             return loaded
     tau = _tau_kronecker(bound)
-    if path is not None:
+    if cache is not None:
         try:
-            save_tau_table(tau, path)
+            save_tau_table(tau, cache)
         except OSError as exc:
-            _log.warning("tau cache %s not written (%s); it is rebuilt next time", path, exc)
+            _log.warning("tau cache %s not written (%s); it is rebuilt next time", cache, exc)
     return tau
 
 

@@ -188,7 +188,8 @@ class PrimeModulus:
     dlog maps n in [0, M) to the exponent j with g**j = n (mod M); the slot
     for 0 holds -1.  The table is built eagerly in the constructor, so
     instances are immutable and safe to share across threads.  Use the
-    prime_modulus() factory to get a cached instance per modulus.
+    prime_modulus() factory to get a cached instance per modulus.  Instances
+    compare and hash by M, since M fixes g and the table.
     """
 
     __slots__ = ("M", "g", "_dlog")
@@ -211,6 +212,12 @@ class PrimeModulus:
     @property
     def dlog(self) -> np.ndarray:
         return self._dlog
+
+    def __eq__(self, other) -> bool:
+        return self.M == other.M if isinstance(other, PrimeModulus) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.M)
 
     def __repr__(self) -> str:
         return f"PrimeModulus(M={self.M}, g={self.g})"

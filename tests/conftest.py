@@ -1,16 +1,5 @@
 import sys
 
-import pytest
-
-
-@pytest.fixture(autouse=True, scope="session")
-def _session_tau_cache(tmp_path_factory):
-    """Point the tau cache at a session file so no test reads or rewrites the
-    user's home cache; tests that set DELTA_SUMS_CACHE themselves still win."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("DELTA_SUMS_CACHE", str(tmp_path_factory.mktemp("tau") / "tau_table.txt"))
-        yield
-
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Re-emit the acceptance pass/fail lines after the normal report."""

@@ -13,7 +13,8 @@ from deltasums.characters import (
     character,
     enumerate_characters,
 )
-from deltasums.modular import euler_phi, primitive_root
+from deltasums.identities import _beta_row
+from deltasums.modular import NotPrime, euler_phi, prime_modulus, primitive_root
 
 
 def test_value_table_matches_pointwise():
@@ -120,6 +121,27 @@ def test_enumerate_selectors():
     assert quad.is_quadratic
     with pytest.raises(ValueError):
         enumerate_characters(11, which="nonsense")
+    # the modulus checks are prime_modulus's own
+    with pytest.raises(NotPrime):
+        enumerate_characters(15)
+    with pytest.raises(ValueError):
+        enumerate_characters(3)
+
+
+def test_characters_compare_by_value_across_modulus_eviction():
+    a = character(11, 3)
+    prime_modulus.cache_clear()  # as if 256 other moduli had evicted 11
+    b = character(11, 3)
+    assert a.modulus is not b.modulus
+    assert a.modulus == b.modulus and hash(a.modulus) == hash(b.modulus)
+    assert a == b and hash(a) == hash(b)
+    assert a != character(11, 4) and a.modulus != prime_modulus(13)
+    # the character-keyed row cache hits on an equal character
+    _beta_row.cache_clear()
+    _beta_row(a, 22)
+    _beta_row(b, 22)
+    info = _beta_row.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
 
 
 def test_index_range_validation():

@@ -14,7 +14,6 @@ import deltasums
 from deltasums import cli
 from deltasums.cli import main
 from deltasums.identities import Check
-from deltasums.lfunctions import load_tau_table
 
 REPORT_LINE = re.compile(
     r"^[a-z0-9_:]+,[0-9a-f]{12},\d\.\d{9}e[+-]\d{2,3},\d\.\d{9}e[+-]\d{2,3},"
@@ -30,6 +29,13 @@ def run(argv):
         except SystemExit as exc:  # argparse exits on its own errors
             code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+def _subprocess_env(**extra):
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = str(Path(deltasums.__file__).resolve().parents[1])
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path), **extra)
 
 
 def test_verify_appendix_small():
@@ -135,14 +141,47 @@ def test_memory_error_exits_4(monkeypatch, exc, line):
     assert err == line
 
 
-def test_verify_delta_form_rebuilds_a_corrupt_tau_cache(tmp_path, monkeypatch):
+def test_verify_delta_form_ignores_a_corrupt_file_at_delta_sums_cache(tmp_path, monkeypatch):
+    # the package reads no environment variable: the file is neither read nor rewritten
     cache = tmp_path / "tau_table.txt"
     cache.write_text("6000\n1\n-24\nnot a number\n")
+    before = cache.read_bytes()
     monkeypatch.setenv("DELTA_SUMS_CACHE", str(cache))
     code, out, err = run(["verify", "--suite=pipeline", "--coeff=delta_form"])
     assert code == 0, err
     assert all(ln.endswith(",pass") for ln in out.splitlines() if "," in ln)
-    assert load_tau_table(cache) is not None
+    assert cache.read_bytes() == before
+
+
+_NO_FILES_SCRIPT = """
+import sys
+from deltasums import cli, delta_sequence
+codes = [
+    cli.main(["verify", "--suite=pipeline", "--coeff=delta_form"]),
+    cli.main(["sweep", "--kind=twist", "--coeff=delta", "--pmin=5", "--pmax=50"]),
+]
+assert delta_sequence(64).bound == 64
+sys.exit(max(codes))
+"""
+
+
+def test_default_runs_write_no_file(tmp_path):
+    # verify, a delta-form sweep and a default delta_sequence leave nothing in
+    # HOME, in the working directory or at DELTA_SUMS_CACHE
+    home, work, cache = tmp_path / "home", tmp_path / "work", tmp_path / "cache" / "tau.txt"
+    home.mkdir()
+    work.mkdir()
+    cache.parent.mkdir()
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_FILES_SCRIPT],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env=_subprocess_env(HOME=str(home), DELTA_SUMS_CACHE=str(cache)),
+        cwd=work,
+    )
+    assert done.returncode == 0, done.stderr
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
 
 
 def test_sums_ramanujan():
@@ -201,16 +240,13 @@ def test_sums_trivial_delta_and_kloosterman():
 
 def test_sums_refuses_a_huge_modulus_at_once():
     # enumerating the units mod 10^23 would never finish
-    src = str(Path(deltasums.__file__).resolve().parents[1])
-    path = filter(None, [src, os.environ.get("PYTHONPATH")])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     argv = ["sums", "--kind=kloosterman", "--a=1", "--b=1", f"--c={10**23}"]
     done = subprocess.run(
         [sys.executable, "-m", "deltasums.cli", *argv],
         capture_output=True,
         text=True,
         timeout=60,
-        env=env,
+        env=_subprocess_env(),
     )
     assert done.returncode == 2
     assert done.stdout == ""

@@ -10,7 +10,6 @@ import sys
 import threading
 import weakref
 from functools import cache
-from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -29,7 +28,6 @@ from deltasums.lfunctions import (
     OutOfCacheRange,
     SweepRecord,
     burgess_sweep,
-    default_cache_path,
     delta_sequence,
     divisor_sequence,
     hurwitz_zeta,
@@ -839,15 +837,11 @@ def test_tau_cache_readers_never_see_a_partial_write(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["tau.txt"]
 
 
-def test_session_keeps_off_the_home_tau_cache():
-    assert not default_cache_path().resolve().is_relative_to(Path.home().resolve())
-
-
-def test_default_cache_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("DELTA_SUMS_CACHE", str(tmp_path / "custom.txt"))
-    assert default_cache_path() == tmp_path / "custom.txt"
-    seq = delta_sequence(64, cache="auto")
-    assert (tmp_path / "custom.txt").is_file()
-    # second build must come from the file and agree
-    seq2 = delta_sequence(64, cache="auto")
-    assert np.array_equal(seq.lam, seq2.lam)
+def test_tau_cache_auto_is_refused(tmp_path, monkeypatch):
+    # "auto" names no default location and must not become a file named auto
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ValueError, match="auto"):
+        ramanujan_tau_table(10, cache="auto")
+    with pytest.raises(ValueError, match="auto"):
+        delta_sequence(64, cache="auto")
+    assert list(tmp_path.iterdir()) == []
