@@ -1,6 +1,7 @@
 """Dirichlet characters of prime modulus.
 
-Characters are indexed against the smallest primitive root g of M:
+A character is the plain value (M, index), read against the cached
+discrete-log row prime_modulus(M) to the smallest primitive root g of M:
 
     chi_k(g**j) = e(k*j/(M-1)),   chi_k(n) = 0 when M | n,
 
@@ -29,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .modular import PrimeModulus, prime_modulus
+from .modular import prime_modulus
 
 __all__ = [
     "PrincipalCharacterNotAllowed",
@@ -46,9 +47,8 @@ class PrincipalCharacterNotAllowed(ValueError):
 @lru_cache(maxsize=512)
 def _value_table(M: int, index: int) -> np.ndarray:
     """chi(n) for n in [0, M) as a read-only complex array."""
-    mod = prime_modulus(M)
     order = M - 1
-    num = (index * mod.dlog) % order
+    num = (index * prime_modulus(M)) % order
     table = np.exp(2j * np.pi * (num / order))
     # snap the axis values exactly
     table[num == 0] = 1.0
@@ -71,7 +71,7 @@ def _character_transform(vec: np.ndarray, M: int) -> np.ndarray:
     values. Adding 0.0 clears the -0.0 that conj leaves on real bins.
     """
     powers = np.empty(M - 1, dtype=np.int64)
-    powers[prime_modulus(M).dlog[1:]] = np.arange(1, M)
+    powers[prime_modulus(M)[1:]] = np.arange(1, M)
     R = np.fft.rfft(np.asarray(vec, dtype=np.float64)[powers])
     half = (M - 1) // 2
     return np.concatenate((np.conj(R), R[half - 1 : 0 : -1])) + 0.0
@@ -92,18 +92,13 @@ def _gauss_row(M: int) -> np.ndarray:
 class DirichletCharacter:
     """A Dirichlet character mod a prime M > 3, fixed by its index k."""
 
-    modulus: PrimeModulus
+    M: int
     index: int
 
     def __post_init__(self):
-        if not 0 <= self.index <= self.modulus.M - 2:
-            raise ValueError(
-                f"index must lie in [0, {self.modulus.M - 2}] for modulus {self.modulus.M}"
-            )
-
-    @property
-    def M(self) -> int:
-        return self.modulus.M
+        prime_modulus(self.M)
+        if not 0 <= self.index <= self.M - 2:
+            raise ValueError(f"index must lie in [0, {self.M - 2}] for modulus {self.M}")
 
     def __call__(self, n: int) -> complex:
         return complex(self.value_table()[n % self.M])
@@ -118,7 +113,7 @@ class DirichletCharacter:
         return _value_table(self.M, self.index)
 
     def conjugate(self) -> "DirichletCharacter":
-        return DirichletCharacter(self.modulus, (self.M - 1 - self.index) % (self.M - 1))
+        return DirichletCharacter(self.M, (self.M - 1 - self.index) % (self.M - 1))
 
     @property
     def is_principal(self) -> bool:
@@ -128,13 +123,11 @@ class DirichletCharacter:
     def is_quadratic(self) -> bool:
         return 2 * self.index == self.M - 1
 
-    def __repr__(self) -> str:
-        return f"DirichletCharacter(M={self.M}, index={self.index})"
-
 
 def character(M: int, index: int) -> DirichletCharacter:
-    """Convenience constructor from a bare modulus."""
-    return DirichletCharacter(prime_modulus(M), index)
+    """The character mod the prime M with the given index; the same value as
+    DirichletCharacter(M, index)."""
+    return DirichletCharacter(M, index)
 
 
 def enumerate_characters(M: int, which: str = "all") -> list[DirichletCharacter]:
@@ -143,7 +136,7 @@ def enumerate_characters(M: int, which: str = "all") -> list[DirichletCharacter]
     For prime modulus the non-principal characters are exactly the primitive
     ones, and the unique quadratic character has index (M-1)/2.
     """
-    mod = prime_modulus(M)
+    prime_modulus(M)  # refuses M even where no character would be built
     if which == "all":
         indices = range(M - 1)
     elif which == "primitive":
@@ -152,5 +145,5 @@ def enumerate_characters(M: int, which: str = "all") -> list[DirichletCharacter]
         indices = [(M - 1) // 2]
     else:
         raise ValueError(f"unknown character filter {which!r}")
-    return [DirichletCharacter(mod, k) for k in indices]
+    return [DirichletCharacter(M, k) for k in indices]
 

@@ -469,13 +469,13 @@ def sqrt_cancellation_profile(
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    mod = prime_modulus(M)
+    prime_modulus(M)  # refuses M = 2 before the index cycle divides by M - 2
     rng = np.random.default_rng(seed)
     root = math.sqrt(M)
     ratios = []
     for i in range(samples):
         index = 1 + (i % (M - 2))
-        chi = DirichletCharacter(mod, index)
+        chi = DirichletCharacter(M, index)
         ratios.append(_profile_sample(family, chi, rng) / root)
     return CancellationProfile(
         family=family,

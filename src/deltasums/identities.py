@@ -52,12 +52,13 @@ from .lfunctions import (
     CoefficientSequence,
     DegenerateAmplifier,
     OutOfCacheRange,
+    _support_range,
     divisor_sequence,
     delta_sequence,
     make_amplifier,
     smoothed_sum,
 )
-from .modular import MAX_MODULUS, NotCoprime, divisors, mod_inverse, primes_in
+from .modular import NotCoprime, divisors, mod_inverse, primes_in
 from .transforms import (
     SmoothWindow,
     _bessel_j,
@@ -192,8 +193,9 @@ def make_pipeline_config(
     coefficient table sized to cover r*ell up to ceil(N * sup supp W) * 2L.
 
     Refused before any work: N, L or P not finite and positive, a table past
-    DEFAULT_TAU_BOUND entries, M above MAX_MODULUS and 2P (the amplifier's
-    prime sieve) past DEFAULT_TAU_BOUND. The amplifier is built here so
+    DEFAULT_TAU_BOUND entries and 2P (the amplifier's prime sieve) past
+    DEFAULT_TAU_BOUND. The character is built before the table, so a modulus
+    that prime_modulus refuses fails first. The amplifier is built here so
     degenerate prime sets fail at once.
     """
     for name, value in (("N", N), ("L", L), ("P", P)):
@@ -201,8 +203,6 @@ def make_pipeline_config(
             raise ValueError(f"{name} must be finite and positive, got {name} = {value:g}")
     if kind not in ("divisor", "delta_form"):
         raise ValueError(f"unknown coefficient kind {kind!r}")
-    if M > MAX_MODULUS:
-        raise ValueError(f"M must be at most {MAX_MODULUS}, got {M}")
     if 2 * P > DEFAULT_TAU_BOUND:
         raise ValueError(f"2P must be at most {DEFAULT_TAU_BOUND}, got P = {P:g}")
     W = bump_window()
@@ -213,10 +213,10 @@ def make_pipeline_config(
             f"N = {N:g} and L = {L:g} need {size} coefficients; "
             f"at most {DEFAULT_TAU_BOUND} are built"
         )
-    seq = divisor_sequence(size) if kind == "divisor" else delta_sequence(size)
     chi = character(M, char_index)
     if chi.is_principal:
         raise PrincipalCharacterNotAllowed("pipeline characters must be primitive")
+    seq = divisor_sequence(size) if kind == "divisor" else delta_sequence(size)
     cfg = PipelineConfig(float(N), M, L, P, seq, chi, W)
     cfg.amplifier()
     return cfg
@@ -234,11 +234,6 @@ def choose_detection_scale(M: int, N: float, L: float, pmin: float = 5) -> int:
         if ps and ps[0] * M > 8 * N * L:
             return P
     raise DegenerateAmplifier(f"no usable detection scale near {base}")
-
-
-def _support_range(N: float, window: SmoothWindow) -> np.ndarray:
-    lo, hi = window.support
-    return np.arange(max(1, math.floor(N * lo)), math.ceil(N * hi) + 1, dtype=np.int64)
 
 
 def hecke_amplifier_identity(cfg: PipelineConfig) -> CheckReport:

@@ -375,6 +375,13 @@ def ramanujan_tau_table(bound: int, cache: str | os.PathLike | None = None) -> l
     return tau
 
 
+def _support_range(N: float, window: SmoothWindow) -> np.ndarray:
+    """The n >= 1 from floor(N lo) to ceil(N hi), [lo, hi] the window's support:
+    every n where W(n/N) can be non-zero."""
+    lo, hi = window.support
+    return np.arange(max(1, math.floor(N * lo)), math.ceil(N * hi) + 1, dtype=np.int64)
+
+
 def smoothed_sum(
     seq: CoefficientSequence | None,
     chi: DirichletCharacter,
@@ -382,14 +389,7 @@ def smoothed_sum(
     W: SmoothWindow,
 ) -> complex:
     """sum over n of lam(n) chi(n) W(n/N); lam = 1 when seq is None."""
-    lo, hi = W.support
-    n_lo = max(1, math.floor(lo * N))
-    n_hi = math.floor(hi * N) + 1
-    if n_hi < n_lo:
-        return 0.0 + 0.0j
-    if seq is not None and n_hi > seq.bound:
-        raise OutOfCacheRange(f"window support reaches n = {n_hi} > bound {seq.bound}")
-    n = np.arange(n_lo, n_hi + 1, dtype=np.int64)
+    n = _support_range(N, W)
     terms = chi.values(n) * W(n / N)
     if seq is not None:
         terms = terms * seq.values(n)

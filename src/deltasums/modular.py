@@ -2,8 +2,11 @@
 
 Primality, primes and divisors, inverses, primitive roots, unit-group
 enumeration and discrete logs, all in exact integer arithmetic.  Python
-integers are unbounded, so residue products never overflow; moduli up to
-2**62 are accepted throughout.
+integers are unbounded, so residue products never overflow.  is_prime and
+mod_inverse take an integer of any size (is_prime is exact below 3.3e24);
+divisors and primitive_root factor by trial division, so they are for
+desk-scale n; unit_residues, inverse_table and prime_modulus build a row of
+one entry per residue, and prime_modulus refuses M above MAX_MODULUS.
 """
 
 from __future__ import annotations
@@ -20,19 +23,17 @@ __all__ = [
     "primes_up_to",
     "primes_in",
     "divisors",
-    "euler_phi",
     "unit_residues",
     "inverse_table",
     "mod_inverse",
     "primitive_root",
-    "PrimeModulus",
     "prime_modulus",
 ]
 
 
-# the largest modulus the command line and make_pipeline_config accept,
-# refused before a residue is enumerated: PrimeModulus fills its dlog table in
-# a Python loop of M - 1 steps
+# the largest modulus prime_modulus and the command line accept, refused
+# before a residue is enumerated: prime_modulus fills its row in a Python loop
+# of M - 1 steps
 MAX_MODULUS = 100_003
 
 
@@ -44,8 +45,7 @@ class NotPrime(ValueError):
     """A prime modulus was required."""
 
 
-# Deterministic Miller-Rabin witness set; sufficient for all n < 3.3e24,
-# comfortably past the 2**62 moduli accepted here.
+# Deterministic Miller-Rabin witness set; sufficient for all n < 3.3e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -121,15 +121,6 @@ def _factorize(n: int) -> dict[int, int]:
     return factors
 
 
-def euler_phi(n: int) -> int:
-    if n < 1:
-        raise ValueError("euler_phi requires n >= 1")
-    out = n
-    for p in _factorize(n):
-        out -= out // p
-    return out
-
-
 @lru_cache(maxsize=256)
 def unit_residues(c: int) -> np.ndarray:
     """Residues a mod c with gcd(a, c) = 1, as a read-only int64 array.
@@ -182,49 +173,26 @@ def primitive_root(M: int) -> int:
     raise AssertionError("unreachable: every prime has a primitive root")
 
 
-class PrimeModulus:
-    """A prime modulus M > 3 with its smallest primitive root and dlog table.
-
-    dlog maps n in [0, M) to the exponent j with g**j = n (mod M); the slot
-    for 0 holds -1.  The table is built eagerly in the constructor, so
-    instances are immutable and safe to share across threads.  Use the
-    prime_modulus() factory to get a cached instance per modulus.  Instances
-    compare and hash by M, since M fixes g and the table.
-    """
-
-    __slots__ = ("M", "g", "_dlog")
-
-    def __init__(self, M: int):
-        if not is_prime(M):
-            raise NotPrime(f"{M} is not prime")
-        if M <= 3:
-            raise ValueError("character work requires a prime modulus > 3")
-        self.M = M
-        self.g = primitive_root(M)
-        dlog = np.full(M, -1, dtype=np.int64)
-        x = 1
-        for j in range(M - 1):
-            dlog[x] = j
-            x = x * self.g % M
-        dlog.setflags(write=False)
-        self._dlog = dlog
-
-    @property
-    def dlog(self) -> np.ndarray:
-        return self._dlog
-
-    def __eq__(self, other) -> bool:
-        return self.M == other.M if isinstance(other, PrimeModulus) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.M)
-
-    def __repr__(self) -> str:
-        return f"PrimeModulus(M={self.M}, g={self.g})"
-
-
 @lru_cache(maxsize=256)
-def prime_modulus(M: int) -> PrimeModulus:
-    """Cached PrimeModulus factory; one shared instance per modulus among the
-    256 most recently used."""
-    return PrimeModulus(M)
+def prime_modulus(M: int) -> np.ndarray:
+    """Discrete logs to the smallest primitive root g of the prime M > 3, as a
+    read-only int64 row cached per modulus: entry n holds the j in [0, M-1)
+    with g**j = n (mod M), and entry 0 holds -1.
+
+    Refused before any work: M above MAX_MODULUS, M not prime (NotPrime) and
+    M <= 3, all ValueErrors.
+    """
+    if M > MAX_MODULUS:
+        raise ValueError(f"M must be at most {MAX_MODULUS}, got {M}")
+    if not is_prime(M):
+        raise NotPrime(f"{M} is not prime")
+    if M <= 3:
+        raise ValueError("character work requires a prime modulus > 3")
+    g = primitive_root(M)
+    dlog = np.full(M, -1, dtype=np.int64)
+    x = 1
+    for j in range(M - 1):
+        dlog[x] = j
+        x = x * g % M
+    dlog.setflags(write=False)
+    return dlog

@@ -14,7 +14,7 @@ from deltasums.characters import (
     enumerate_characters,
 )
 from deltasums.identities import _beta_row
-from deltasums.modular import NotPrime, euler_phi, prime_modulus, primitive_root
+from deltasums.modular import MAX_MODULUS, NotPrime, prime_modulus, primitive_root
 
 
 def test_value_table_matches_pointwise():
@@ -102,14 +102,14 @@ def test_order_and_quadratic_flag():
 
 
 def test_orthogonality_by_hand():
-    # sum over all characters of chi(a) conj(chi(b)) = phi(M) iff a = b
+    # sum over all characters of chi(a) conj(chi(b)) = phi(M) = M - 1 iff a = b
     M = 11
     chars = enumerate_characters(M)
     assert len(chars) == M - 1
     for a in range(1, M):
         for b in range(1, M):
             s = sum(c(a) * cmath.exp(0) * c(b).conjugate() for c in chars)
-            target = euler_phi(M) if a == b else 0.0
+            target = M - 1 if a == b else 0.0
             assert abs(s - target) < 1e-9
 
 
@@ -132,10 +132,8 @@ def test_characters_compare_by_value_across_modulus_eviction():
     a = character(11, 3)
     prime_modulus.cache_clear()  # as if 256 other moduli had evicted 11
     b = character(11, 3)
-    assert a.modulus is not b.modulus
-    assert a.modulus == b.modulus and hash(a.modulus) == hash(b.modulus)
     assert a == b and hash(a) == hash(b)
-    assert a != character(11, 4) and a.modulus != prime_modulus(13)
+    assert a != character(11, 4) and a != character(13, 3)
     # the character-keyed row cache hits on an equal character
     _beta_row.cache_clear()
     _beta_row(a, 22)
@@ -155,3 +153,23 @@ def test_character_equality_and_hash():
     assert character(11, 3) == character(11, 3)
     assert character(11, 3) != character(11, 4)
     assert len({character(11, k) for k in range(10)} | {character(11, 3)}) == 10
+
+
+def test_character_refuses_its_modulus_on_construction():
+    with pytest.raises(NotPrime):
+        DirichletCharacter(15, 1)
+    with pytest.raises(ValueError, match="prime modulus > 3"):
+        DirichletCharacter(3, 0)
+    with pytest.raises(ValueError, match="index must lie in"):
+        DirichletCharacter(11, 10)
+    assert repr(DirichletCharacter(11, 3)) == "DirichletCharacter(M=11, index=3)"
+
+
+@pytest.mark.parametrize("M", [100_019, 1_000_000_007])
+def test_character_refuses_a_modulus_past_max_modulus_before_any_row(M):
+    # 100019 is the next prime past MAX_MODULUS; no row is built or cached
+    before = prime_modulus.cache_info()
+    with pytest.raises(ValueError, match=f"M must be at most {MAX_MODULUS}, got {M}"):
+        character(M, 1)
+    after = prime_modulus.cache_info()
+    assert (after.misses, after.currsize) == (before.misses + 1, before.currsize)

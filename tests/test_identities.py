@@ -192,6 +192,13 @@ def test_pipeline_config_refuses_scales_past_its_bounds(args, message):
         make_pipeline_config(**args)
 
 
+def test_pipeline_config_refuses_a_large_modulus_before_the_table():
+    before = divisor_sequence.cache_info()
+    with pytest.raises(ValueError, match=f"M must be at most {MAX_MODULUS}, got 100019"):
+        make_pipeline_config(M=100019, N=1000.0)
+    assert divisor_sequence.cache_info().misses == before.misses
+
+
 def test_pipeline_config_accepts_scales_at_its_bounds():
     assert make_pipeline_config(N=83331.5).seq.bound == DEFAULT_TAU_BOUND
     assert make_pipeline_config(M=MAX_MODULUS).M == MAX_MODULUS

@@ -534,6 +534,13 @@ def test_smoothed_sum_empty_support(div_seq):
     assert smoothed_sum(div_seq, character(5, 1), 0.4, bump_window()) == 0
 
 
+def test_smoothed_sum_reads_only_the_support():
+    # supp W = [1, 2] at N = 20 ends at n = 40: W(41/20) = 0 needs no lam(41)
+    chi, W = character(11, 1), bump_window()
+    got = smoothed_sum(divisor_sequence(40), chi, 20.0, W)
+    assert got == smoothed_sum(divisor_sequence(41), chi, 20.0, W)
+
+
 def test_make_amplifier_fields(div_seq):
     amp = make_amplifier(div_seq, 3, 7)
     assert amp.ells == (3, 5) and amp.ps == (7, 11, 13)

@@ -24,7 +24,7 @@ from deltasums.expsums import (
 )
 from deltasums.identities import _beta_row
 from deltasums.lfunctions import SweepRecord
-from deltasums.modular import divisors, primes_in, unit_residues
+from deltasums.modular import divisors, prime_modulus, primes_in, unit_residues
 from deltasums.transforms import bump_window, fourier_dual, plateau_window
 
 BOUND = 10**6
@@ -121,7 +121,7 @@ def _gauss_sum_brute(chi) -> complex:
     order = M - 1
     y = np.arange(1, M, dtype=np.int64)
     den = M * order
-    num = (chi.index * chi.modulus.dlog[1:] * M + y * order) % den
+    num = (chi.index * prime_modulus(M)[1:] * M + y * order) % den
     return _csum(np.exp(2j * np.pi * (num / den)))
 
 
