@@ -2,7 +2,7 @@
 
 The package splits into six layers, each importable on its own:
 
-* modular: prime-modulus arithmetic, primitive roots, inverse tables.
+* modular: prime-modulus arithmetic, primitive roots, unit and inverse rows.
 * characters: Dirichlet characters mod a prime via a primitive-root index.
 * expsums: trivial delta expansion, Ramanujan/Gauss/Kloosterman sums and the
   paired unit-sum families with their closed forms.

@@ -5,10 +5,12 @@ discrete-log row prime_modulus(M) to the smallest primitive root g of M:
 
     chi_k(g**j) = e(k*j/(M-1)),   chi_k(n) = 0 when M | n,
 
-where e(x) = exp(2*pi*i*x).  Values are exact roots of unity: the angle
-k*j/(M-1) is reduced mod 1 in integer arithmetic before exponentiation,
-and values on the real and imaginary axes are snapped exactly, so the
-quadratic character takes values in {-1, 0, 1} with no rounding fuzz.
+where e(x) = exp(2*pi*i*x).  The value table of chi_k is the gather
+_exp_table(M-1)[k*j mod (M-1)]: the angle is reduced mod 1 in integer
+arithmetic, and _exp_table(c), the one table of e(j/c) in the package (the
+exponential sums of expsums and the phases of identities read it too), is
+exact at the four axis points, so the quadratic character takes values in
+{-1, 0, 1} with no rounding fuzz.
 
 Index 0 is the principal character.  It can be constructed and evaluated,
 but operations that require primitivity (Gauss sums, L-values) reject it
@@ -44,17 +46,24 @@ class PrincipalCharacterNotAllowed(ValueError):
     """The principal character was passed where a primitive one is required."""
 
 
+@lru_cache(maxsize=256)
+def _exp_table(c: int) -> np.ndarray:
+    """e(j/c) for j in [0, c), read-only, exact at j = 0, c/4, c/2 and 3c/4."""
+    tab = np.exp(2j * np.pi * (np.arange(c) / c))
+    tab[0] = 1.0
+    if c % 2 == 0:
+        tab[c // 2] = -1.0
+    if c % 4 == 0:
+        tab[c // 4] = 1.0j
+        tab[3 * c // 4] = -1.0j
+    tab.setflags(write=False)
+    return tab
+
+
 @lru_cache(maxsize=512)
 def _value_table(M: int, index: int) -> np.ndarray:
     """chi(n) for n in [0, M) as a read-only complex array."""
-    order = M - 1
-    num = (index * prime_modulus(M)) % order
-    table = np.exp(2j * np.pi * (num / order))
-    # snap the axis values exactly
-    table[num == 0] = 1.0
-    table[2 * num == order] = -1.0
-    table[4 * num == order] = 1.0j
-    table[4 * num == 3 * order] = -1.0j
+    table = _exp_table(M - 1)[(index * prime_modulus(M)) % (M - 1)]
     table[0] = 0.0
     table.setflags(write=False)
     return table

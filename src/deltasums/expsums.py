@@ -33,10 +33,12 @@ The sums implemented here:
   Degenerate parameter classes evaluate in closed form (frak_c_closed_form);
   generic parameters exhibit square-root cancellation.
 
-Here xbar denotes the inverse of x for the relevant modulus, and
-e(x) = exp(2*pi*i*x).  The brute-force sums use exact integer phase
-arithmetic (angles reduced mod 1 in integers before exponentiation) and
-compensated summation via math.fsum on the real and imaginary parts.
+Here xbar denotes the inverse of x for the relevant modulus, read from the
+cached row modular.inverse_row(c), and e(x) = exp(2*pi*i*x).  The
+brute-force sums reduce every phase mod c in integers and read e(j/c) from
+characters._exp_table(c), the package's one table of roots of unity; they
+add their terms by compensated summation (math.fsum on the real and
+imaginary parts).
 
 kloosterman_sum, frak_k and frak_c, like trivial_delta, take integers or
 integer arrays (numpy integers included) for their integer arguments; the
@@ -55,11 +57,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .characters import DirichletCharacter, PrincipalCharacterNotAllowed, _gauss_row
+from .characters import DirichletCharacter, PrincipalCharacterNotAllowed, _exp_table, _gauss_row
 from .modular import (
     _factorize,
     divisors,
-    inverse_table,
+    inverse_row,
     is_prime,
     prime_modulus,
     primes_in,
@@ -141,26 +143,6 @@ def _has_zero(x) -> bool:
 def _unbatch(values, shape):
     """Row sums back in the arguments' shape; a scalar call's value as is."""
     return values if shape is None else values.reshape(shape)
-
-
-@lru_cache(maxsize=256)
-def _inverse_row(c: int) -> np.ndarray:
-    """x^{-1} mod c at every unit x in [0, c) and 0 elsewhere, read-only int64."""
-    row = np.zeros(c, dtype=np.int64)
-    row[unit_residues(c)] = inverse_table(c)
-    row.setflags(write=False)
-    return row
-
-
-@lru_cache(maxsize=256)
-def _exp_table(c: int) -> np.ndarray:
-    """e(j/c) for j in [0, c), read-only."""
-    tab = np.exp(2j * np.pi * np.arange(c) / c)
-    tab[0] = 1.0
-    if c % 2 == 0:
-        tab[c // 2] = -1.0
-    tab.setflags(write=False)
-    return tab
 
 
 @lru_cache(maxsize=256)
@@ -260,7 +242,7 @@ def kloosterman_sum(a, b, c: int):
         raise ValueError("kloosterman_sum requires c >= 1")
     (a, b), shape = _parameter_rows(c, a, b)
     units = unit_residues(c)
-    phases = (a * units + b * inverse_table(c)) % c
+    phases = (a * units + b * inverse_row(c)[units]) % c
     return _unbatch(_csum(_exp_table(c)[phases]).real, shape)
 
 
@@ -268,7 +250,7 @@ def generalized_kloosterman(chi: DirichletCharacter, r: int, n: int) -> complex:
     """sum over units x mod M of chi(x) e((rx + n*xbar)/M)."""
     M = chi.M
     units = unit_residues(M)
-    inv = inverse_table(M)
+    inv = inverse_row(M)[units]
     tab = chi.value_table()
     phases = ((r % M) * units + (n % M) * inv) % M
     return _csum(tab[units] * _exp_table(M)[phases])
@@ -285,8 +267,9 @@ def frak_k(chi: DirichletCharacter, r, ell, n):
     (r, ell_m, n), shape = _parameter_rows(M, r, ell, n)
     if _has_zero(ell_m):  # M is prime
         raise EllNotCoprime(f"gcd(ell={ell}, M={M}) != 1")
+    units = unit_residues(M)
     conj_tab = chi.conjugate().value_table()
-    terms = conj_tab[(r + ell_m * unit_residues(M)) % M] * _exp_table(M)[n * inverse_table(M) % M]
+    terms = conj_tab[(r + ell_m * units) % M] * _exp_table(M)[n * inverse_row(M)[units] % M]
     return _unbatch(_csum(terms), shape)
 
 
@@ -313,8 +296,8 @@ def frak_c(chi: DirichletCharacter, r1, r2, alpha, beta, n):
     if _has_zero(alpha * beta):  # M is prime
         raise AlphaBetaNotCoprime(f"gcd(alpha*beta, {M}) != 1")
     z = unit_residues(M)
-    inv = _inverse_row(M)
-    t = (n + beta * inverse_table(M)) % M
+    inv = inverse_row(M)
+    t = (n + beta * inv[z]) % M
     w = (r1 + z) % M
     u = (r2 + alpha * inv[t]) % M
     terms = chi.conjugate().value_table()[w] * chi.value_table()[u]
@@ -395,10 +378,10 @@ def alpha_factorization_check(chi: DirichletCharacter, p: int, r: int, ell: int,
     alpha0 = unit_residues(M)
     # CRT lift: alpha = a_p (mod p), alpha = alpha0 (mod M)
     lift = (a_p * M * pow(M, -1, p) + alpha0 * p * pow(p, -1, M)) % q
-    alphabar = _inverse_row(q)[lift]
+    alphabar = inverse_row(q)[lift]
     chi_part = conj_tab[(r - alpha0 * ell) % M]
     pref_num = pow(r * M % p, -1, p) * n * ell % p
-    inner_phase = _inverse_row(M)[alpha0 * p % M] * (n % M) % M
+    inner_phase = inverse_row(M)[alpha0 * p % M] * (n % M) % M
     for s in (1, -1):
         lhs = _csum(chi_part * _exp_table(q)[(s * alphabar * (n % q)) % q])
         rhs = _exp_table(p)[(s * pref_num) % p] * _csum(
@@ -424,7 +407,7 @@ def weil_bound_profile(pmax: int) -> tuple[float, int]:
     worst, worst_p = 0.0, 0
     for p in primes_in(2, pmax):
         units = unit_residues(p)
-        inv = inverse_table(p)
+        inv = inverse_row(p)[units]
         phases = (units + np.multiply.outer(np.arange(p), inv)) % p
         ratio = float(np.abs(_exp_table(p)[phases].sum(axis=1)).max()) / (2.0 * math.sqrt(p))
         if ratio > worst:

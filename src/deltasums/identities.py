@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .characters import DirichletCharacter, PrincipalCharacterNotAllowed, character
+from .characters import DirichletCharacter, PrincipalCharacterNotAllowed, _exp_table, character
 from .expsums import (
     _ramanujan_row,
     alpha_factorization_check,
@@ -181,6 +181,14 @@ class PipelineConfig:
         )
 
 
+def _require_finite_positive(**values) -> None:
+    """Refuse, with ValueError, any named value that is not finite and
+    positive; NaN is refused too."""
+    for name, value in values.items():
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {name} = {value:g}")
+
+
 def make_pipeline_config(
     kind: str = "divisor",
     M: int = 11,
@@ -198,9 +206,7 @@ def make_pipeline_config(
     that prime_modulus refuses fails first. The amplifier is built here so
     degenerate prime sets fail at once.
     """
-    for name, value in (("N", N), ("L", L), ("P", P)):
-        if not 0 < value < math.inf:
-            raise ValueError(f"{name} must be finite and positive, got {name} = {value:g}")
+    _require_finite_positive(N=N, L=L, P=P)
     if kind not in ("divisor", "delta_form"):
         raise ValueError(f"unknown coefficient kind {kind!r}")
     if 2 * P > DEFAULT_TAU_BOUND:
@@ -249,22 +255,17 @@ def hecke_amplifier_identity(cfg: PipelineConfig) -> CheckReport:
     an error bound. Residual is |LHS - main - correction|, held under 1e-9.
     """
     amp = cfg.amplifier()
+    seq = cfg.seq
     r = _support_range(cfg.N, cfg.W)
-    if int(r[-1]) * max(amp.ells) > cfg.seq.bound:
-        raise OutOfCacheRange(
-            f"need coefficients to {int(r[-1]) * max(amp.ells)}, cache ends at {cfg.seq.bound}"
-        )
     w = cfg.W(r / cfg.N)
     chiw = cfg.chi.values(r) * w
-    lam = cfg.seq.lam
     main = 0j
     corr = 0j
-    for ell in amp.ells:
-        lam_ell = float(lam[ell])
-        main += lam_ell * complex(np.sum(lam[r * ell] * chiw))
+    for ell, lam_ell in zip(amp.ells, seq.values(amp.ells).tolist()):
+        main += lam_ell * complex(np.sum(seq.values(r * ell) * chiw))
         mult = r[r % ell == 0]
         corr += lam_ell * complex(
-            np.sum(lam[mult // ell] * cfg.chi.values(mult) * cfg.W(mult / cfg.N))
+            np.sum(seq.values(mult // ell) * cfg.chi.values(mult) * cfg.W(mult / cfg.N))
         )
     main /= amp.lstar
     corr /= amp.lstar
@@ -318,15 +319,13 @@ def delta_detection_expansion(cfg: PipelineConfig) -> CheckReport:
             )
     r, w, n_max, d_lo, d_hi = _detection_span(cfg, amp.ells)
     chiw = cfg.chi.values(r) * w
-    lam = cfg.seq.lam
-    if n_max > cfg.seq.bound:
-        raise OutOfCacheRange(f"need coefficients to {n_max}, cache ends at {cfg.seq.bound}")
+    seq = cfg.seq
 
     # linear correlation (nfft >= size + n_max - 1): corr[j] = sum_{k < n_max}
     # lam(n_max - k) D_q[j - k], so the detected side at m is corr[n_max - m - d_lo]
     size = d_hi - d_lo + 1
     nfft = 1 << (size + n_max - 2).bit_length()
-    lam_rev = np.fft.rfft(lam[n_max:0:-1].astype(np.float64), nfft)
+    lam_rev = np.fft.rfft(seq.values(np.arange(n_max, 0, -1)), nfft)
     ms = np.multiply.outer(amp.ells, r)
     detected = np.zeros(ms.shape)
     for p in amp.ps:
@@ -334,9 +333,8 @@ def delta_detection_expansion(cfg: PipelineConfig) -> CheckReport:
         corr = np.fft.irfft(np.fft.rfft(D, nfft) * lam_rev, nfft)
         detected += corr[n_max - d_lo - ms]
     pre = post = 0j
-    for i, ell in enumerate(amp.ells):
-        lam_ell = float(lam[ell])
-        pre += lam_ell * complex(np.sum(lam[r * ell] * chiw))
+    for i, (ell, lam_ell) in enumerate(zip(amp.ells, seq.values(amp.ells).tolist())):
+        pre += lam_ell * complex(np.sum(seq.values(r * ell) * chiw))
         post += lam_ell * complex(np.sum(detected[i] * chiw))
     pre /= amp.lstar
     post /= amp.lstar * amp.pstar
@@ -377,21 +375,18 @@ def voronoi_step_check(
     1e-12 for five consecutive terms; the kernels decay slowly enough that
     the hard cap of _VORONOI_N_CAP = 6000 terms can bite first, which is
     recorded in details["truncated"]. The check passes when
-    |LHS - RHS| < _VORONOI_TOL (1 + |LHS|), _VORONOI_TOL = 1e-6.
+    |LHS - RHS| < _VORONOI_TOL (1 + |LHS|), _VORONOI_TOL = 1e-6. An N that
+    is not finite and positive is refused with ValueError, and coefficients
+    past seq.bound with OutOfCacheRange.
     """
     W = bump_window()
     if c < 1:
         raise ValueError("c must be a positive integer")
     if math.gcd(a, c) != 1:
         raise NotCoprime(f"gcd({a}, {c}) != 1")
-    if N <= 0:
-        raise ValueError("N must be positive")
+    _require_finite_positive(N=N)
     n = _support_range(N, W)
-    if int(n[-1]) > seq.bound:
-        raise OutOfCacheRange(f"LHS needs coefficients to {int(n[-1])}")
-    lhs = complex(
-        np.sum(seq.lam[n] * np.exp(2j * np.pi * ((a % c) * n % c) / c) * W(n / N))
-    )
+    lhs = complex(np.sum(seq.values(n) * _exp_table(c)[(a % c) * n % c] * W(n / N)))
     main = voronoi_main_term(seq, W, c, N, quad_order=quad_order, panel_scale=panel_scale)
     abar = mod_inverse(a % c, c) if c > 1 else 0
     limit = min(_VORONOI_N_CAP, seq.bound)
@@ -415,7 +410,7 @@ def voronoi_step_check(
             ts = voronoi_transform_batch(
                 seq, sign, W, ys, quad_order=quad_order, panel_scale=panel_scale
             )
-            phase = np.exp(2j * np.pi * (((-sign * abar) % c) * ns % c) / c)
+            phase = _exp_table(c)[((-sign * abar) % c) * ns % c]
             small = np.abs(ts) < _VORONOI_Y_TOL
             cut = ns.size
             for i, flag in enumerate(small.tolist()):
@@ -514,22 +509,18 @@ def poisson_r_sum_check(
     truncated at |rhat| <= R = ceil(_POISSON_TRUNC q / N), _POISSON_TRUNC = 20.
     The verdict compares LHS with the sum to 2R under _POISSON_TOL (1 + |LHS|),
     _POISSON_TOL = 1e-6; a gap between the two truncations above
-    _POISSON_STABILITY_TOL = 1e-9 is flagged in details["stable"].
+    _POISSON_STABILITY_TOL = 1e-9 is flagged in details["stable"]. An N that
+    is not finite and positive is refused with ValueError.
     """
     M = chi.M
     if (p * M) % c != 0:
         raise InvalidDivisor(f"c = {c} does not divide p*M = {p * M}")
     if math.gcd(alpha, c) != 1:
         raise NotCoprime(f"gcd({alpha}, {c}) != 1")
+    _require_finite_positive(N=N)
     V = plateau_window()
     r = _support_range(N, V)
-    lhs = complex(
-        np.sum(
-            chi.values(r)
-            * np.exp(2j * np.pi * (((-alpha * ell) % c) * r % c) / c)
-            * V(r / N)
-        )
-    )
+    lhs = complex(np.sum(chi.values(r) * _exp_table(c)[((-alpha * ell) % c) * r % c] * V(r / N)))
     q = c * M // math.gcd(c, M)
     R = max(1, math.ceil(_POISSON_TRUNC * q / N))
     rhats = np.arange(-2 * R, 2 * R + 1)

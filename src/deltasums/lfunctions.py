@@ -141,17 +141,15 @@ class CoefficientSequence:
     lam: np.ndarray = field(compare=False)  # lam[n] for 0 <= n <= bound, lam[0] = 0
     weight: int | None = None
 
-    def __call__(self, n: int) -> float:
-        """lam(n) under Hecke normalization."""
-        if n < 1 or n > self.bound:
-            raise OutOfCacheRange(f"n = {n} outside cached range [1, {self.bound}]")
-        return float(self.lam[n])
-
-    def values(self, n_array) -> np.ndarray:
-        arr = np.asarray(n_array, dtype=np.int64)
+    def values(self, n) -> np.ndarray:
+        """lam(n) under Hecke normalization for an integer or integer array n,
+        as a float64 array of n's shape; OutOfCacheRange, naming the n asked
+        for, when any n lies outside [1, bound]."""
+        arr = np.asarray(n, dtype=np.int64)
         if arr.size and (arr.min() < 1 or arr.max() > self.bound):
             raise OutOfCacheRange(
-                f"requested n outside [1, {self.bound}] for kind {self.kind}"
+                f"lam(n) asked for n in [{arr.min()}, {arr.max()}], outside the "
+                f"cached range [1, {self.bound}] of kind {self.kind}"
             )
         return self.lam[arr]
 
@@ -543,7 +541,8 @@ def make_amplifier(
     """Prime sets in [L, 2L] and [P, 2P]; the modulus may be excluded.
 
     Raises DegenerateAmplifier when either set comes out empty or the two
-    dyadic ranges collide.
+    dyadic ranges collide, and OutOfCacheRange when seq does not reach the
+    largest amplifier prime, whose lam(ell) the weight L* reads.
     """
     ells = tuple(p for p in primes_in(L, 2 * L) if p != exclude)
     # disjointness of the two prime sets is part of the contract; when the
@@ -552,9 +551,7 @@ def make_amplifier(
     ps = tuple(p for p in primes_in(P, 2 * P) if p != exclude and p not in set(ells))
     if not ells or not ps:
         raise DegenerateAmplifier(f"no primes available in [{L},{2*L}] or [{P},{2*P}]")
-    if 2 * max(ells) > seq.bound:
-        raise OutOfCacheRange(f"coefficients cover [1, {seq.bound}], need 2L = {2*L}")
-    lstar = math.fsum(float(seq.lam[ell]) ** 2 for ell in ells)
+    lstar = math.fsum(lam**2 for lam in seq.values(ells).tolist())
     if lstar <= 0:
         raise DegenerateAmplifier("L* vanished; amplifier weights are all zero")
     return AmplifierSpec(L, P, ells, ps, lstar, len(ps))

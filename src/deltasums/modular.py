@@ -5,8 +5,9 @@ enumeration and discrete logs, all in exact integer arithmetic.  Python
 integers are unbounded, so residue products never overflow.  is_prime and
 mod_inverse take an integer of any size (is_prime is exact below 3.3e24);
 divisors and primitive_root factor by trial division, so they are for
-desk-scale n; unit_residues, inverse_table and prime_modulus build a row of
-one entry per residue, and prime_modulus refuses M above MAX_MODULUS.
+desk-scale n.  unit_residues, inverse_row and prime_modulus build one cached,
+read-only row per modulus (the units; x^{-1} at each unit and 0 elsewhere;
+discrete logs), and prime_modulus refuses M above MAX_MODULUS.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ __all__ = [
     "primes_in",
     "divisors",
     "unit_residues",
-    "inverse_table",
+    "inverse_row",
     "mod_inverse",
     "primitive_root",
     "prime_modulus",
@@ -138,15 +139,14 @@ def unit_residues(c: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def inverse_table(c: int) -> np.ndarray:
-    """Inverses of unit_residues(c) mod c, aligned entrywise; read-only."""
+def inverse_row(c: int) -> np.ndarray:
+    """x^{-1} mod c at every unit x in [0, c) and 0 elsewhere, read-only int64;
+    inverse_row(c)[unit_residues(c)] lists the inverses of the units."""
     units = unit_residues(c)
-    if c == 1:
-        inv = np.array([0], dtype=np.int64)
-    else:
-        inv = np.array([pow(int(a), -1, c) for a in units], dtype=np.int64)
-    inv.setflags(write=False)
-    return inv
+    row = np.zeros(c, dtype=np.int64)
+    row[units] = [pow(x, -1, c) for x in units.tolist()]
+    row.setflags(write=False)
+    return row
 
 
 def mod_inverse(a: int, m: int) -> int:

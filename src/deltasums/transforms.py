@@ -653,14 +653,13 @@ def voronoi_main_term(
 class DecayReport:
     """Empirical decay constant sup |T(x)| (1+|x|)^A over a grid."""
 
-    name: str
     A: float
     constant: float
     argmax: float
     finite: bool
 
 
-def decay_check(transform: Callable, A: float, grid, name: str | None = None) -> DecayReport:
+def decay_check(transform: Callable, A: float, grid) -> DecayReport:
     """Fit the empirical constant in |T(x)| <= C (1+|x|)^{-A} over the grid,
     where T maps the grid array to its values, e.g. lambda x: fourier_dual(V, x);
     a NaN value makes the constant NaN and the report not finite."""
@@ -670,5 +669,4 @@ def decay_check(transform: Callable, A: float, grid, name: str | None = None) ->
     vals = np.abs(transform(grid)) * (1.0 + np.abs(grid)) ** A
     at = int(np.argmax(vals))
     best = float(vals[at])
-    label = name or getattr(transform, "__name__", "transform")
-    return DecayReport(label, float(A), best, float(grid[at]), math.isfinite(best))
+    return DecayReport(float(A), best, float(grid[at]), math.isfinite(best))

@@ -10,6 +10,7 @@ import pytest
 from deltasums.characters import (
     DirichletCharacter,
     PrincipalCharacterNotAllowed,
+    _exp_table,
     character,
     enumerate_characters,
 )
@@ -31,6 +32,23 @@ def test_value_table_matches_pointwise():
                 assert abs(chi(n) - cmath.exp(2j * math.pi * (k * j % (M - 1)) / (M - 1))) < 1e-15
                 if 4 * k * j % (M - 1) == 0:
                     assert chi(n) == 1j ** (4 * k * j // (M - 1))
+
+
+def test_exp_table_is_exact_at_the_four_axis_points_and_read_only():
+    for c in (1, 2, 3, 4, 6, 8, 12, 100, 1000, 100002):
+        tab = _exp_table(c)
+        j = np.arange(c)
+        assert tab.shape == (c,)
+        assert np.abs(tab - np.exp(2j * np.pi * j / c)).max() < 1e-14
+        axes = {0: 1.0}
+        if c % 2 == 0:
+            axes[c // 2] = -1.0
+        if c % 4 == 0:
+            axes.update({c // 4: 1j, 3 * c // 4: -1j})
+        for at, value in axes.items():
+            assert tab[at].real == value.real and tab[at].imag == value.imag
+        with pytest.raises(ValueError):
+            tab[0] = 0.0
 
 
 def test_complete_multiplicativity(seed=2):

@@ -232,6 +232,30 @@ def test_voronoi_step_check_cache_exhaustion():
         voronoi_step_check(seq, 1, 3, 40.0)
 
 
+def test_pipeline_checks_refuse_coefficients_past_the_sequence():
+    # each check reads lam through CoefficientSequence.values, whose refusal
+    # names the largest n asked for
+    seq = divisor_sequence(30)
+    with pytest.raises(OutOfCacheRange, match=r"n in \[40, 80\], outside .* \[1, 30\]"):
+        voronoi_step_check(seq, 1, 3, 40.0)
+    hecke = make_pipeline_config(kind="divisor", M=11, N=20.0, L=3, P=5)
+    with pytest.raises(OutOfCacheRange, match=r"outside .* \[1, 100\]"):
+        hecke_amplifier_identity(dataclasses.replace(hecke, seq=divisor_sequence(100)))
+    M = 101
+    P = choose_detection_scale(M, 10.0, 2)
+    detect = make_pipeline_config(kind="divisor", M=M, N=10.0, L=2, P=float(P))
+    with pytest.raises(OutOfCacheRange, match=r"outside .* \[1, 40\]"):
+        delta_detection_expansion(dataclasses.replace(detect, seq=divisor_sequence(40)))
+
+
+@pytest.mark.parametrize("N", [-30.0, 0.0, math.nan, math.inf, -math.inf])
+def test_voronoi_and_poisson_checks_refuse_an_n_that_is_not_finite_and_positive(N):
+    with pytest.raises(ValueError, match="N must be finite and positive"):
+        voronoi_step_check(divisor_sequence(512), 1, 3, N)
+    with pytest.raises(ValueError, match="N must be finite and positive"):
+        poisson_r_sum_check(character(11, 1), 11, 3, 1, 2, N)
+
+
 def test_beta_sum_check_exhaustive_tiny():
     chi = character(5, 1)
     for c in (1, 2, 5, 10):

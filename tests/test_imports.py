@@ -1,0 +1,61 @@
+"""Every name a src/deltasums module imports is used in that module.
+
+The scan reads each module with the standard-library ast parser: a name
+bound by an import statement counts as used when it appears as a name
+anywhere in the module or is listed in __all__ (a re-export).
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "deltasums"
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    imported = {}
+    exported = set()
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported |= {
+                c.value
+                for c in ast.walk(node.value)
+                if isinstance(c, ast.Constant) and isinstance(c.value, str)
+            }
+    return sorted(
+        f"{name} (line {line})"
+        for name, line in imported.items()
+        if name not in used and name not in exported
+    )
+
+
+def test_the_scan_sees_an_unused_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import numpy as np\n"
+        "from .modular import divisors, primes_in as pin\n"
+        "from .characters import *\n"
+        "__all__ = ['divisors']\n"
+        "x = np.pi\n"
+    )
+    assert _unused_imports(ast.parse(source)) == ["os (line 2)", "pin (line 4)"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_uses_every_name_it_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _unused_imports(tree) == []

@@ -250,23 +250,23 @@ def test_divisor_coefficients_vs_sympy(div_seq, seed=10):
     rng = random.Random(seed)
     for _ in range(200):
         n = rng.randrange(1, 300_000)
-        assert div_seq(n) == int(sympy.divisor_count(n))
+        assert div_seq.values(n) == int(sympy.divisor_count(n))
 
 
 def test_lambda_one_is_one(div_seq, delta_seq):
-    assert div_seq(1) == 1.0
-    assert delta_seq(1) == 1.0
+    assert div_seq.values(1) == 1.0
+    assert delta_seq.values(1) == 1.0
 
 
 def test_delta_normalization(delta_seq):
     # lam(n) = tau(n) / n^{11/2}
-    assert abs(delta_seq(2) - (-24.0) / 2**5.5) < 1e-15
+    assert abs(delta_seq.values(2) - (-24.0) / 2**5.5) < 1e-15
     assert delta_seq.weight == 12
 
 
 def test_deligne_bound_at_primes(delta_seq):
     for p in sympy.primerange(2, 10_000):
-        assert abs(delta_seq(p)) <= 2.0
+        assert abs(delta_seq.values(p)) <= 2.0
 
 
 def test_multiplicativity_500_coprime_pairs(div_seq, delta_seq, seed=15):
@@ -278,8 +278,8 @@ def test_multiplicativity_500_coprime_pairs(div_seq, delta_seq, seed=15):
             n = rng.randrange(2, 500)
             if math.gcd(m, n) != 1:
                 continue
-            lhs = seq(m * n)
-            rhs = seq(m) * seq(n)
+            lhs = seq.values(m * n)
+            rhs = seq.values(m) * seq.values(n)
             assert abs(lhs - rhs) < 1e-10
             done += 1
 
@@ -290,10 +290,10 @@ def test_hecke_relation(div_seq, delta_seq, seed=16):
         for _ in range(120):
             r = rng.randrange(1, 2000)
             ell = int(rng.choice([2, 3, 5, 7, 11, 13]))
-            rhs = seq(r) * seq(ell)
+            rhs = seq.values(r) * seq.values(ell)
             if r % ell == 0:
-                rhs -= seq(r // ell)
-            assert abs(seq(r * ell) - rhs) < 1e-10
+                rhs -= seq.values(r // ell)
+            assert abs(seq.values(r * ell) - rhs) < 1e-10
 
 
 @st.composite
@@ -312,18 +312,23 @@ def test_hecke_relation_for_all_pairs(div_seq, delta_seq, pair):
     # lam(m) lam(n) = sum over e | gcd(m, n) of lam(m n / e^2)
     m, n = pair
     es = [e for e in range(1, math.gcd(m, n) + 1) if m % e == 0 and n % e == 0]
-    assert div_seq(m) * div_seq(n) == sum(div_seq(m * n // (e * e)) for e in es)
-    terms = [delta_seq(m * n // (e * e)) for e in es]
-    assert abs(delta_seq(m) * delta_seq(n) - math.fsum(terms)) <= 1e-12 * (
+    products = [div_seq.values(m * n // (e * e)) for e in es]
+    assert div_seq.values(m) * div_seq.values(n) == sum(products)
+    terms = [delta_seq.values(m * n // (e * e)) for e in es]
+    assert abs(delta_seq.values(m) * delta_seq.values(n) - math.fsum(terms)) <= 1e-12 * (
         1 + math.fsum(map(abs, terms))
     )
 
 
 def test_coeff_eval_out_of_range(div_seq):
+    with pytest.raises(OutOfCacheRange, match=r"n in \[300001, 300001\]"):
+        div_seq.values(300_001)
     with pytest.raises(OutOfCacheRange):
-        div_seq(300_001)
-    with pytest.raises(OutOfCacheRange):
-        div_seq(0)
+        div_seq.values(0)
+    # the refusal names the largest n asked for, not only the cache's edge
+    with pytest.raises(OutOfCacheRange, match=r"n in \[2, 412345\], outside .* \[1, 300000\]"):
+        div_seq.values(np.array([[2, 7], [412_345, 11]]))
+    assert div_seq.values(np.array([[1, 2], [3, 4]])).tolist() == [[1.0, 2.0], [2.0, 3.0]]
 
 
 def test_hurwitz_zeta_against_mpmath():
@@ -524,7 +529,7 @@ def test_smoothed_sum_direct_loop(div_seq):
     W = bump_window()
     N = 10.0
     direct = sum(
-        div_seq(n) * complex(chi.values(np.array([n]))[0]) * W(n / N)
+        div_seq.values(n) * complex(chi.values(np.array([n]))[0]) * W(n / N)
         for n in range(10, 21)
     )
     assert abs(smoothed_sum(div_seq, chi, N, W) - direct) < 1e-12
@@ -560,6 +565,15 @@ def test_make_amplifier_disjointness_overlap(div_seq):
     assert amp.ells == (3, 5)
     assert 5 not in amp.ps
     assert set(amp.ells).isdisjoint(amp.ps)
+
+
+def test_make_amplifier_reads_lambda_only_up_to_its_largest_prime():
+    # ells = (3, 5): L* reads lam(3) and lam(5), so a sequence to 5 suffices
+    # and one to 4 is refused naming lam(5), not a bound of 2L
+    assert make_amplifier(divisor_sequence(5), 3, 7).ells == (3, 5)
+    assert make_amplifier(divisor_sequence(8), 3, 7).lstar == 8.0
+    with pytest.raises(OutOfCacheRange, match=r"n in \[3, 5\], outside .* \[1, 4\]"):
+        make_amplifier(divisor_sequence(4), 3, 7)
 
 
 def test_make_amplifier_exclude_and_degenerate(div_seq):

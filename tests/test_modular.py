@@ -11,7 +11,7 @@ from deltasums.modular import (
     NotCoprime,
     NotPrime,
     divisors,
-    inverse_table,
+    inverse_row,
     is_prime,
     mod_inverse,
     prime_modulus,
@@ -57,14 +57,20 @@ def test_mod_inverse_round_trip(seed=3):
         assert a * mod_inverse(a, m) % m == 1
 
 
-def test_inverse_table_aligned_with_units():
-    # tab[i] inverts units[i]; the inverses are a permutation of the units
-    for c in (2, 7, 12, 30, 97):
-        tab = inverse_table(c)
+def test_inverse_row_inverts_units_and_is_zero_elsewhere():
+    for c in (1, 2, 12, 30030, 100003):
+        row = inverse_row(c)
         units = unit_residues(c)
-        assert tab.shape == units.shape
-        assert np.all((tab * units) % c == 1)
-        assert sorted(tab.tolist()) == sorted(units.tolist())
+        assert row.shape == (c,) and row.dtype == np.int64
+        # c = 1: the one residue 0 is its own inverse, as pow(0, -1, 1) == 0
+        assert np.all(row[units] * units % c == 1 % c)
+        if c > 1:
+            assert row[units].tolist() == [int(sympy.mod_inverse(x, c)) for x in units.tolist()]
+        off = np.ones(c, dtype=bool)
+        off[units] = False
+        assert not row[off].any()
+        with pytest.raises(ValueError):
+            row[units[0]] = 1
 
 
 def test_unit_residues_count():
