@@ -419,7 +419,7 @@ def voronoi_step_check(
                     cut = i + 1
                     done = True
                     break
-            total += complex(np.sum(seq.lam[ns[:cut]] * phase[:cut] * ts[:cut]))
+            total += complex(np.sum(seq.values(ns[:cut]) * phase[:cut] * ts[:cut]))
             used += cut
             start = stop
             block *= 2

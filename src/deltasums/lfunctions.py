@@ -3,10 +3,13 @@
 Coefficient sources:
 
 * divisor_sequence(bound): lam(n) = tau(n), the number of divisors, by a
-  sieve that counts the divisor pairs (d, n/d) with d <= n/d in uint16,
-  block by block of the output.
+  sieve that counts the divisor pairs (d, n/d) with d <= n/d straight into
+  the uint16 lam array, which keeps these exact counts.
 * delta_sequence(bound):   lam(n) = tau_R(n) / n^{11/2}, the Hecke-normalized
-  coefficients of the weight-12 discriminant form.
+  coefficients of the weight-12 discriminant form, in a float64 lam.
+
+Every reader takes coefficients through CoefficientSequence.values, which
+checks the range and returns float64 whatever lam's dtype.
 
 The Ramanujan tau values come from the exact q-expansion of
 q * prod_{m>=1} (1 - q^m)^24, the eighth power of the sparse Jacobi cube
@@ -114,8 +117,10 @@ DEFAULT_TAU_BOUND = 1_000_000
 _INT64_SUM_LIMIT = 1 << 62
 # output coefficients per block of a stage-1 product, so each block stays in cache
 _PRODUCT_BLOCK = 1 << 15
-# outputs per block of the divisor sieve, whose uint16 counts are exact below 2^30
+# outputs per block of the divisor sieve, whose uint16 counts are exact below 2^30;
+# divisors d below _SIEVE_SMALL_D are sieved block by block, larger ones over the array
 _SIEVE_BLOCK = 1 << 18
+_SIEVE_SMALL_D = 64
 _SIEVE_LIMIT = 1 << 30
 # decimal digits per int64 chunk when the Kronecker square's slots are read back
 _CHUNK_DIGITS = 18
@@ -134,7 +139,9 @@ class DegenerateAmplifier(ValueError):
 @dataclass(frozen=True)
 class CoefficientSequence:
     """Hecke-normalized coefficients lam(1..bound); lam is a read-only array
-    fixed by kind and bound, so sequences compare and hash without it."""
+    fixed by kind and bound, so sequences compare and hash without it.  It
+    holds the exact uint16 divisor counts for kind "divisor" and float64 for
+    "delta_form"; values() is the one read, always float64."""
 
     kind: str  # "divisor" | "delta_form"
     bound: int
@@ -151,41 +158,45 @@ class CoefficientSequence:
                 f"lam(n) asked for n in [{arr.min()}, {arr.max()}], outside the "
                 f"cached range [1, {self.bound}] of kind {self.kind}"
             )
-        return self.lam[arr]
+        return self.lam[arr].astype(np.float64, copy=False)
 
 
 @lru_cache(maxsize=8)
 def divisor_sequence(bound: int) -> CoefficientSequence:
     """tau(n) = number of divisors, by counting divisor pairs (d, n/d) with
     d <= n/d: each d <= isqrt(bound) adds 2 at d^2, d^2 + d, ... and the
-    square d^2 gives back 1.  The counts are uint16, exact since
-    tau(n) <= 2 sqrt(n) < 2^16 below 2^30, taken over blocks of
-    _SIEVE_BLOCK outputs and cast into the float64 lam block by block."""
+    square d^2 gives back 1.  lam is the read-only uint16 array of these
+    counts, exact since tau(n) <= 2 sqrt(n) < 2^16 below 2^30; values() is
+    its float64 read.  The d below _SIEVE_SMALL_D, whose slices are dense,
+    add into one _SIEVE_BLOCK view of lam at a time; every larger d adds
+    in one slice over the whole array."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
     if bound >= _SIEVE_LIMIT:
         raise ValueError(f"divisor counts are uint16-exact only below {_SIEVE_LIMIT}, got {bound}")
-    lam = np.empty(bound + 1, dtype=np.float64)
+    lam = np.zeros(bound + 1, dtype=np.uint16)
+    root = math.isqrt(bound)
     for lo in range(0, bound + 1, _SIEVE_BLOCK):
-        hi = min(lo + _SIEVE_BLOCK, bound + 1)
-        count = np.zeros(hi - lo, dtype=np.uint16)
-        for d in range(1, math.isqrt(hi - 1) + 1):
+        block = lam[lo : lo + _SIEVE_BLOCK]
+        for d in range(1, min(root + 1, _SIEVE_SMALL_D)):
             # from the first multiple of d in the block that is at least d^2
-            count[max(d * d, -(-lo // d) * d) - lo :: d] += 2
-        roots = np.arange(math.isqrt(lo - 1) + 1 if lo else 1, math.isqrt(hi - 1) + 1)
-        count[roots * roots - lo] -= 1
-        lam[lo:hi] = count
+            block[max(d * d, -(-lo // d) * d) - lo :: d] += 2
+    for d in range(_SIEVE_SMALL_D, root + 1):
+        lam[d * d :: d] += 2
+    roots = np.arange(1, root + 1)
+    lam[roots * roots] -= 1
     lam.setflags(write=False)
     return CoefficientSequence("divisor", bound, lam, weight=None)
 
 
 def delta_sequence(bound: int, cache: str | os.PathLike | None = None) -> CoefficientSequence:
-    """Hecke-normalized coefficients tau_R(n)/n^{11/2}; cache as in ramanujan_tau_table."""
+    """Hecke-normalized coefficients tau_R(n)/n^{11/2}, a read-only float64
+    lam; cache as in ramanujan_tau_table."""
     tau = ramanujan_tau_table(bound, cache=cache)
     n = np.arange(bound + 1, dtype=np.float64)
     lam = np.zeros(bound + 1, dtype=np.float64)
-    # big-int tau values convert exactly enough: |tau| < 2^126 << float64 max
-    lam[1:] = np.array([float(t) for t in tau], dtype=np.float64) / n[1:] ** 5.5
+    # each big-int tau rounds as float(t) does: |tau| < 2^126 << float64 max
+    lam[1:] = np.array(tau, dtype=np.float64) / n[1:] ** 5.5
     lam.setflags(write=False)
     return CoefficientSequence("delta_form", bound, lam, weight=12)
 
@@ -479,14 +490,10 @@ def _twist_values_all(seq: CoefficientSequence, M: int) -> np.ndarray:
         return _l_values_all(M) ** 2
     if seq.kind != "delta_form":
         raise ValueError(f"no twist central values for coefficient kind {seq.kind!r}")
-    n_max = _afe_terms(M)
-    if n_max > seq.bound:
-        raise OutOfCacheRange(
-            f"twist AFE mod {M} needs coefficients up to {n_max} > bound {seq.bound}"
-        )
-    n = np.arange(1, n_max + 1, dtype=np.float64)
-    w = seq.lam[1 : n_max + 1] / np.sqrt(n)
-    res = np.arange(1, n_max + 1) % M
+    k = np.arange(1, _afe_terms(M) + 1)
+    n = k.astype(np.float64)
+    w = seq.values(k) / np.sqrt(n)
+    res = k % M
     gauss = _gauss_row(M)
     eps = gauss * gauss / M
 

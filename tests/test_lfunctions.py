@@ -222,7 +222,7 @@ def test_divisor_sieve_at_block_edges(blocks, offset):
             assert lam[n] == _trial_division_count(n), n
 
 
-# sha256 of lam.tobytes()
+# sha256 of the float64 bytes of lam, the layout the digests were first taken in
 @pytest.mark.parametrize(
     "bound, digest",
     [
@@ -233,7 +233,32 @@ def test_divisor_sieve_at_block_edges(blocks, offset):
 )
 def test_divisor_sieve_bytes_are_pinned(bound, digest):
     lam = divisor_sequence.__wrapped__(bound).lam
-    assert hashlib.sha256(lam.tobytes()).hexdigest() == digest
+    assert hashlib.sha256(lam.astype(np.float64).tobytes()).hexdigest() == digest
+
+
+def test_divisor_lam_keeps_the_uint16_counts():
+    bound = 1_500_000
+    lam = divisor_sequence.__wrapped__(bound).lam
+    assert lam.dtype == np.uint16 and lam.nbytes == 2 * (bound + 1)
+    assert not lam.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        lam[1] += 1
+    n = np.arange(1, 65)
+    for seq in (divisor_sequence(64), delta_sequence(64, cache=None)):
+        assert seq.values(n).dtype == np.float64
+        assert seq.values(7).dtype == np.float64
+
+
+def test_delta_lam_is_the_float_of_each_tau_over_the_whole_table(monkeypatch):
+    # |tau| passes 2^111 near the top of the table, far past int64; each entry
+    # must be the correctly rounded float(t), as a per-value cast gives
+    tau = ramanujan_tau_table(DEFAULT_TAU_BOUND, cache=None)
+    monkeypatch.setattr(lfunctions, "ramanujan_tau_table", lambda bound, cache: tau)
+    lam = delta_sequence(DEFAULT_TAU_BOUND, cache=None).lam
+    n = np.arange(1, DEFAULT_TAU_BOUND + 1, dtype=np.float64)
+    expected = np.array([float(t) for t in tau], dtype=np.float64) / n**5.5
+    assert lam[0] == 0.0
+    assert np.array_equal(lam[1:].view(np.uint64), expected.view(np.uint64))
 
 
 def test_divisor_sieve_refuses_bounds_past_uint16_counts(monkeypatch):
@@ -502,7 +527,8 @@ def test_twist_afe_matches_converged_smoothed_ladder(delta_seq):
 
 def test_twist_afe_refuses_short_sequence():
     short = delta_sequence(64, cache=None)
-    with pytest.raises(OutOfCacheRange, match="twist AFE mod 101"):
+    # the AFE mod 101 reads lam(1..1004)
+    with pytest.raises(OutOfCacheRange, match=r"n in \[1, 1004\], outside the cached range \[1, 64\]"):
         l_value_twist(short, character(101, 1))
 
 
