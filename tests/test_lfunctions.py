@@ -205,6 +205,20 @@ def _trial_division_count(n: int) -> int:
     return sum(1 if d * d == n else 2 for d in range(1, math.isqrt(n) + 1) if n % d == 0)
 
 
+def test_divisor_sieve_matches_trial_division_across_the_small_d_split():
+    # bounds on either side of _SIEVE_SMALL_D^2, where the first d is taken
+    # over the whole array instead of block by block; every count is checked
+    small = lfunctions._SIEVE_SMALL_D
+    for bound in (small**2 - 1, small**2, (small + 1) ** 2, small**2 + 5000):
+        lam = divisor_sequence.__wrapped__(bound).lam
+        n = np.arange(bound + 1)
+        count = np.zeros(bound + 1, dtype=np.int64)
+        for d in range(1, math.isqrt(bound) + 1):
+            q, r = np.divmod(n, d)
+            count += np.where((r == 0) & (q > d), 2, 0) + ((r == 0) & (q == d))
+        assert np.array_equal(lam, count), bound
+
+
 @settings(max_examples=25, deadline=None, database=None)
 @given(st.integers(1, 5), st.integers(-1, 1))
 def test_divisor_sieve_at_block_edges(blocks, offset):
@@ -249,13 +263,14 @@ def test_divisor_lam_keeps_the_uint16_counts():
         assert seq.values(7).dtype == np.float64
 
 
-def test_delta_lam_is_the_float_of_each_tau_over_the_whole_table(monkeypatch):
-    # |tau| passes 2^111 near the top of the table, far past int64; each entry
-    # must be the correctly rounded float(t), as a per-value cast gives
-    tau = ramanujan_tau_table(DEFAULT_TAU_BOUND, cache=None)
+def test_delta_lam_is_the_float_of_each_tau(monkeypatch):
+    # |tau| passes 2^92 below 10^5, past int64 and uint64; each entry must be the
+    # correctly rounded float(t), as a per-value cast gives (CI checks all of 10^6)
+    bound = 100_000
+    tau = _tau_table(bound)
     monkeypatch.setattr(lfunctions, "ramanujan_tau_table", lambda bound, cache: tau)
-    lam = delta_sequence(DEFAULT_TAU_BOUND, cache=None).lam
-    n = np.arange(1, DEFAULT_TAU_BOUND + 1, dtype=np.float64)
+    lam = delta_sequence(bound, cache=None).lam
+    n = np.arange(1, bound + 1, dtype=np.float64)
     expected = np.array([float(t) for t in tau], dtype=np.float64) / n**5.5
     assert lam[0] == 0.0
     assert np.array_equal(lam[1:].view(np.uint64), expected.view(np.uint64))
