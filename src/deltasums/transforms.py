@@ -60,17 +60,22 @@ and K_0 to 7.5e-16 of max(1, K_0).
 Phase sums.  A Voronoi block whose smallest argument z = 4 pi sqrt(y lo) is
 at least 50 goes through Hankel's expansion in u = sqrt(x).  With x = u^2
 the phase is linear in u, as the Fourier dual's e(-xu) is in u = x: on a
-panel with centre c and half-width h, e^{iAu} = e^{iAc} e^{iAht}, so a row
-costs one exponential per panel and per node and a share of one GEMM
-(_phase_sums, which both transforms call), where the kernel matrix costs a
-Bessel value per panel and node.  On the same u-rule it agrees with scipy's
-jv/y0 kernel matrix to 1.1e-14 of the integral of |k W| for weights 4, 12
-and 24 and the divisor plus side.  The K_0 minus side and smaller arguments
-build the kernel matrix on the x-rule, except for K_0 rows whose smallest
-argument is at least 745: they are 0.0 without one.  Both paths work in row
-chunks of about _CHUNK = 2^15 elements, so the work space stays at about
-two megabytes plus one complex per row and term of the expansion, whatever
-the block size.
+panel with centre c and half-width h, e^{iAu} = e^{iAc} e^{iAht}.  The P
+centres c_p are an arithmetic progression: with B = isqrt(P - 1) + 1 and
+p = qB + r, e^{iAc_p} = e^{iAc_{qB}} e^{iA(c_r - c_0)}.  So a row costs
+about 2 sqrt(P) exponentials and one complex multiply per panel, an
+exponential per node and a share of one GEMM (_phase_sums, which both
+transforms call), where the kernel matrix costs a Bessel value per panel
+and node.  Over the 48 calls of a verify run of all three suites, the sums
+agree with the same sums taken in 80-bit long double to 4.6e-14 of the sum
+of |w f|, the size of the rounding of the phases A u.  On the same u-rule
+they agree with scipy's jv/y0 kernel matrix to 1.2e-14 of the integral of
+|k W| for weights 4, 12 and 24 and the divisor plus side.  The K_0 minus
+side and smaller arguments build the kernel matrix on the x-rule, except
+for K_0 rows whose smallest argument is at least 745: they are 0.0 without
+one.  Both paths work in row chunks of about _CHUNK = 2^15 elements, so the
+work space stays at about two megabytes plus one complex per row and term
+of the expansion, whatever the block size.
 """
 
 from __future__ import annotations
@@ -281,12 +286,16 @@ def _gauss_rule(order: int):
     return nodes, weights
 
 
+def _panel_layout(lo: float, hi: float, panels: int):
+    """Centres and common half-width of `panels` equal panels over [lo, hi]."""
+    edges = np.linspace(lo, hi, panels + 1)
+    return 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1] - edges[0])
+
+
 def _panel_nodes(lo: float, hi: float, panels: int, order: int):
     """Abscissae and matching weights of the composite rule, flattened."""
     nodes, weights = _gauss_rule(order)
-    edges = np.linspace(lo, hi, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
+    mid, half = _panel_layout(lo, hi, panels)
     pts = (mid[:, None] + half * nodes[None, :]).ravel()
     return pts, np.tile(weights * half, panels)
 
@@ -355,18 +364,23 @@ def _phase_sums(A: np.ndarray, rule, lo: float, hi: float, f: Callable) -> np.nd
     (panels, order) nodes to samples (panels, order, K). See Phase sums."""
     panels, order = rule
     nodes, weights = _gauss_rule(order)
-    edges = np.linspace(lo, hi, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
+    mid, half = _panel_layout(lo, hi, panels)
     samples = f(mid[:, None] + half * nodes)
     F = (half * weights[:, None] * samples).reshape(panels, -1)
     out = np.empty((A.size, samples.shape[2]), complex)
-    rows = max(1, _CHUNK // (panels + F.shape[1]))
+    # p = qB + r: c_p = mid[qB] + (mid[r] - mid[0]), so e^{iAc_p} is a coarse
+    # times a fine exponential, about 2 sqrt(panels) of them per row
+    B = math.isqrt(panels - 1) + 1
+    n_coarse = -(-panels // B)
+    offsets = np.concatenate((mid[::B], mid[:B] - mid[0]))
+    rows = max(1, _CHUNK // (n_coarse * B + F.shape[1]))
     for start in range(0, A.size, rows):
         a = A[start : start + rows]
-        cs = np.multiply.outer(a, mid)
+        e = np.exp(1j * np.multiply.outer(a, offsets))
+        g = (e[:, :n_coarse, None] * e[:, None, n_coarse:]).reshape(a.size, -1)[:, :panels]
+        # g holds e^{iAc_p}, then (rebound, which frees it before the node step)
         # g[0] + i g[1]: the panel sums of e^{iAc_p} F, per node i and index k
-        g = (np.concatenate((np.cos(cs), np.sin(cs))) @ F).reshape(2, a.size, order, -1)
+        g = (np.concatenate((g.real, g.imag)) @ F).reshape(2, a.size, order, -1)
         node = np.exp(1j * np.multiply.outer(a, half * nodes))[:, None, :]  # e^{iAht_i}
         out[start : start + rows] = (node @ (g[0] + 1j * g[1]))[:, 0]
     return out
@@ -377,6 +391,9 @@ def fourier_dual(V: SmoothWindow, x):
     default rule, in blocks of |x|: a complex at a scalar x, an array at an array."""
     arr = np.asarray(x, dtype=np.float64)
     flat = arr.ravel()
+    bad = flat[~np.isfinite(flat)]
+    if bad.size:
+        raise ValueError(f"fourier_dual requires finite x, got {float(bad[0])!r}")
     lo, hi = V.support
     out = np.empty(flat.shape, complex)
     for idx, rule in _blocks(np.abs(flat), lambda k: _rule(k * (hi - lo), hi - lo, None, 1.0)):
@@ -572,8 +589,8 @@ def voronoi_transform_batch(
     ys = np.asarray(ys, dtype=np.float64)
     if ys.size == 0:
         return np.zeros(0)
-    if np.any(ys <= 0):
-        raise DomainError("voronoi_transform_batch requires y > 0")
+    if not np.all((ys > 0) & np.isfinite(ys)):
+        raise DomainError("voronoi_transform_batch requires finite y > 0")
     kernel = _voronoi_kernel(g, sign)
     if kernel is None:
         return np.zeros_like(ys)

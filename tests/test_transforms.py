@@ -182,6 +182,52 @@ def test_adaptive_quadrature_raises_when_unconverged():
         adaptive_quadrature(lambda x: np.sign(x - 1.0 / 3.0), 0.0, 1.0, tol=1e-13)
 
 
+def _extended_phase_sums(A, rule, lo, hi, f):
+    """_phase_sums over the same float64 nodes and weights, with the phases
+    A u, their cos and sin and the sums taken in np.longdouble; and the
+    scale sum |w f| of each column."""
+    panels, order = rule
+    pts, wts = _panel_nodes(lo, hi, panels, order)
+    F = wts[:, None] * f(pts.reshape(panels, order)).reshape(panels * order, -1)
+    phase = np.multiply.outer(A.astype(np.longdouble), pts.astype(np.longdouble))
+    FL = F.astype(np.longdouble)
+    ref = (np.cos(phase) @ FL).astype(float) + 1j * (np.sin(phase) @ FL).astype(float)
+    return ref, np.abs(F).sum(axis=0)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs 80-bit long double")
+@pytest.mark.parametrize(
+    "A, rule, hankel",
+    [
+        # _rule's minimum of 8 panels, slopes over three row chunks
+        (np.linspace(-60.0, 60.0, 4001), (8, 12), False),
+        # 49 = 7 * 7 panels fill the coarse x fine product; 50 leave a tail of 6
+        (np.linspace(-400.0, 400.0, 3001), (49, 12), False),
+        (np.linspace(-400.0, 400.0, 3001), (50, 12), False),
+        # _hankel_block's 13 columns I_m at y up to 28000, over eight row chunks
+        (np.linspace(-2100.0, 2100.0, 801), (143, 12), True),
+    ],
+    ids=["min8", "square49", "tail50", "hankel143"],
+)
+def test_phase_sums_match_extended_precision(A, rule, hankel):
+    assert 0.0 in A and A.min() < 0.0
+    if hankel:
+        W, m = bump_window(), np.arange(13)
+        lo, hi = 1.0, math.sqrt(2.0)
+        f = lambda u: (2.0 * np.sqrt(u) * W(u * u))[..., None] * u[..., None] ** -m
+    else:
+        V = plateau_window()
+        lo, hi = V.support
+        f = lambda u: V(u)[..., None]
+    got = transforms._phase_sums(A, rule, lo, hi, f)
+    assert A.size > 2 * transforms._CHUNK // (rule[0] + rule[1] * got.shape[1])
+    ref, scale = _extended_phase_sums(A, rule, lo, hi, f)
+    # the rounding of the float64 phase A u bounds the agreement
+    assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+    # real samples: the sums at -A are the exact conjugates
+    assert np.array_equal(transforms._phase_sums(-A, rule, lo, hi, f), np.conj(got))
+
+
 def test_fourier_dual_at_zero_is_mass():
     V = plateau_window()
     assert abs(fourier_dual(V, 0.0) - V.mass()) < 1e-10
@@ -391,12 +437,22 @@ def test_rule_refuses_bad_quad_order(quad_order):
 
 
 def test_voronoi_transform_rejects_nonpositive_y():
+    # and non-finite y, which would otherwise reach math.ceil in _rule
     W = bump_window()
-    for y in (0.0, -1.0):
+    for y in (0.0, -1.0, math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError):
             voronoi_transform_batch("divisor", -1, W, [y])
         with pytest.raises(DomainError):
             voronoi_transform_batch("divisor", -1, W, np.array([1.0, y]))
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_fourier_dual_refuses_non_finite_x(x):
+    V = plateau_window()
+    with pytest.raises(ValueError, match=f"finite x, got {x!r}"):
+        fourier_dual(V, x)
+    with pytest.raises(ValueError, match=f"finite x, got {x!r}"):
+        fourier_dual(V, np.array([[0.5, 2.0], [x, 1.0]]))
 
 
 def test_voronoi_transform_delta_minus_side_vanishes():
