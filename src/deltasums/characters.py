@@ -27,6 +27,7 @@ lfunctions both read it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -105,6 +106,10 @@ class DirichletCharacter:
     index: int
 
     def __post_init__(self):
+        # stored as plain ints: TypeError for a non-integer, and a numpy
+        # integer behaves as the int it holds
+        object.__setattr__(self, "M", operator.index(self.M))
+        object.__setattr__(self, "index", operator.index(self.index))
         prime_modulus(self.M)
         if not 0 <= self.index <= self.M - 2:
             raise ValueError(f"index must lie in [0, {self.M - 2}] for modulus {self.M}")

@@ -153,8 +153,12 @@ class CoefficientSequence:
     def values(self, n) -> np.ndarray:
         """lam(n) under Hecke normalization for an integer or integer array n,
         as a float64 array of n's shape; OutOfCacheRange, naming the n asked
-        for, when any n lies outside [1, bound]."""
-        arr = np.asarray(n, dtype=np.int64)
+        for, when any n lies outside [1, bound]. TypeError for any other
+        dtype, except an empty array, which holds no n."""
+        arr = np.asarray(n)
+        if arr.dtype.kind not in "iu" and arr.size:
+            raise TypeError(f"lam(n) takes integer n within int64, got dtype {arr.dtype}")
+        arr = arr.astype(np.int64, copy=False)
         if arr.size and (arr.min() < 1 or arr.max() > self.bound):
             raise OutOfCacheRange(
                 f"lam(n) asked for n in [{arr.min()}, {arr.max()}], outside the "
@@ -426,13 +430,16 @@ def hurwitz_zeta(s: float, a):
 
     With _HURWITZ_PRESUM direct terms and the eight Bernoulli corrections of
     _BERNOULLI the remainder is below 1e-12 for 0 < a <= 1 and moderate s
-    (the only regime used here).
+    (the only regime used here). ValueError for s = 1, a non-finite s, or
+    any a that is not finite and > 0.
     """
+    if not math.isfinite(s):
+        raise ValueError(f"hurwitz_zeta requires finite s, got {s!r}")
     if s == 1.0:
         raise ValueError("hurwitz_zeta has a pole at s = 1")
     arr = np.asarray(a, dtype=np.float64)
-    if np.any(arr <= 0):
-        raise ValueError("hurwitz_zeta requires a > 0")
+    if not np.all((arr > 0) & np.isfinite(arr)):
+        raise ValueError("hurwitz_zeta requires finite a > 0")
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
     acc = ((arr[:, None] + np.arange(_HURWITZ_PRESUM)[None, :]) ** (-s)).sum(axis=1)
@@ -618,30 +625,35 @@ def burgess_sweep(
     """Burgess-ratio records over primes in [pmin, pmax <= 10^4], sorted by
     (M, index).
 
-    kind "dirichlet" uses the Hurwitz oracle and takes no coeff; kind "twist"
-    the exact central values of _twist_values_all over the given coefficient
-    kind (coeff "divisor", the default, "delta" or "delta_form"): squared
-    Hurwitz values for divisor rows, the X-checked approximate functional
-    equation for delta-form rows.
-    A missing seq is built to the AFE length of pmax for the delta form;
-    divisor rows read no coefficient. Either way one per-modulus row gives
-    every character. chars: "all", "quadratic", or a positive count of
-    indices per modulus.
+    kind "dirichlet" uses the Hurwitz oracle and takes neither coeff nor seq;
+    kind "twist" the exact central values of _twist_values_all over the given
+    coefficient kind (coeff "divisor", "delta" or "delta_form", else the kind
+    of seq, else "divisor"): squared Hurwitz values for divisor rows, the
+    X-checked approximate functional equation for delta-form rows.
+    A seq given with a coeff must be of that kind. A missing seq is built to
+    the AFE length of pmax for the delta form; divisor rows read no
+    coefficient. Either way one per-modulus row gives every character.
+    chars: "all", "quadratic", or a positive count of indices per modulus.
+    Conflicting arguments are refused with ValueError before any work.
     """
     if kind not in ("dirichlet", "twist"):
         raise ValueError(f"sweep kind must be dirichlet or twist, got {kind!r}")
     if kind == "dirichlet" and coeff is not None:
         raise ValueError(f"a dirichlet sweep takes no coefficient kind, got {coeff!r}")
-    coeff = "divisor" if coeff is None else coeff
-    if coeff not in ("divisor", "delta", "delta_form"):
+    if kind == "dirichlet" and seq is not None:
+        raise ValueError(f"a dirichlet sweep takes no coefficient sequence, got kind {seq.kind!r}")
+    coeff = "delta_form" if coeff == "delta" else coeff
+    if coeff not in (None, "divisor", "delta_form"):
         raise ValueError(f"unknown coefficient kind {coeff!r}")
+    if seq is not None and coeff not in (None, seq.kind):
+        raise ValueError(f"coeff {coeff!r} conflicts with a sequence of kind {seq.kind!r}")
     indices = _char_indices(chars)
     if pmax > _SWEEP_LIMIT:
         raise ValueError(f"{kind} sweeps are oracle-feasible only up to M = {_SWEEP_LIMIT}")
     primes = primes_in(max(5, pmin), pmax)
     records: list[SweepRecord] = []
     if kind == "twist" and primes and seq is None:
-        seq = divisor_sequence(1) if coeff == "divisor" else delta_sequence(_afe_terms(pmax))
+        seq = delta_sequence(_afe_terms(pmax)) if coeff == "delta_form" else divisor_sequence(1)
     for M in primes:
         if kind == "dirichlet":
             exponent, rec_kind, row = _DIRICHLET_EXPONENT, "dirichlet", _l_values_all(M)

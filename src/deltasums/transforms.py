@@ -127,13 +127,14 @@ _K0_ZERO = 745.0
 # so that its growth at small arguments cannot overflow
 _MILLER_BIG = 1e100
 
-# panel counts adaptive_quadrature starts from and gives up at
+# panel counts adaptive_quadrature starts from and gives up at; _rule lays
+# no more than _MAX_PANELS either
 _BASE_PANELS = 8
 _MAX_PANELS = 1 << 16
 
 
 class DomainError(ValueError):
-    """Kernel evaluated outside its domain."""
+    """Kernel or transform asked for outside the domain it evaluates."""
 
 
 class UnsupportedCoefficientKind(ValueError):
@@ -334,23 +335,31 @@ def _rule(cycles: float, width: float, quad_order, panel_scale: float) -> tuple[
 
     An explicit quad_order gets about three panels per oscillation; the
     default 12-node rule gets one, and at least 32 * panel_scale panels per
-    unit of width.
+    unit of width. DomainError, before any node is laid, for a rule of more
+    than _MAX_PANELS panels.
     """
     if not (math.isfinite(panel_scale) and panel_scale > 0):
         raise ValueError(f"panel_scale must be finite and > 0, got {panel_scale!r}")
     if quad_order is not None:
         if quad_order < 1:
             raise ValueError(f"quad_order must be >= 1, got {quad_order!r}")
-        return max(8, math.ceil(3.0 * cycles * panel_scale + 8 * panel_scale)), int(quad_order)
-    panels = math.ceil(cycles * panel_scale + 8 * panel_scale)
-    return max(8, panels, math.ceil(32 * width * panel_scale)), 12
+        need, order = 3.0 * cycles * panel_scale + 8 * panel_scale, int(quad_order)
+    else:
+        need, order = max(cycles * panel_scale + 8 * panel_scale, 32 * width * panel_scale), 12
+    if not need <= _MAX_PANELS:  # an infinite count too
+        raise DomainError(f"the rule needs {need:.4g} panels, more than {_MAX_PANELS}")
+    return max(8, math.ceil(need)), order
 
 
 def _blocks(keys: np.ndarray, rule: Callable):
     """Yield (idx, rule(largest key)) over the keys >= 0 in ascending
-    geometric blocks, each from its smallest key k to 4k."""
+    geometric blocks, each from its smallest key k to 4k. The rule of the
+    largest key is asked for first, so that a refusal comes before any
+    block's work."""
     order_idx = np.argsort(keys, kind="stable")
     sorted_keys = keys[order_idx]
+    if sorted_keys.size:
+        rule(sorted_keys[-1])
     start = 0
     while start < sorted_keys.size:
         stop = int(np.searchsorted(sorted_keys, 4.0 * sorted_keys[start], side="right"))

@@ -1,7 +1,11 @@
-"""Acceptance criterion 9's independent oracle: central values from a
-smoothly truncated series.
+"""Independent oracles for the tests: stdlib number theory, and acceptance
+criterion 9's central values from a smoothly truncated series.
 
-The library computes L(1/2, chi) from the Hurwitz identity and
+The number-theory helpers are brute loops on Python integers (trial
+division, gcd counts).  They share nothing with deltasums.modular's sieves
+and tables, which several tests check against them.
+
+For criterion 9: the library computes L(1/2, chi) from the Hurwitz identity and
 L(1/2, g x chi) exactly (the squared Hurwitz value for the divisor
 function, the two-point approximate functional equation for the weight-12
 form).  This module sums the Dirichlet series itself instead,
@@ -33,6 +37,44 @@ from deltasums.lfunctions import CoefficientSequence, OutOfCacheRange
 CLASS_VECTOR_CHUNK = 2_000_000
 # doublings of the cutoff length smoothed_row tries before it gives up
 MAX_DOUBLINGS = 16
+
+
+def is_prime(n: int) -> bool:
+    """Trial division by every d <= sqrt(n)."""
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def primes_below(n: int) -> list[int]:
+    """The primes p < n, ascending, by trial division."""
+    return [p for p in range(2, n) if is_prime(p)]
+
+
+def divisors_of(n: int) -> list[int]:
+    """The positive divisors of n >= 1, ascending, by trial division."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
+
+
+def divisor_count(n: int) -> int:
+    return len(divisors_of(n))
+
+
+def mobius(n: int) -> int:
+    """mu(n) for n >= 1: 0 if a square divides n, else (-1)^(number of primes)."""
+    mu, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if n > 1 else mu
+
+
+def totient(n: int) -> int:
+    """The residues x mod n >= 1 with gcd(x, n) = 1, counted."""
+    return sum(1 for x in range(n) if math.gcd(x, n) == 1)
 
 
 def smooth_cutoff(t: np.ndarray) -> np.ndarray:

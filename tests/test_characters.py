@@ -183,6 +183,13 @@ def test_character_refuses_its_modulus_on_construction():
     assert repr(DirichletCharacter(11, 3)) == "DirichletCharacter(M=11, index=3)"
 
 
+def test_character_refuses_non_integers_on_construction():
+    for M, index in ((11, 1.5), (11, 1.0), (11, "1"), (11.0, 1), (11, np.float64(2))):
+        with pytest.raises(TypeError):
+            DirichletCharacter(M, index)
+    assert DirichletCharacter(np.int64(11), np.int32(3)) == character(11, 3)
+
+
 @pytest.mark.parametrize("M", [100_019, 1_000_000_007])
 def test_character_refuses_a_modulus_past_max_modulus_before_any_row(M):
     # 100019 is the next prime past MAX_MODULUS; no row is built or cached

@@ -7,7 +7,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-import sympy
 
 from deltasums.characters import character
 from deltasums.expsums import (
@@ -32,6 +31,8 @@ from deltasums.expsums import (
     weil_bound_profile,
 )
 from deltasums.modular import MAX_MODULUS, mod_inverse, primes_in, unit_residues
+
+from oracles import divisors_of, mobius
 
 
 def _e(x: float) -> complex:
@@ -80,9 +81,7 @@ def test_ramanujan_row_matches_von_sterneck(c):
     # von Sterneck's value depends on d only through g = gcd(c, d); here it
     # is the Mobius sum c_c(d) = sum over e | g of e * mu(c/e)
     gcds = np.gcd(np.arange(c), c).tolist()
-    oracle = {
-        g: int(sum(e * sympy.mobius(c // e) for e in sympy.divisors(g))) for g in set(gcds)
-    }
+    oracle = {g: sum(e * mobius(c // e) for e in divisors_of(g)) for g in set(gcds)}
     assert np.array_equal(row, [oracle[g] for g in gcds])
 
 
@@ -136,7 +135,7 @@ def test_ramanujan_sum_mobius_oracle(seed=6):
     for _ in range(300):
         q = rng.randrange(1, 200)
         a = rng.randrange(0, 3 * q)
-        oracle = sum(d * sympy.mobius(q // d) for d in sympy.divisors(math.gcd(a, q) or q))
+        oracle = sum(d * mobius(q // d) for d in divisors_of(math.gcd(a, q) or q))
         assert abs(ramanujan_sum(q, a) - oracle) < 1e-9
 
 

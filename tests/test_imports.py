@@ -1,11 +1,16 @@
-"""Two scans of the src/deltasums modules with the standard-library ast parser.
+"""Scans with the standard-library ast parser.
 
+Of the src/deltasums modules:
 * Every name a module imports is used in that module: a name bound by an
   import statement counts as used when it appears as a name anywhere in the
   module or is listed in __all__ (a re-export).
 * No code outside CoefficientSequence.values touches a .lam attribute.  The
   divisor kind keeps uint16 counts there, and values() is the one read that
   checks the range and returns float64, so no package arithmetic can wrap.
+
+Of the test modules:
+* None imports scipy or sympy.  The oracles come from mpmath and the
+  standard library (tests/oracles.py), so the test extra needs neither.
 """
 
 import ast
@@ -13,7 +18,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "deltasums"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "deltasums"
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -97,3 +103,45 @@ def test_the_scan_sees_a_lam_read():
 def test_module_reads_coefficients_only_through_values(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert _lam_accesses(tree) == []
+
+
+def _oracle_library_imports(tree: ast.Module) -> list[str]:
+    """Every import of scipy or sympy, or of a module inside either."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [
+            f"{name} (line {node.lineno})"
+            for name in names
+            if name.split(".")[0] in ("scipy", "sympy")
+        ]
+    return found
+
+
+def test_the_scan_sees_a_scipy_or_sympy_import():
+    source = (
+        "import numpy, sympy\n"
+        "from scipy.special import jv\n"
+        "import scipy.special as sc\n"
+        "from . import sympy_like\n"
+        "import sympathy\n"
+        "def f():\n"
+        "    import sympy.ntheory\n"
+    )
+    assert _oracle_library_imports(ast.parse(source)) == [
+        "sympy (line 1)",
+        "scipy.special (line 2)",
+        "scipy.special (line 3)",
+        "sympy.ntheory (line 7)",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
+def test_tests_import_neither_scipy_nor_sympy(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _oracle_library_imports(tree) == []

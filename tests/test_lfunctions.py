@@ -14,10 +14,8 @@ from functools import cache
 import mpmath as mp
 import numpy as np
 import pytest
-import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaincc
 
 from deltasums import lfunctions
 from deltasums.characters import PrincipalCharacterNotAllowed, _character_transform, character
@@ -49,7 +47,7 @@ from deltasums.lfunctions import (
 from deltasums.transforms import bump_window
 
 import oracles
-from oracles import class_vector, smoothed_row, smoothed_value
+from oracles import class_vector, divisor_count, primes_below, smoothed_row, smoothed_value
 
 # q-expansion of Delta, Hecke-normalized later; classical table
 TAU_KNOWN = [1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643, -115920]
@@ -175,7 +173,7 @@ def test_tau_table_hecke_and_691_relations():
         for n in range(d, bound + 1, d):
             sigma11[n] += d**11
     assert all((t[n] - sigma11[n]) % 691 == 0 for n in range(1, bound + 1))
-    for p in sympy.primerange(2, bound + 1):
+    for p in primes_below(bound + 1):
         assert t[p] ** 2 <= 4 * p**11
         for n in range(1, bound // p + 1):
             lower = p**11 * t[n // p] if n % p == 0 else 0
@@ -286,11 +284,11 @@ def test_divisor_sieve_refuses_bounds_past_uint16_counts(monkeypatch):
         divisor_sequence.__wrapped__(1 << 30)
 
 
-def test_divisor_coefficients_vs_sympy(div_seq, seed=10):
+def test_divisor_coefficients_vs_trial_division(div_seq, seed=10):
     rng = random.Random(seed)
     for _ in range(200):
         n = rng.randrange(1, 300_000)
-        assert div_seq.values(n) == int(sympy.divisor_count(n))
+        assert div_seq.values(n) == divisor_count(n)
 
 
 def test_lambda_one_is_one(div_seq, delta_seq):
@@ -305,7 +303,7 @@ def test_delta_normalization(delta_seq):
 
 
 def test_deligne_bound_at_primes(delta_seq):
-    for p in sympy.primerange(2, 10_000):
+    for p in primes_below(10_000):
         assert abs(delta_seq.values(p)) <= 2.0
 
 
@@ -371,15 +369,37 @@ def test_coeff_eval_out_of_range(div_seq):
     assert div_seq.values(np.array([[1, 2], [3, 4]])).tolist() == [[1.0, 2.0], [2.0, 3.0]]
 
 
+def test_coeff_eval_refuses_non_integers():
+    seq = divisor_sequence(100)
+    for n in (2.7, 2.0, np.float64(3), [2.5, 3.9], np.array([2.0]), [True], "7"):
+        with pytest.raises(TypeError):
+            seq.values(n)
+    # an empty list is float64 to numpy, and holds no n to refuse
+    assert seq.values([]).shape == (0,)
+    assert seq.values(np.uint8(4)) == 3.0 and seq.values(np.array([2], np.int32)).tolist() == [2.0]
+
+
 def test_hurwitz_zeta_against_mpmath():
-    mp.mp.dps = 25
-    for s in (0.5, 1.5, 2.0):
-        for a in (0.1, 0.37, 1.0, 0.99):
-            ref = float(mp.zeta(s, a))
-            assert abs(hurwitz_zeta(s, a) - ref) < 1e-10
-    arr = hurwitz_zeta(0.5, np.array([0.2, 0.4, 0.8]))
-    assert arr.shape == (3,)
-    assert abs(arr[1] - float(mp.zeta(0.5, 0.4))) < 1e-10
+    with mp.workdps(25):
+        for s in (0.5, 1.5, 2.0):
+            for a in (0.1, 0.37, 1.0, 0.99):
+                ref = float(mp.zeta(s, a))
+                assert abs(hurwitz_zeta(s, a) - ref) < 1e-10
+        arr = hurwitz_zeta(0.5, np.array([0.2, 0.4, 0.8]))
+        assert arr.shape == (3,)
+        assert abs(arr[1] - float(mp.zeta(0.5, 0.4))) < 1e-10
+
+
+def test_hurwitz_zeta_refuses_non_finite_input():
+    for a in (math.nan, math.inf, -math.inf, 0.0, -0.5):
+        for arg in (a, np.array([0.2, a, 0.8])):
+            with pytest.raises(ValueError, match="finite a > 0"):
+                hurwitz_zeta(0.5, arg)
+    for s in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite s"):
+            hurwitz_zeta(s, 0.5)
+        with pytest.raises(ValueError, match="finite s"):
+            hurwitz_zeta(s, np.array([0.2, 0.4]))
 
 
 def test_l_value_methods_agree_small_moduli():
@@ -547,14 +567,31 @@ def test_twist_afe_refuses_short_sequence():
         l_value_twist(short, character(101, 1))
 
 
+# every argument the AFE evaluates lies in [0, 50 * 1.25]
+_AFE_X = np.linspace(0.0, 62.5, 100_001)
+
+
 def test_afe_weight_closed_form_matches_incomplete_gamma():
-    # every argument the AFE evaluates lies in [0, 50 * 1.25]
-    x = np.linspace(0.0, 62.5, 100_001)
-    ref = gammaincc(6, x)
-    assert np.all(np.abs(lfunctions._afe_weight(x) - ref) <= 1e-14 * ref)
-    for t in (0.5, 5.0, 20.0, 40.0, 49.9):
-        exact = mp.gammainc(6, t, regularized=True)
-        assert abs(lfunctions._afe_weight(np.float64(t)) / exact - 1) < 1e-15
+    x = _AFE_X[::100]
+    with mp.workdps(30):
+        ref = np.array([float(mp.gammainc(6, mp.mpf(t), regularized=True)) for t in x.tolist()])
+        assert np.all(np.abs(lfunctions._afe_weight(x) - ref) <= 1e-14 * ref)
+        for t in (0.5, 5.0, 20.0, 40.0, 49.9):
+            exact = mp.gammainc(6, t, regularized=True)
+            assert abs(lfunctions._afe_weight(np.float64(t)) / exact - 1) < 1e-15
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs 80-bit long double")
+def test_afe_weight_matches_the_direct_sum_in_long_double():
+    # e^{-x} sum_{j<6} x^j/j! term by term, against the Horner form in doubles
+    x = _AFE_X.astype(np.longdouble)
+    term = np.ones_like(x)
+    total = np.ones_like(x)
+    for j in range(1, 6):
+        term = term * x / j
+        total += term
+    ref = np.exp(-x) * total
+    assert np.all(np.abs(lfunctions._afe_weight(_AFE_X) - ref) <= 1e-14 * ref)
 
 
 def test_twist_afe_splitting_gap_raises(delta_seq, monkeypatch):
@@ -630,7 +667,7 @@ def test_burgess_sweep_dirichlet_shape():
     assert all(np.isfinite(r.ratio) and r.ratio >= 0 for r in recs)
     assert all(r.exponent == 3.0 / 16.0 for r in recs)
     # one record per non-principal character
-    assert len(recs) == sum(p - 2 for p in sympy.primerange(5, 98))
+    assert len(recs) == sum(p - 2 for p in primes_below(98) if p >= 5)
 
 
 def test_burgess_sweep_empty_range():
@@ -665,29 +702,58 @@ def test_burgess_sweep_coeff_belongs_to_twists():
         with pytest.raises(ValueError, match="dirichlet sweep takes no coefficient kind"):
             burgess_sweep("dirichlet", 5, 11, coeff=coeff)
     assert burgess_sweep("twist", 5, 11) == burgess_sweep("twist", 5, 11, coeff="divisor")
+    # a sequence of the named kind is taken
+    named = burgess_sweep("twist", 5, 11, coeff="divisor", seq=divisor_sequence(100))
+    assert named == burgess_sweep("twist", 5, 11)
     assert {r.kind for r in burgess_sweep("twist", 5, 11)} == {"divisor"}
+
+
+def test_burgess_sweep_refuses_a_sequence_that_conflicts(monkeypatch):
+    def no_rows(*args):
+        raise AssertionError("a row was built before the refusal")
+
+    monkeypatch.setattr(lfunctions, "_l_values_all", no_rows)
+    monkeypatch.setattr(lfunctions, "_twist_values_all", no_rows)
+    divisors = divisor_sequence(100)
+    with pytest.raises(ValueError, match="dirichlet sweep takes no coefficient sequence"):
+        burgess_sweep("dirichlet", 5, 7, seq=divisors)
+    # "delta" names the delta form
+    for coeff in ("delta", "delta_form"):
+        with pytest.raises(ValueError, match="'delta_form' conflicts with .* kind 'divisor'"):
+            burgess_sweep("twist", 5, 7, coeff=coeff, seq=divisors)
+    with pytest.raises(ValueError, match="'divisor' conflicts with .* kind 'delta_form'"):
+        burgess_sweep("twist", 5, 7, coeff="divisor", seq=delta_sequence(64, cache=None))
 
 
 def test_twist_sweep_divisor_rows_are_dirichlet_squares(div_seq):
     recs = burgess_sweep("twist", 5, 31, seq=div_seq)
-    assert len(recs) == sum(p - 2 for p in sympy.primerange(5, 32))
+    assert len(recs) == sum(p - 2 for p in primes_below(32) if p >= 5)
     for r in recs:
         ref = l_value_dirichlet(character(r.M, r.char_index)) ** 2
         assert abs(r.l_value - ref) <= 1e-15 * (1 + abs(ref))
+
+
+@cache
+def _afe_weights_at_x1(M: int) -> np.ndarray:
+    """Q(6, 2 pi n/M) for the n = 1, 2, ... the AFE mod M reads at X = 1, by mpmath."""
+    n_max = math.floor(50.0 * 1.25 * M / (2.0 * math.pi))
+    x = 2.0 * np.pi * np.arange(1, n_max + 1) / M
+    with mp.workdps(30):
+        return np.array([float(mp.gammainc(6, mp.mpf(t), regularized=True)) for t in x.tolist()])
 
 
 def test_twist_sweep_delta_rows_match_per_character_afe(delta_seq):
     # the AFE written out per character, at X = 1, from value tables and a
     # directly summed Gauss sum
     recs = burgess_sweep("twist", 5, 31, seq=delta_seq)
-    assert len(recs) == sum(p - 2 for p in sympy.primerange(5, 32))
+    assert len(recs) == sum(p - 2 for p in primes_below(32) if p >= 5)
     for r in recs:
         chi = character(r.M, r.char_index).value_table()
-        n_max = math.floor(50.0 * 1.25 * r.M / (2.0 * math.pi))
-        n = np.arange(1, n_max + 1)
+        weights = _afe_weights_at_x1(r.M)
+        n = np.arange(1, weights.size + 1)
         w = delta_seq.lam[n] / np.sqrt(n)
         gauss = np.sum(chi * np.exp(2j * np.pi * np.arange(r.M) / r.M))
-        q = w * gammaincc(6, 2.0 * np.pi * n / r.M)  # at X = 1 both halves weigh alike
+        q = w * weights  # at X = 1 both halves weigh alike
         ref = np.sum(q * chi[n % r.M]) + gauss**2 / r.M * np.sum(q * np.conj(chi[n % r.M]))
         assert abs(r.l_value - ref) <= 1e-12 * (1 + abs(ref))
 
@@ -705,7 +771,7 @@ def test_sweep_conjugates_exact_and_no_negative_zero():
     buf = io.StringIO()
     write_sweep_csv(burgess_sweep("dirichlet", 5, 199, chars="quadratic"), buf)
     quadratic = [line.split(",") for line in buf.getvalue().splitlines()[1:]]
-    assert len(quadratic) == len(list(sympy.primerange(5, 200)))
+    assert len(quadratic) == len([p for p in primes_below(200) if p >= 5])
     assert all(row[4] == "0" for row in quadratic)
 
 

@@ -11,8 +11,6 @@ from types import SimpleNamespace
 import mpmath as mp
 import numpy as np
 import pytest
-import sympy
-from scipy.special import jv, y0
 
 import deltasums
 from deltasums import cli, transforms
@@ -68,26 +66,28 @@ def test_window_vector_and_scalar_agree():
         assert vec[i] == W(float(x))
 
 
-def _sympy_windows():
-    """Closed forms of W and V, piece by piece, as (lo, hi, expr) in x."""
-    x = sympy.Symbol("x")
-    t = 2 * x - 3
-    f = lambda s: sympy.exp(-1 / s)
+def _mp_windows():
+    """Closed forms of W and V, piece by piece, as (lo, hi, f) with f an
+    mpmath function of x."""
+    f = lambda s: mp.exp(-1 / s)
     step = lambda s: f(s) / (f(s) + f(1 - s))
-    bump = [(1.0, 2.0, sympy.exp(1 - 1 / (1 - t**2)))]
-    plateau = [(0.5, 1.0, step(2 * x - 1)), (2.0, 3.0, step(3 - x))]
-    return x, ((bump_window(), bump), (plateau_window(), plateau))
+    bump = [(1.0, 2.0, lambda x: mp.exp(1 - 1 / (1 - (2 * x - 3) ** 2)))]
+    plateau = [(0.5, 1.0, lambda x: step(2 * x - 1)), (2.0, 3.0, lambda x: step(3 - x))]
+    return (bump_window(), bump), (plateau_window(), plateau)
 
 
-def test_window_jets_match_sympy_derivatives():
-    x, windows = _sympy_windows()
-    for win, pieces in windows:
-        for order in range(5):
-            tol = 1e-12 * win.derivative_bound(order)
-            for lo, hi, expr in pieces:
-                grid = np.linspace(lo, hi, 403)[1:-1]
-                ref = sympy.lambdify(x, sympy.diff(expr, x, order), modules="numpy")(grid)
-                assert np.max(np.abs(win(grid, order) - ref)) < tol
+def test_window_jets_match_mpmath_derivatives():
+    # derivatives of orders 0 to 4 by mpmath's numerical differentiation at
+    # 40 digits, against the jets of the window pieces
+    for win, pieces in _mp_windows():
+        for lo, hi, f in pieces:
+            grid = np.linspace(lo, hi, 403)[1:-1]
+            with mp.workdps(40):
+                jets = [mp.diffs(f, mp.mpf(x), 4) for x in grid.tolist()]
+                ref = np.array([[float(d) for d in jet] for jet in jets])
+            for order in range(5):
+                tol = 1e-12 * win.derivative_bound(order)
+                assert np.max(np.abs(win(grid, order) - ref[:, order])) < tol
     # the plateau's middle piece is the constant 1
     grid = np.linspace(1.0, 2.0, 11)
     assert all(np.all(plateau_window()(grid, order) == 0.0) for order in range(1, 5))
@@ -256,6 +256,10 @@ def _full_matrix_batch(kernel, W, ys, switch=float("inf")):
     A block whose smallest kernel argument is at least `switch` takes the
     rule laid over u = sqrt(x), integrand 2u W(u^2) k(4 pi sqrt(y) u); any
     other block the rule over x itself.
+
+    The tests pass the package's _bessel_j and _bessel_y0 as kernels; the
+    *_pinned_to_mpmath tests tie those to mpmath, so what a mismatch here
+    shows is the batch's blocking, chunking or Hankel phase sums.
     """
     out, scale = np.empty_like(ys), np.empty_like(ys)
     order_idx = np.argsort(ys, kind="stable")
@@ -283,8 +287,8 @@ def _full_matrix_batch(kernel, W, ys, switch=float("inf")):
 @pytest.mark.parametrize(
     "kind, kernel",
     [
-        ("delta_form", lambda z: 2.0 * np.pi * jv(11, z)),
-        ("divisor", lambda z: -2.0 * np.pi * y0(z)),
+        ("delta_form", lambda z: 2.0 * np.pi * _bessel_j(11, z)),
+        ("divisor", lambda z: -2.0 * np.pi * _bessel_y0(z)),
     ],
 )
 def test_voronoi_batch_chunks_match_full_matrix_in_bounded_memory(kind, kernel):
@@ -314,10 +318,10 @@ def test_hankel_blocks_match_the_kernel_matrix_on_the_u_rule(kind, weight):
     # (y = 15.8)
     W = bump_window()
     if kind == "divisor":
-        kernel = lambda z: -2.0 * np.pi * y0(z)
+        kernel = lambda z: -2.0 * np.pi * _bessel_y0(z)
     else:
         nu, front = weight - 1, 2.0 * np.pi * (-1.0) ** (weight // 2)
-        kernel = lambda z: front * jv(nu, z)
+        kernel = lambda z: front * _bessel_j(nu, z)
     ys = np.geomspace(0.05, 3000.0, 500)
     ref, scale = _full_matrix_batch(kernel, W, ys, switch=50.0)
     got = voronoi_transform_batch(SimpleNamespace(kind=kind, weight=weight), 1, W, ys)
@@ -434,6 +438,44 @@ def test_rule_refuses_bad_panel_scale(panel_scale):
 def test_rule_refuses_bad_quad_order(quad_order):
     with pytest.raises(ValueError, match="quad_order"):
         voronoi_transform_batch("divisor", 1, bump_window(), [500.0], quad_order=quad_order)
+
+
+def test_rule_refuses_more_than_max_panels_before_allocating(monkeypatch):
+    # 2.5e7 and 8.3e6 panels: 2.24 GiB and 758 MiB of nodes, were they laid
+    fourier_dual(plateau_window(), 1.0)  # window and Gauss-rule caches warm
+    voronoi_transform_batch("divisor", 1, bump_window(), [1.0])
+    calls = [
+        lambda: fourier_dual(plateau_window(), 1e7),
+        lambda: voronoi_transform_batch("divisor", 1, bump_window(), [1e14]),
+        lambda: voronoi_main_term("divisor", bump_window(), 3, 40.0, panel_scale=1e6),
+    ]
+    for call in calls:
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="panels, more than 65536"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    # a batch is refused before its smaller blocks are summed
+    def no_sums(*args):
+        raise AssertionError("a block was summed before the refusal")
+
+    monkeypatch.setattr(transforms, "_phase_sums", no_sums)
+    monkeypatch.setattr(transforms, "_matrix_block", no_sums)
+    with pytest.raises(DomainError):
+        fourier_dual(plateau_window(), np.array([0.5, 3.0, 1e7]))
+    with pytest.raises(DomainError):
+        voronoi_transform_batch("divisor", 1, bump_window(), [0.5, 30.0, 1e14])
+    # the cap itself is a rule, one panel more is not
+    cap = transforms._MAX_PANELS
+    assert _rule(cap - 8, 1.0, None, 1.0) == (cap, 12)
+    assert _rule((cap - 8) / 3, 1.0, 12, 1.0) == (cap, 12)
+    for q in (None, 12):
+        with pytest.raises(DomainError):
+            _rule(cap, 1.0, q, 1.0)
 
 
 def test_voronoi_transform_rejects_nonpositive_y():
