@@ -5,12 +5,15 @@ discrete-log row prime_modulus(M) to the smallest primitive root g of M:
 
     chi_k(g**j) = e(k*j/(M-1)),   chi_k(n) = 0 when M | n,
 
-where e(x) = exp(2*pi*i*x).  The value table of chi_k is the gather
-_exp_table(M-1)[k*j mod (M-1)]: the angle is reduced mod 1 in integer
+where e(x) = exp(2*pi*i*x).  Every value is read straight from the two
+per-modulus rows: chi_k(n) is the gather _exp_table(M-1)[k*j mod (M-1)] at
+j = dlog[n mod M], and 0 where M | n.  The angle is reduced mod 1 in integer
 arithmetic, and _exp_table(c), the one table of e(j/c) in the package (the
 exponential sums of expsums and the phases of identities read it too), is
 exact at the four axis points, so the quadratic character takes values in
-{-1, 0, 1} with no rounding fuzz.
+{-1, 0, 1} with no rounding fuzz.  This layer keeps no array per
+character; its cached rows are per modulus (_exp_table, _gauss_row, and
+the discrete logs of prime_modulus).
 
 Index 0 is the principal character.  It can be constructed and evaluated,
 but operations that require primitivity (Gauss sums, L-values) reject it
@@ -61,15 +64,6 @@ def _exp_table(c: int) -> np.ndarray:
     return tab
 
 
-@lru_cache(maxsize=512)
-def _value_table(M: int, index: int) -> np.ndarray:
-    """chi(n) for n in [0, M) as a read-only complex array."""
-    table = _exp_table(M - 1)[(index * prime_modulus(M)) % (M - 1)]
-    table[0] = 0.0
-    table.setflags(write=False)
-    return table
-
-
 def _character_transform(vec: np.ndarray, M: int) -> np.ndarray:
     """sum_a chi_k(a) vec[a] for every character index k mod the prime M.
 
@@ -115,16 +109,24 @@ class DirichletCharacter:
             raise ValueError(f"index must lie in [0, {self.M - 2}] for modulus {self.M}")
 
     def __call__(self, n: int) -> complex:
-        return complex(self.value_table()[n % self.M])
+        """chi(n) for one integer n, read without building an array."""
+        n %= self.M
+        if n == 0:
+            return 0j
+        j = int(prime_modulus(self.M)[n])
+        return complex(_exp_table(self.M - 1)[self.index * j % (self.M - 1)])
 
     def values(self, n) -> np.ndarray:
-        """Vectorized chi(n) for an integer array."""
-        n = np.asarray(n)
-        return self.value_table()[np.mod(n, self.M)]
+        """chi(n) for an integer array n, a new complex array of n's shape,
+        equal entry for entry to __call__."""
+        n = np.mod(n, self.M)
+        vals = _exp_table(self.M - 1)[self.index * prime_modulus(self.M)[n] % (self.M - 1)]
+        return np.where(n == 0, 0j, vals)
 
     def value_table(self) -> np.ndarray:
-        """chi on a full residue system [0, M), cached per (M, index)."""
-        return _value_table(self.M, self.index)
+        """chi on the full residue system [0, M), values(arange(M)): a new
+        array on each call, kept by nobody."""
+        return self.values(np.arange(self.M))
 
     def conjugate(self) -> "DirichletCharacter":
         return DirichletCharacter(self.M, (self.M - 1 - self.index) % (self.M - 1))

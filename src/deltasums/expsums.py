@@ -226,10 +226,9 @@ def fourier_expansion(chi: DirichletCharacter, a: int) -> complex:
     """(1/g_chibar) sum_y chibar(y) e(ay/M), which equals chi(a) for primitive chi."""
     if chi.is_principal:
         raise PrincipalCharacterNotAllowed("expansion requires a primitive character")
-    M = chi.M
-    conj_tab = chi.conjugate().value_table()
+    M, chibar = chi.M, chi.conjugate()
     y = np.arange(M, dtype=np.int64)
-    return _csum(conj_tab[y] * _exp_table(M)[(a % M) * y % M]) / gauss_sum(chi.conjugate())
+    return _csum(chibar.values(y) * _exp_table(M)[(a % M) * y % M]) / gauss_sum(chibar)
 
 
 def kloosterman_sum(a, b, c: int):
@@ -251,9 +250,8 @@ def generalized_kloosterman(chi: DirichletCharacter, r: int, n: int) -> complex:
     M = chi.M
     units = unit_residues(M)
     inv = inverse_row(M)[units]
-    tab = chi.value_table()
     phases = ((r % M) * units + (n % M) * inv) % M
-    return _csum(tab[units] * _exp_table(M)[phases])
+    return _csum(chi.values(units) * _exp_table(M)[phases])
 
 
 def frak_k(chi: DirichletCharacter, r, ell, n):
@@ -268,8 +266,7 @@ def frak_k(chi: DirichletCharacter, r, ell, n):
     if _has_zero(ell_m):  # M is prime
         raise EllNotCoprime(f"gcd(ell={ell}, M={M}) != 1")
     units = unit_residues(M)
-    conj_tab = chi.conjugate().value_table()
-    terms = conj_tab[(r + ell_m * units) % M] * _exp_table(M)[n * inverse_row(M)[units] % M]
+    terms = chi.conjugate().values(r + ell_m * units) * _exp_table(M)[n * inverse_row(M)[units] % M]
     return _unbatch(_csum(terms), shape)
 
 
@@ -298,9 +295,7 @@ def frak_c(chi: DirichletCharacter, r1, r2, alpha, beta, n):
     z = unit_residues(M)
     inv = inverse_row(M)
     t = (n + beta * inv[z]) % M
-    w = (r1 + z) % M
-    u = (r2 + alpha * inv[t]) % M
-    terms = chi.conjugate().value_table()[w] * chi.value_table()[u]
+    terms = chi.conjugate().values(r1 + z) * chi.values(r2 + alpha * inv[t])
     terms[t == 0] = 0.0
     return _unbatch(_csum(terms), shape)
 
@@ -373,13 +368,12 @@ def alpha_factorization_check(chi: DirichletCharacter, p: int, r: int, ell: int,
     if math.gcd(ell, p) != 1:
         raise ParameterConflict(f"p | ell leaves the congruence r = alpha*ell unsolvable")
     q = p * M
-    conj_tab = chi.conjugate().value_table()
     a_p = r * pow(ell, -1, p) % p
     alpha0 = unit_residues(M)
     # CRT lift: alpha = a_p (mod p), alpha = alpha0 (mod M)
     lift = (a_p * M * pow(M, -1, p) + alpha0 * p * pow(p, -1, M)) % q
     alphabar = inverse_row(q)[lift]
-    chi_part = conj_tab[(r - alpha0 * ell) % M]
+    chi_part = chi.conjugate().values(r - alpha0 * ell)
     pref_num = pow(r * M % p, -1, p) * n * ell % p
     inner_phase = inverse_row(M)[alpha0 * p % M] * (n % M) % M
     for s in (1, -1):

@@ -458,6 +458,14 @@ def _beta_row(chi: DirichletCharacter, q: int) -> np.ndarray:
     return row
 
 
+def _require_beta_modulus(c: int, pM: int, alpha: int) -> None:
+    """The beta-sum and Poisson checks need c | pM and gcd(alpha, c) = 1."""
+    if pM % c != 0:
+        raise InvalidDivisor(f"c = {c} does not divide p*M = {pM}")
+    if math.gcd(alpha, c) != 1:
+        raise NotCoprime(f"gcd({alpha}, {c}) != 1")
+
+
 _BETA_SUM_TOL = 1e-9
 
 
@@ -477,10 +485,7 @@ def beta_sum_evaluation_check(
     within _BETA_SUM_TOL * max(1, sqrt(M) c_M).
     """
     M = chi.M
-    if (p * M) % c != 0:
-        raise InvalidDivisor(f"c = {c} does not divide p*M = {p * M}")
-    if math.gcd(alpha, c) != 1:
-        raise NotCoprime(f"gcd({alpha}, {c}) != 1")
+    _require_beta_modulus(c, p * M, alpha)
     g = math.gcd(c, M)
     c_m = c // g
     m_c = M // g
@@ -513,10 +518,7 @@ def poisson_r_sum_check(
     is not finite and positive is refused with ValueError.
     """
     M = chi.M
-    if (p * M) % c != 0:
-        raise InvalidDivisor(f"c = {c} does not divide p*M = {p * M}")
-    if math.gcd(alpha, c) != 1:
-        raise NotCoprime(f"gcd({alpha}, {c}) != 1")
+    _require_beta_modulus(c, p * M, alpha)
     _require_finite_positive(N=N)
     V = plateau_window()
     r = _support_range(N, V)

@@ -153,18 +153,23 @@ class CoefficientSequence:
     def values(self, n) -> np.ndarray:
         """lam(n) under Hecke normalization for an integer or integer array n,
         as a float64 array of n's shape; OutOfCacheRange, naming the n asked
-        for, when any n lies outside [1, bound]. TypeError for any other
-        dtype, except an empty array, which holds no n."""
+        for, when any n lies outside [1, bound], however large (the range is
+        checked before the cast to int64). TypeError for any other dtype,
+        except an empty array, which holds no n."""
         arr = np.asarray(n)
-        if arr.dtype.kind not in "iu" and arr.size:
-            raise TypeError(f"lam(n) takes integer n within int64, got dtype {arr.dtype}")
-        arr = arr.astype(np.int64, copy=False)
-        if arr.size and (arr.min() < 1 or arr.max() > self.bound):
-            raise OutOfCacheRange(
-                f"lam(n) asked for n in [{arr.min()}, {arr.max()}], outside the "
-                f"cached range [1, {self.bound}] of kind {self.kind}"
-            )
-        return self.lam[arr].astype(np.float64, copy=False)
+        if arr.size:
+            # an integer past uint64 reaches numpy as an object array
+            if arr.dtype.kind not in "iuO" or (
+                arr.dtype.kind == "O" and not all(type(v) is int for v in arr.flat)
+            ):
+                raise TypeError(f"lam(n) takes integer n, got dtype {arr.dtype}")
+            lo, hi = arr.min(), arr.max()
+            if lo < 1 or hi > self.bound:
+                raise OutOfCacheRange(
+                    f"lam(n) asked for n in [{lo}, {hi}], outside the "
+                    f"cached range [1, {self.bound}] of kind {self.kind}"
+                )
+        return self.lam[arr.astype(np.int64, copy=False)].astype(np.float64, copy=False)
 
 
 @lru_cache(maxsize=8)
@@ -398,16 +403,11 @@ def _support_range(N: float, window: SmoothWindow) -> np.ndarray:
 
 
 def smoothed_sum(
-    seq: CoefficientSequence | None,
-    chi: DirichletCharacter,
-    N: float,
-    W: SmoothWindow,
+    seq: CoefficientSequence, chi: DirichletCharacter, N: float, W: SmoothWindow
 ) -> complex:
-    """sum over n of lam(n) chi(n) W(n/N); lam = 1 when seq is None."""
+    """sum over n of lam(n) chi(n) W(n/N)."""
     n = _support_range(N, W)
-    terms = chi.values(n) * W(n / N)
-    if seq is not None:
-        terms = terms * seq.values(n)
+    terms = chi.values(n) * W(n / N) * seq.values(n)
     return complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
 
 

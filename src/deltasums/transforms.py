@@ -223,7 +223,6 @@ class SmoothWindow:
         self.support = (float(support[0]), float(support[1]))
         self._pieces = tuple(pieces)
         self._scale = scale
-        self._bounds: dict[int, float] = {}
 
     def __call__(self, x, order: int = 0):
         if not 0 <= order <= _MAX_ORDER:
@@ -243,11 +242,8 @@ class SmoothWindow:
 
     def derivative_bound(self, order: int) -> float:
         """Grid-scanned sup of |j-th derivative| over the support."""
-        if order not in self._bounds:
-            lo, hi = self.support
-            grid = np.linspace(lo, hi, 20001)
-            self._bounds[order] = float(np.abs(self(grid, order)).max())
-        return self._bounds[order]
+        lo, hi = self.support
+        return float(np.abs(self(np.linspace(lo, hi, 20001), order)).max())
 
     def mass(self) -> float:
         """Integral of the window over its support."""
@@ -262,13 +258,11 @@ class SmoothWindow:
         return self.scaled(1.0 / self.mass())
 
 
-@lru_cache(maxsize=None)
 def bump_window() -> SmoothWindow:
     """The canonical W: supported on [1,2], peak 1 at 3/2."""
     return SmoothWindow((1.0, 2.0), [_Piece(1.0, 2.0, _bump_jet, closed=False)])
 
 
-@lru_cache(maxsize=None)
 def plateau_window() -> SmoothWindow:
     """The canonical V: supported on [1/2, 3], identically 1 on [1, 2]."""
     pieces = [

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -83,6 +84,50 @@ def test_values_array_agrees_with_scalar():
     arr = chi.values(n)
     for i in (0, 1, 31, 62, 123, 499):
         assert arr[i] == chi(int(n[i]))
+
+
+def _bits(values) -> np.ndarray:
+    return np.atleast_1d(np.asarray(values, dtype=np.complex128)).view(np.uint64)
+
+
+@pytest.mark.parametrize("M", [5, 7, 13, 101, 1009])
+def test_every_read_is_the_explicit_gather_bit_for_bit(M):
+    # chi_k(g^j) = _exp_table(M-1)[kj mod (M-1)] with g^j by pow alone, and
+    # exactly +0 at n = 0 mod M; chi(n), chi.values(n) and value_table() must
+    # all give these bits, for n negative and for n past 2^63 as well
+    g = primitive_root(M)
+    ks = range(M - 1) if M < 1000 else (0, 1, (M - 1) // 2, M - 2)
+    residues = np.arange(M, dtype=np.int64)
+    negative = residues - 7 * M
+    past = residues.astype(np.uint64) + np.uint64((2**63 // M + 1) * M)
+    assert past.min() >= 2**63
+    for k in ks:
+        expected = np.zeros(M, dtype=np.complex128)
+        for j in range(M - 1):
+            expected[pow(g, j, M)] = _exp_table(M - 1)[k * j % (M - 1)]
+        want = _bits(expected)
+        chi = character(M, k)
+        assert np.array_equal(_bits(chi.value_table()), want)
+        for n in (residues, negative, past):
+            assert np.array_equal(_bits(chi.values(n)), want)
+            assert np.array_equal(_bits(chi.values(n.reshape(1, -1))), want.reshape(1, -1))
+            assert np.array_equal(_bits([chi(v) for v in n.tolist()]), want)
+            assert np.array_equal(_bits([chi(v) for v in n[:4]]), want[:8])
+        assert _bits(chi(0)).tolist() == [0, 0] == _bits(chi(-(M**9))).tolist()
+
+
+def test_value_tables_are_held_by_nobody():
+    chi = character(100_003, 1)
+    assert chi.value_table() is not chi.value_table()  # a new array each call
+    tracemalloc.start()
+    try:
+        # 64 tables of 1.6 MB each, built and dropped, leave nothing held
+        for k in range(1, 65):
+            character(100_003, k).value_table()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 8 * 2**20, f"{held / 2**20:.1f} MB held after 64 dropped tables"
 
 
 def test_index_arithmetic_is_group_law():

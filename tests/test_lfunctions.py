@@ -366,6 +366,14 @@ def test_coeff_eval_out_of_range(div_seq):
     # the refusal names the largest n asked for, not only the cache's edge
     with pytest.raises(OutOfCacheRange, match=r"n in \[2, 412345\], outside .* \[1, 300000\]"):
         div_seq.values(np.array([[2, 7], [412_345, 11]]))
+    # the range is checked before any cast: an n past int64 is named as asked
+    # for, never wrapped or refused as a non-integer
+    with pytest.raises(OutOfCacheRange, match=rf"n in \[{10**20}, {10**20}\]"):
+        divisor_sequence(100).values(10**20)
+    with pytest.raises(OutOfCacheRange, match=rf"n in \[{2**64 - 1}, {2**64 - 1}\]"):
+        divisor_sequence(100).values(np.array([2**64 - 1], dtype=np.uint64))
+    with pytest.raises(OutOfCacheRange, match=rf"n in \[-{10**30}, 5\]"):
+        divisor_sequence(100).values([5, -(10**30)])
     assert div_seq.values(np.array([[1, 2], [3, 4]])).tolist() == [[1.0, 2.0], [2.0, 3.0]]
 
 
