@@ -109,19 +109,16 @@ class DirichletCharacter:
             raise ValueError(f"index must lie in [0, {self.M - 2}] for modulus {self.M}")
 
     def __call__(self, n: int) -> complex:
-        """chi(n) for one integer n, read without building an array."""
-        n %= self.M
-        if n == 0:
-            return 0j
-        j = int(prime_modulus(self.M)[n])
-        return complex(_exp_table(self.M - 1)[self.index * j % (self.M - 1)])
+        """chi(n) for one integer n, reduced mod M first so any int is read."""
+        return complex(self.values(n % self.M))
 
     def values(self, n) -> np.ndarray:
-        """chi(n) for an integer array n, a new complex array of n's shape,
-        equal entry for entry to __call__."""
+        """chi(n) for an integer array n, a new complex array of n's shape."""
         n = np.mod(n, self.M)
-        vals = _exp_table(self.M - 1)[self.index * prime_modulus(self.M)[n] % (self.M - 1)]
-        return np.where(n == 0, 0j, vals)
+        j = self.index * prime_modulus(self.M)[n] % (self.M - 1)
+        vals = np.asarray(_exp_table(self.M - 1)[j])  # a fresh gather, zeroed in place
+        vals[n == 0] = 0
+        return vals
 
     def value_table(self) -> np.ndarray:
         """chi on the full residue system [0, M), values(arange(M)): a new

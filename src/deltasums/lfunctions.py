@@ -160,7 +160,10 @@ class CoefficientSequence:
         if arr.size:
             # an integer past uint64 reaches numpy as an object array
             if arr.dtype.kind not in "iuO" or (
-                arr.dtype.kind == "O" and not all(type(v) is int for v in arr.flat)
+                arr.dtype.kind == "O"
+                and not all(
+                    isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in arr.flat
+                )
             ):
                 raise TypeError(f"lam(n) takes integer n, got dtype {arr.dtype}")
             lo, hi = arr.min(), arr.max()

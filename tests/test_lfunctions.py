@@ -374,6 +374,9 @@ def test_coeff_eval_out_of_range(div_seq):
         divisor_sequence(100).values(np.array([2**64 - 1], dtype=np.uint64))
     with pytest.raises(OutOfCacheRange, match=rf"n in \[-{10**30}, 5\]"):
         divisor_sequence(100).values([5, -(10**30)])
+    # a numpy integer beside a Python int past uint64 is still an integer n
+    with pytest.raises(OutOfCacheRange, match=rf"n in \[2, {10**20}\]"):
+        divisor_sequence(100).values([np.int64(2), 10**20])
     assert div_seq.values(np.array([[1, 2], [3, 4]])).tolist() == [[1.0, 2.0], [2.0, 3.0]]
 
 
