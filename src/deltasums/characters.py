@@ -113,7 +113,13 @@ class DirichletCharacter:
         return complex(self.values(n % self.M))
 
     def values(self, n) -> np.ndarray:
-        """chi(n) for an integer array n, a new complex array of n's shape."""
+        """chi(n) for an integer array n, a new complex array of n's shape; n
+        past uint64 is reduced mod M as chi(n) reduces it. TypeError otherwise."""
+        n = np.asarray(n)
+        if n.dtype.kind == "O":
+            n = np.array([operator.index(v) % self.M for v in n.flat], np.int64).reshape(n.shape)
+        elif n.dtype.kind not in "iu":
+            raise TypeError(f"chi(n) takes integer n, got dtype {n.dtype}")
         n = np.mod(n, self.M)
         j = self.index * prime_modulus(self.M)[n] % (self.M - 1)
         vals = np.asarray(_exp_table(self.M - 1)[j])  # a fresh gather, zeroed in place

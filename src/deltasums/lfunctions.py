@@ -13,26 +13,19 @@ checks the range and returns float64 whatever lam's dtype.
 
 The Ramanujan tau values come from the exact q-expansion of
 q * prod_{m>=1} (1 - q^m)^24, the eighth power of the sparse Jacobi cube
-J = prod (1-q^m)^3 = sum_k (-1)^k (2k+1) q^{k(k+1)/2}, in two stages.
-Stage 1 raises J to J^4 in int64 by three sparse products, each a shifted
-add per nonzero term of J (about sqrt(2n) of them), taken over blocks of the
-output that stay in cache.  Before each product the guard
-max|f| * sum_k |c_k| < 2^62, which bounds every partial sum, must hold, or
-the build raises OverflowError rather than wrap; at n = DEFAULT_TAU_BOUND =
-10^6 it stands at 0.45 of its limit.  Stage 2 squares J^4 once by
-Kronecker substitution: the coefficients become d-digit slots of one decimal
-integer, written a digit column at a time into a byte buffer, squared by
-libmpdec's number-theoretic-transform multiply (stdlib decimal), and the low
-slots are read back through numpy as 18-digit int64 chunks, with a borrow
-wherever a slot's leading digit is 5 or more, before they become exact
-integers.  Each truncated coefficient of the square is at most n * max^2 in
-absolute value, so d = digits(2 n max^2) + 1 keeps every slot exact without
-a bound on tau.  ramanujan_tau_table refuses bounds past 10^6.  By default
-the table is built and nothing is read or written.  Given a path, it is read
-from and written to a plain text file there (header line with the bound,
-then one integer per line, parsed as it streams in), written atomically; a
-file that does not parse or fails exact checks (known values, Hecke
-relations, the 691 congruence, Deligne's bound) is rebuilt.
+J = prod (1-q^m)^3 = sum_k (-1)^k (2k+1) q^{k(k+1)/2}, by three exact
+truncated squarings J -> J^2 -> J^4 -> J^8 through numpy's FFT alone
+(_square_exact): balanced b-bit limbs, one rfft per limb, one irfft per
+diagonal of limb products, rounded and carried in int64.  b is the widest
+width up to 16 whose a-priori rounding bound (Percival, Math. Comp. 72
+(2003), Thm 5.1, from the limbs' norms) is at most 1/4, and a rounding
+still past 1/4 raises ArithmeticError.  J^2 and J^4 stay int64; J^8 comes
+back as Python ints.  ramanujan_tau_table refuses bounds past 10^6.  By
+default the table is built and nothing is read or written.  Given a path,
+it is read from and written to a plain text file there (header line with
+the bound, then one integer per line, parsed as it streams in), written
+atomically; a file that does not parse or fails exact checks (known
+values, Hecke relations, the 691 congruence, Deligne's bound) is rebuilt.
 
 Central values:
 
@@ -66,9 +59,9 @@ Each modulus of a sweep takes all its rows from one per-modulus row.
 from __future__ import annotations
 
 import contextlib
-import decimal
 import logging
 import math
+import operator
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -112,11 +105,10 @@ __all__ = [
 
 DEFAULT_TAU_BOUND = 1_000_000
 
-# the tau build refuses a stage-1 product whose partial sums could reach this,
-# and a stage-2 squaring of a coefficient this large
-_INT64_SUM_LIMIT = 1 << 62
-# output coefficients per block of a stage-1 product, so each block stays in cache
-_PRODUCT_BLOCK = 1 << 15
+# the exact squaring of the tau build splits into limbs of at most this many
+# bits, and takes a width only when its rounding bound is at most the limit
+_LIMB_BITS = 16
+_ROUNDING_LIMIT = 0.25
 # outputs per block of the divisor sieve, whose uint16 counts are exact below 2^30;
 # divisors d below _SIEVE_SMALL_D are sieved block by block, larger ones over the
 # array: 20-25% faster than either alone at 1.5e6 and 24e6; of the thresholds
@@ -124,8 +116,6 @@ _PRODUCT_BLOCK = 1 << 15
 _SIEVE_BLOCK = 1 << 18
 _SIEVE_SMALL_D = 256
 _SIEVE_LIMIT = 1 << 30
-# decimal digits per int64 chunk when the Kronecker square's slots are read back
-_CHUNK_DIGITS = 18
 
 _log = logging.getLogger("deltasums")
 
@@ -285,102 +275,105 @@ def _tau_table_is_valid(tau: list[int]) -> bool:
     return True
 
 
-def _square_truncated(f: np.ndarray) -> list[int]:
-    """The first n = len(f) coefficients of (sum f[i] q^i)^2, exactly, for an
-    int64 array f with max|f| < 2^62.
+def _limbs(f: np.ndarray, b: int) -> list[np.ndarray]:
+    """Balanced b-bit limbs of the int64 array f, lowest first: f is the sum
+    of limbs[i] * 2^(b i), each limb in [-2^(b-1), 2^(b-1)); at least one."""
+    half, mask = 1 << (b - 1), (1 << b) - 1
+    limbs = []
+    while True:
+        limb = ((f & mask) ^ half) - half
+        limbs.append(limb)
+        # (f - limb) / 2^b, which a shift of f - limb could overflow
+        f = (f >> b) + (limb < 0)
+        if not f.any():
+            return limbs
 
-    Kronecker substitution in base B = 10^d: P = sum f[i] B^i is written out
-    as one decimal integer and squared once.  Each truncated coefficient of
-    the square is a sum of at most n products, so its absolute value is at
-    most n * max|f|^2, and d = digits(2 n max^2) + 1 keeps it inside
-    (-B/20, B/20).  In base B, with b_i = 1 when slot i borrows B from
-    slot i+1 (b_{-1} = 0), slot i holds its coefficient - b_{i-1} + B b_i.
-    For P, b_i = 1 exactly when the last nonzero f[j], j <= i, is negative;
-    such a slot is B - x with x = b_{i-1} - f[i] >= 1, written as the nines'
-    complement of x - 1.  The digit string is P mod B^n, all the low n slots
-    of the square depend on.  There b_i = 1 exactly when slot i is at least
-    B/2, that is when its leading digit is 5 or more.
-    """
-    n = len(f)
-    top = max(int(f.max(initial=0)), -int(f.min(initial=0)))
-    if top >= _INT64_SUM_LIMIT:
-        raise OverflowError("the Kronecker squaring takes coefficients below 2^62")
-    digits = len(str(2 * n * top * top)) + 1
-    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
 
-    borrow = f[np.maximum.accumulate(np.where(f != 0, np.arange(n), 0))] < 0
-    v = f.copy()
-    v[1:] -= borrow[:-1]
-    v[borrow] = -1 - v[borrow]
-    # one uint8 row of d decimal digits per slot, most significant slot first
-    slots = np.zeros((n, digits), dtype=np.uint8)
-    v = v[::-1]
-    for col in range(digits - 1, digits - 1 - len(str(top)), -1):
-        v, slots[:, col] = np.divmod(v, 10)
-    slots[borrow[::-1]] = 9 - slots[borrow[::-1]]
-    slots += ord("0")
-    packed = decimal.Decimal(str(slots.data, "ascii"))
+def _rounding_bound(norms: list[float], nfft: int) -> float:
+    """Percival's bound (Math. Comp. 72 (2003), Thm 5.1) on the error of every
+    diagonal sum_{i+j=s} L_i * L_j taken through real FFTs of length
+    nfft = 2^m, for limbs L_i of Euclidean norms `norms`: the largest over s
+    of sum_{i+j=s} |L_i| |L_j| ((1+e)^{3m} (1+e sqrt 5)^{3m+1} (1+beta)^{3m} - 1)
+    with e = 2^-53 and beta = e, twiddle factors within e of the true roots."""
+    m = nfft.bit_length() - 1
+    eps = 2.0**-53
+    growth = math.expm1(6 * m * math.log1p(eps) + (3 * m + 1) * math.log1p(eps * math.sqrt(5)))
+    return growth * float(np.convolve(norms, norms).max())
 
-    # a shift by 0 at precision n d keeps the last n d digits: the low n slots
-    low_slots = decimal.Context(prec=n * digits, Emax=decimal.MAX_EMAX)
-    text = str(low_slots.shift(ctx.multiply(packed, packed), 0)).zfill(n * digits).encode("ascii")
-    slots = (np.frombuffer(text, dtype=np.uint8) - ord("0")).reshape(n, digits)[::-1]
-    borrow = slots[:, 0] >= 5
-    # each slot as int64 chunks of 18 digits, the lowest chunk first; the top
-    # chunk (d mod 18 digits, maybe none) also takes the slot's own borrow,
-    # -B, and the lowest the borrow the slot below took from it
-    chunks = []
-    for end in range(digits, -1, -_CHUNK_DIGITS):
-        chunk = np.zeros(n, dtype=np.int64)
-        for col in range(max(end - _CHUNK_DIGITS, 0), end):
-            chunk *= 10
-            chunk += slots[:, col]
-        chunks.append(chunk)
-    chunks[0][1:] += borrow[:-1]
-    chunks[-1] -= borrow * 10 ** (digits % _CHUNK_DIGITS)
-    del text, slots  # the digit buffers go before the exact integers are built
-    out = chunks.pop().astype(object)
+
+def _square_exact(f: np.ndarray, n: int) -> np.ndarray:
+    """The first n coefficients of (sum f[i] q^i)^2, exactly, for an int64
+    array f: int64 when every one fits int64, else Python ints in an object
+    array.  f splits into balanced b-bit limbs L_i, each taking one rfft of
+    length nfft, the power of two at least len(f) + n - 1 (so no product
+    wraps into the first n); the square is sum_s 2^(b s) D_s over the
+    diagonals D_s = sum_{i+j=s} L_i * L_j, each one irfft, rounded and
+    carried into int64 chunks of whole b-bit digits as it comes.  b is the
+    widest width up to _LIMB_BITS whose _rounding_bound, from the limbs'
+    norms, is at most _ROUNDING_LIMIT; an entry still farther than that from
+    its integer raises ArithmeticError."""
+    f = np.asarray(f, dtype=np.int64)[:n]
+    nfft = 1 << (len(f) + n - 2).bit_length()
+    for b in range(_LIMB_BITS, 0, -1):
+        limbs = _limbs(f, b)
+        if _rounding_bound([math.sqrt(int(x @ x)) for x in limbs], nfft) <= _ROUNDING_LIMIT:
+            break
+    else:
+        raise ArithmeticError(f"no limb width squares a length-{len(f)} array exactly")
+    spectra = [np.fft.rfft(limb, nfft) for limb in limbs]
+    del limbs
+    mask, width = (1 << b) - 1, 62 // b * b
+    chunks, chunk, used = [], np.zeros(n, dtype=np.int64), 0
+    carry = np.zeros(n, dtype=np.int64)
+    k, s = len(spectra), 0
+    # past the last diagonal the carry is shifted out until it is 0 or -1
+    while s < 2 * k - 1 or ((carry != 0) & (carry != -1)).any():
+        if s < 2 * k - 1:
+            diag = np.zeros_like(spectra[0])
+            for i in range(max(0, s - k + 1), min(s, k - 1) + 1):
+                diag += spectra[i] * spectra[s - i]
+            exact = np.fft.irfft(diag, nfft)[:n]
+            rounded = np.rint(exact)
+            worst = float(np.abs(exact - rounded).max())
+            if worst > _ROUNDING_LIMIT:
+                raise ArithmeticError(f"FFT squaring rounded an entry {worst:.3g} from an integer")
+            carry += rounded.astype(np.int64)
+            del diag, exact, rounded  # freed before the next diagonal is formed
+        chunk |= (carry & mask) << used
+        carry >>= b
+        used, s = used + b, s + 1
+        if used == width:
+            chunks.append(chunk)
+            chunk, used = np.zeros(n, dtype=np.int64), 0
+    # the top chunk takes the sign, the carry of 0 or -1; those below are unsigned
+    out = chunk + (carry << used)
+    # top down, in int64 while every coefficient fits it, then in Python ints
+    reach = 1 << (63 - width)
     for chunk in reversed(chunks):
-        out *= 10**_CHUNK_DIGITS
+        if out.dtype != object and ((out < -reach) | (out >= reach)).any():
+            out = out.astype(object)
+        out <<= width
         out += chunk
-    return out.tolist()
-
-
-def _sparse_product(f: np.ndarray, shifts: list[int], coeffs: list[int]) -> np.ndarray:
-    """The first len(f) coefficients of f * sum coeffs[i] q^shifts[i] in int64,
-    shifts ascending.  Raises OverflowError unless max|f| * sum|coeffs| is
-    below _INT64_SUM_LIMIT, which bounds every partial sum."""
-    if int(np.abs(f).max()) * sum(map(abs, coeffs)) >= _INT64_SUM_LIMIT:
-        raise OverflowError("a sparse product of the tau build could overflow int64")
-    n = len(f)
-    out = np.zeros(n, dtype=np.int64)
-    for lo in range(0, n, _PRODUCT_BLOCK):
-        hi = min(lo + _PRODUCT_BLOCK, n)
-        for t, c in zip(shifts, coeffs):
-            if t >= hi:
-                break
-            s = max(lo, t)
-            out[s:hi] += c * f[s - t : hi - t]
     return out
 
 
-def _tau_kronecker(bound: int) -> list[int]:
+def _tau_build(bound: int) -> list[int]:
     """tau(1..bound) = coefficients of q^0..q^{bound-1} in J^8, J the Jacobi
-    cube: J^4 by three int64 sparse products, then one Kronecker squaring."""
+    cube: J^2 and J^4 by exact squarings in int64, then J^8 as Python ints."""
     k = np.arange(math.isqrt(2 * bound) + 1)
     k = k[k * (k + 1) // 2 < bound]
-    shifts = (k * (k + 1) // 2).tolist()
-    coeffs = np.where(k % 2, -(2 * k + 1), 2 * k + 1).tolist()
     power = np.zeros(bound, dtype=np.int64)
-    power[shifts] = coeffs
+    power[k * (k + 1) // 2] = np.where(k % 2, -(2 * k + 1), 2 * k + 1)
     for _ in range(3):
-        power = _sparse_product(power, shifts, coeffs)
-    return _square_truncated(power)
+        power = _square_exact(power, bound)
+    return power.tolist()
 
 
 def ramanujan_tau_table(bound: int, cache: str | os.PathLike | None = None) -> list[int]:
     """Exact tau(1..bound).  cache: None builds the table and touches no file;
-    a path is read when it holds a valid table and written otherwise."""
+    a path is read when it holds a valid table and written otherwise.  A
+    bound that is not an integer is refused with TypeError before either."""
+    bound = operator.index(bound)
     if not 1 <= bound <= DEFAULT_TAU_BOUND:
         raise ValueError(f"tau bound must lie in [1, {DEFAULT_TAU_BOUND}], got {bound}")
     if cache == "auto":
@@ -389,7 +382,7 @@ def ramanujan_tau_table(bound: int, cache: str | os.PathLike | None = None) -> l
         loaded = load_tau_table(cache, bound)
         if loaded is not None:
             return loaded
-    tau = _tau_kronecker(bound)
+    tau = _tau_build(bound)
     if cache is not None:
         try:
             save_tau_table(tau, cache)

@@ -86,6 +86,15 @@ def test_values_array_agrees_with_scalar():
         assert arr[i] == chi(int(n[i]))
 
 
+def test_values_reduce_integers_past_uint64_and_refuse_floats():
+    chi = character(31, 4)
+    big = [10**20, -(10**20), 2**64]
+    assert chi.values(big).tolist() == [chi(v) for v in big]
+    assert chi.values(np.array(big, dtype=object).reshape(3, 1)).shape == (3, 1)
+    with pytest.raises(TypeError, match="integer n"):
+        chi.values([1.5])
+
+
 def _bits(values) -> np.ndarray:
     return np.atleast_1d(np.asarray(values, dtype=np.complex128)).view(np.uint64)
 

@@ -14,7 +14,7 @@ from functools import cache
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deltasums import lfunctions
@@ -40,7 +40,7 @@ from deltasums.lfunctions import (
     write_sweep_csv,
 )
 from deltasums.lfunctions import (
-    _square_truncated,
+    _square_exact,
     _tau_table_is_valid,
     _twist_values_all,
 )
@@ -91,59 +91,93 @@ def test_tau_table_matches_naive_eta_product_at_every_small_bound():
         assert ramanujan_tau_table(bound, cache=None) == eta24[:bound]
 
 
-@pytest.mark.parametrize("margin", [0, 1])
-def test_tau_build_raises_rather_than_wraps(monkeypatch, margin):
-    # the third int64 product's guard is max|J^3| * sum|c_k|; at that limit
-    # the build raises, one above it the build is exact
-    bound = 60
-    weight = sum(2 * k + 1 for k in range(bound) if k * (k + 1) // 2 < bound)
-    limit = max(map(abs, _eta_power(9, bound))) * weight
-    monkeypatch.setattr(lfunctions, "_INT64_SUM_LIMIT", limit + margin)
-    if margin == 0:
-        with pytest.raises(OverflowError, match="overflow int64"):
-            ramanujan_tau_table(bound, cache=None)
-    else:
-        assert ramanujan_tau_table(bound, cache=None) == _eta_power(24, bound)
-
-
 def test_tau_table_passes_its_exact_checks_at_100k():
     assert _tau_table_is_valid(_tau_table(100_000))
 
 
-# the Kronecker squaring takes int64 coefficients below 2^62 in absolute value
-SQUARE_TOP = 2**62 - 1
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
 
 @st.composite
 def square_inputs(draw):
-    """Signed lists with zeros, all-negative lists, and lists of +-top with
-    2 n top^2 at or just past a power of ten, where the squares' largest
-    coefficients meet the edge of the slot width the rule picks."""
-    n = draw(st.integers(1, 30))
+    """An int64 list and an output length n from 1 to 40, below, at or past
+    the list's length: signed lists with zeros, all-negative lists, and
+    values at +-2^j +- 1 for j < 63, the edges of b-bit limbs for every b."""
+    length = draw(st.integers(1, 30))
+    n = draw(st.integers(1, 40))
     kind = draw(st.sampled_from(["signed", "negative", "edge"]))
     if kind == "signed":
-        values = st.one_of(st.just(0), st.integers(-SQUARE_TOP, SQUARE_TOP))
-        return draw(st.lists(values, min_size=n, max_size=n))
-    if kind == "negative":
-        return draw(st.lists(st.integers(-SQUARE_TOP, -1), min_size=n, max_size=n))
-    # 10^37 / 2 is the last power-of-ten edge below 2 * SQUARE_TOP^2 at n = 1
-    k = draw(st.integers(1, 37))
-    top = math.isqrt((10**k - 1) // (2 * n)) + draw(st.integers(0, 1))
-    signs = draw(st.lists(st.sampled_from([-1, 0, 1, 1]), min_size=n, max_size=n))
-    return [s * top for s in signs]
+        values = st.one_of(st.just(0), st.integers(INT64_MIN, INT64_MAX))
+    elif kind == "negative":
+        values = st.integers(INT64_MIN, -1)
+    else:
+        values = st.builds(
+            lambda sign, j, step: sign * 2**j + step,
+            st.sampled_from([-1, 1]),
+            st.integers(0, 62),
+            st.sampled_from([-1, 0, 1]),
+        )
+    return draw(st.lists(values, min_size=length, max_size=length)), n
 
 
-@settings(max_examples=200, deadline=None, database=None)
+@settings(max_examples=300, deadline=None, database=None)
 @given(square_inputs())
-def test_square_truncated_matches_naive_convolution(coeffs):
-    naive = [sum(coeffs[i] * coeffs[m - i] for i in range(m + 1)) for m in range(len(coeffs))]
-    assert _square_truncated(np.array(coeffs, dtype=np.int64)) == naive
+@example(([-7, 2**40], 1))
+@example(([INT64_MIN, -1, INT64_MIN], 3))
+@example(([2**31 - 1, 1 - 2**31, 2**62 + 1], 5))
+def test_square_exact_matches_naive_convolution(case):
+    coeffs, n = case
+    padded = coeffs[:n] + [0] * (n - len(coeffs[:n]))
+    naive = [sum(padded[i] * padded[m - i] for i in range(m + 1)) for m in range(n)]
+    out = _square_exact(np.array(coeffs, dtype=np.int64), n)
+    assert out.tolist() == naive
+    # int64 exactly when every coefficient fits it, Python ints past it
+    fits = all(INT64_MIN <= v <= INT64_MAX for v in naive)
+    assert out.dtype == (np.int64 if fits else object)
 
 
-@pytest.mark.parametrize("value", [2**62, -(2**62), -(2**63)])
-def test_square_truncated_refuses_coefficients_past_2_62(value):
-    with pytest.raises(OverflowError, match="below 2\\^62"):
-        _square_truncated(np.array([1, value, -3], dtype=np.int64))
+@pytest.mark.parametrize("offset", [0.2, 0.3])
+def test_square_exact_refuses_an_entry_far_from_an_integer(monkeypatch, offset):
+    # a planted error within 1/4 of the integer rounds away; past it, raises
+    f = [5, -7, 11, 2**40, -3]
+    naive = [sum(f[i] * f[m - i] for i in range(m + 1)) for m in range(len(f))]
+    irfft = np.fft.irfft
+
+    def planted(*args, **kwargs):
+        out = irfft(*args, **kwargs)
+        out[3] += offset
+        return out
+
+    monkeypatch.setattr(np.fft, "irfft", planted)
+    if offset < lfunctions._ROUNDING_LIMIT:
+        assert _square_exact(np.array(f), len(f)).tolist() == naive
+    else:
+        with pytest.raises(ArithmeticError, match="from an integer"):
+            _square_exact(np.array(f), len(f))
+
+
+def test_rounding_bound_is_percivals_formula():
+    # largest diagonal of the norms [3, 4] is 2 * 3 * 4; the growth factor at
+    # nfft = 2^21 with e = beta = 2^-53, in 50-digit arithmetic
+    with mp.workdps(50):
+        e = beta = mp.mpf(2) ** -53
+        m = 21
+        growth = (1 + e) ** (3 * m) * (1 + e * mp.sqrt(5)) ** (3 * m + 1)
+        growth = growth * (1 + beta) ** (3 * m) - 1
+        want = float(24 * growth)
+    assert lfunctions._rounding_bound([3.0, 4.0], 2**21) == pytest.approx(want, rel=1e-12)
+
+
+def test_width_rule_has_a_width_for_any_int64_input_at_the_default_bound():
+    # every limb of every entry at its balanced extreme 2^(b-1), as many limbs
+    # as an int64 needs: b = 11 stays within the limit at DEFAULT_TAU_BOUND, so
+    # the width rule never runs out of widths for the tau build's squarings
+    n = DEFAULT_TAU_BOUND
+    nfft = 1 << (2 * n - 2).bit_length()
+    b = 11
+    count = len(lfunctions._limbs(np.array([INT64_MIN, INT64_MAX]), b))
+    worst = [2.0 ** (b - 1) * math.sqrt(n)] * count
+    assert lfunctions._rounding_bound(worst, nfft) <= lfunctions._ROUNDING_LIMIT
 
 
 @cache
@@ -184,13 +218,30 @@ def test_tau_table_refuses_bounds_past_exact_range(tmp_path, monkeypatch):
     def no_build(bound):
         raise AssertionError("the table was built")
 
-    monkeypatch.setattr(lfunctions, "_tau_kronecker", no_build)
+    monkeypatch.setattr(lfunctions, "_tau_build", no_build)
     for cache in (None, tmp_path / "tau.txt"):
         with pytest.raises(ValueError, match="tau bound"):
             ramanujan_tau_table(DEFAULT_TAU_BOUND + 1, cache=cache)
     with pytest.raises(ValueError, match="tau bound"):
         delta_sequence(DEFAULT_TAU_BOUND + 1, cache=None)
     assert not (tmp_path / "tau.txt").exists()
+
+
+@pytest.mark.parametrize("bound", [2.5, 7.0, "7", None])
+def test_tau_table_refuses_a_non_integer_bound_before_the_cache(tmp_path, monkeypatch, bound):
+    path = tmp_path / "tau.txt"
+    save_tau_table(ramanujan_tau_table(10, cache=None), path)
+    before = path.read_bytes(), path.stat().st_mtime_ns
+
+    def untouched(*args):
+        raise AssertionError("the cache was read or the table built")
+
+    monkeypatch.setattr(lfunctions, "load_tau_table", untouched)
+    monkeypatch.setattr(lfunctions, "_tau_build", untouched)
+    for build in (ramanujan_tau_table, delta_sequence):
+        with pytest.raises(TypeError):
+            build(bound, cache=path)
+    assert (path.read_bytes(), path.stat().st_mtime_ns) == before
 
 
 @pytest.mark.parametrize("bound", [1, 2, 3, 4, 15, 16, 17, 1000])
