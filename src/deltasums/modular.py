@@ -7,12 +7,14 @@ mod_inverse take an integer of any size (is_prime is exact below 3.3e24);
 divisors and primitive_root factor by trial division, so they are for
 desk-scale n.  unit_residues, inverse_row and prime_modulus build one cached,
 read-only row per modulus (the units; x^{-1} at each unit and 0 elsewhere;
-discrete logs), and prime_modulus refuses M above MAX_MODULUS.
+discrete logs, from the powers of a primitive root filled by doubling), and
+prime_modulus refuses M above MAX_MODULUS.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -33,8 +35,8 @@ __all__ = [
 
 
 # the largest modulus prime_modulus and the command line accept, refused
-# before a residue is enumerated: prime_modulus fills its row in a Python loop
-# of M - 1 steps
+# before a residue is enumerated; below it the doubling of prime_modulus is
+# exact in int64, since (M - 1)^2 < 2^63
 MAX_MODULUS = 100_003
 
 
@@ -82,7 +84,7 @@ def primes_up_to(n: int) -> list[int]:
     for p in range(2, math.isqrt(n) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i in range(2, n + 1) if sieve[i]]
+    return np.flatnonzero(np.frombuffer(sieve, np.uint8)).tolist()
 
 
 def primes_in(lo: float, hi: float) -> list[int]:
@@ -94,7 +96,11 @@ def primes_in(lo: float, hi: float) -> list[int]:
 
 
 def divisors(n: int) -> list[int]:
-    """Positive divisors of n, ascending."""
+    """Positive divisors of the integer n, ascending, as Python ints; TypeError
+    for a bool or a non-integer (operator.index refuses 2.5 and 6.0)."""
+    if isinstance(n, bool):
+        raise TypeError("divisors takes an integer, got a bool")
+    n = operator.index(n)
     if n < 1:
         raise ValueError("divisors requires n >= 1")
     small, large = [], []
@@ -189,10 +195,15 @@ def prime_modulus(M: int) -> np.ndarray:
     if M <= 3:
         raise ValueError("character work requires a prime modulus > 3")
     g = primitive_root(M)
+    # g^0 .. g^(M-2) by doubling: the filled prefix g^0 .. g^(n-1) times g^n
+    # gives g^n .. g^(2n-1); every product is below (M-1)^2 < 2^63, exact in int64
+    powers = np.ones(M - 1, dtype=np.int64)
+    n = 1
+    while n < M - 1:
+        m = min(n, M - 1 - n)
+        powers[n : n + m] = powers[:m] * pow(g, n, M) % M
+        n *= 2
     dlog = np.full(M, -1, dtype=np.int64)
-    x = 1
-    for j in range(M - 1):
-        dlog[x] = j
-        x = x * g % M
+    dlog[powers] = np.arange(M - 1)
     dlog.setflags(write=False)
     return dlog

@@ -77,6 +77,16 @@ def totient(n: int) -> int:
     return sum(1 for x in range(n) if math.gcd(x, n) == 1)
 
 
+def discrete_logs(M: int, g: int) -> list[int]:
+    """Entry n holds the j in [0, M-1) with g^j = n (mod M), entry 0 holds -1,
+    from the powers x = x*g % M one at a time; g must generate (Z/M)^*."""
+    dlog, x = [-1] * M, 1
+    for j in range(M - 1):
+        dlog[x] = j
+        x = x * g % M
+    return dlog
+
+
 def smooth_cutoff(t: np.ndarray) -> np.ndarray:
     """C-infinity cutoff: 1 on [0,1], descending to 0 at 2, 0 beyond; t
     ascending and nonnegative, so the descent is one slice."""

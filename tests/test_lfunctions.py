@@ -1,5 +1,6 @@
 """Coefficient sequences, L-values, amplifiers and sweeps."""
 
+import contextlib
 import gc
 import hashlib
 import io
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from deltasums import lfunctions
+from deltasums import cli, lfunctions
 from deltasums.characters import PrincipalCharacterNotAllowed, _character_transform, character
 from deltasums.lfunctions import (
     CSV_HEADER,
@@ -462,6 +463,30 @@ def test_hurwitz_zeta_refuses_non_finite_input():
             hurwitz_zeta(s, 0.5)
         with pytest.raises(ValueError, match="finite s"):
             hurwitz_zeta(s, np.array([0.2, 0.4]))
+
+
+def test_hurwitz_row_misses_its_principal_value_raises(monkeypatch):
+    # the principal entry must be zeta(1/2) (1 - M^{-1/2})
+    assert lfunctions._ZETA_HALF == float(mp.zeta(0.5))
+    exact = hurwitz_zeta
+
+    def perturbed(s, a):
+        out = exact(s, a)
+        out[2] += 1e-6  # the residue class a = 3
+        return out
+
+    monkeypatch.setattr(lfunctions, "hurwitz_zeta", perturbed)
+    lfunctions._l_values_all.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match="mod 7 misses its principal value by 3.78e-07"):
+            lfunctions._l_values_all(7)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["sweep", "--kind=dirichlet", "--pmin=5", "--pmax=7"])
+        assert code == 3
+        assert err.getvalue().startswith("error: Hurwitz row mod 5 misses its principal value")
+    finally:
+        lfunctions._l_values_all.cache_clear()
 
 
 def test_l_value_methods_agree_small_moduli():

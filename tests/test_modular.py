@@ -21,11 +21,14 @@ from deltasums.modular import (
     unit_residues,
 )
 
-from oracles import divisors_of, primes_below, totient
+from oracles import discrete_logs, divisors_of, primes_below, totient
 
 
 def test_primes_up_to_matches_trial_division():
-    assert primes_up_to(1000) == primes_below(1001)
+    for n in (0, 1, 2, 3, 4, 1000, 10007):
+        primes = primes_up_to(n)
+        assert primes == primes_below(n + 1)
+        assert all(type(p) is int for p in primes)
 
 
 def test_primes_in_inclusive_and_float_tolerant():
@@ -45,6 +48,14 @@ def test_divisors_random(seed=7):
     for _ in range(300):
         n = rng.randrange(1, 5000)
         assert divisors(n) == divisors_of(n)
+
+
+def test_divisors_take_integers_alone_and_return_python_ints():
+    for n in (2.5, 6.0, True, False):
+        with pytest.raises(TypeError):
+            divisors(n)
+    got = divisors(np.int64(12))
+    assert got == [1, 2, 3, 4, 6, 12] and all(type(d) is int for d in got)
 
 
 def test_mod_inverse_round_trip(seed=3):
@@ -105,6 +116,12 @@ def test_prime_modulus_discrete_log():
     assert dlog[0] == -1
     assert sorted(dlog[1:]) == list(range(101 - 1))
     assert dlog.dtype == np.int64 and not dlog.flags.writeable
+
+
+def test_prime_modulus_matches_the_power_loop():
+    # every prime to 2000 crosses each doubling edge, including M - 1 = 2^k
+    for M in [p for p in primes_below(2001) if p >= 5] + [100_003]:
+        assert prime_modulus(M).tolist() == discrete_logs(M, primitive_root(M)), M
 
 
 def test_prime_modulus_rejects_composites():

@@ -1,7 +1,8 @@
 """Property tests for the trivial delta symbol, the beta-sum rows, Dirichlet
 characters, Gauss and Kloosterman sums, the frak_k/frak_c closed-form routing,
-unit residues, sweep CSV lines and Fourier duals."""
+unit residues, sweep CSV lines and files, and Fourier duals."""
 
+import io
 import math
 
 import numpy as np
@@ -23,7 +24,7 @@ from deltasums.expsums import (
     trivial_delta,
 )
 from deltasums.identities import _beta_row
-from deltasums.lfunctions import SweepRecord
+from deltasums.lfunctions import CSV_HEADER, SweepRecord, write_sweep_csv
 from deltasums.modular import divisors, prime_modulus, primes_in, unit_residues
 from deltasums.transforms import bump_window, fourier_dual, plateau_window
 
@@ -231,7 +232,7 @@ def test_percent_15g_is_format_15g(x):
 @given(
     st.integers(5, 10**4),
     st.integers(0, 10**4),
-    st.sampled_from(["dirichlet", "divisor", "delta_form"]),
+    st.sampled_from(["dirichlet", "divisor", "delta_form", "5%", "%d%s%%"]),
     st.complex_numbers(),
     st.floats(),
     st.floats(),
@@ -248,6 +249,47 @@ def test_csv_line_is_the_fstring_line(M, k, kind, v, exponent, ratio):
             record.csv_line()
         return
     assert record.csv_line() == want
+
+
+@st.composite
+def sweep_records(draw):
+    """Up to 40 records from at most four (M, kind, exponent) groups, drawn in
+    any order, so groups interleave and repeat; kinds may hold a '%'."""
+    groups = draw(
+        st.lists(
+            st.tuples(
+                st.integers(5, 10**4),
+                st.sampled_from(["dirichlet", "divisor", "delta_form", "5%", "%d%s%%"]),
+                st.floats(),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    rows = draw(
+        st.lists(
+            st.tuples(st.sampled_from(groups), st.integers(0, 10**4), st.complex_numbers(), st.floats()),
+            max_size=40,
+        )
+    )
+    return [SweepRecord(M, k, kind, v, exponent, ratio) for (M, kind, exponent), k, v, ratio in rows]
+
+
+@PROPERTY
+@given(sweep_records())
+@example([])
+@example([SweepRecord(7, 1, "dirichlet", 1j, e, 0.5) for e in (0.0, -0.0, 0.0, 0.25, 0.0)])
+@example([SweepRecord(7, k, kind, 1 + 2j, 0.1875, 0.5) for k, kind in enumerate(["%s", "%", "%s"])])
+def test_sweep_csv_is_the_csv_lines(records):
+    try:
+        want = CSV_HEADER + "\n" + "".join(r.csv_line() + "\n" for r in records)
+    except OverflowError:  # |v| past the largest float: the writer raises too
+        with pytest.raises(OverflowError):
+            write_sweep_csv(records, io.StringIO())
+        return
+    buf = io.StringIO()
+    write_sweep_csv(records, buf)
+    assert buf.getvalue() == want
 
 
 @st.composite
